@@ -260,9 +260,7 @@ def write_field_csv(
 ) -> None:
     times = fd.time_nodes(m_t)
     xs = fd.space_nodes(m_x, u.basis)
-    e = fd.time_eval_matrix(u.n_t, m_t)
-    b = fd.space_eval_matrix(u.n_x, xs, u.basis)
-    vals = ((e @ u.coeffs) @ b.T).real
+    vals = fd.evaluate(u, m_t, m_x).real
     with open(path, "w", newline="\n") as fh:
         fh.write("t,x,u\n")
         for i, t in enumerate(times):

@@ -28,10 +28,11 @@ from .fields import (
     BasisMismatchError,
     SQRT2,
     SpectralField,
-    space_eval_matrix,
-    space_nodes,
-    time_eval_matrix,
+    analyse,
+    evaluate,
     product_cosine,
+    space_matrix,
+    space_nodes,
     zeros,
 )
 from .operators import apply_T, d_t, d_x, d_xx
@@ -152,14 +153,8 @@ def _pointwise_map(
     caller monitors the equation residual of the projection."""
     m_t = pad * (2 * n_t_out + 1)
     m_x = pad * (n_x_out + 1)
-    x = space_nodes(m_x, Basis.NEUMANN_COSINE)
-    b_in = space_eval_matrix(u.n_x, x, u.basis)
-    e_in = time_eval_matrix(u.n_t, m_t)
-    vals = fn(((e_in @ u.coeffs) @ b_in.T).real)
-    b_out = space_eval_matrix(n_x_out, x, Basis.NEUMANN_COSINE)
-    e_out = time_eval_matrix(n_t_out, m_t)
-    coeffs = (e_out.conj().T @ vals @ b_out) / (m_t * m_x)
-    return SpectralField(coeffs, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
+    vals = fn(evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE).real)
+    return analyse(vals, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
 def s2_residual(W: SpectralField, v: SpectralField, k: float, mu: float) -> float:
@@ -168,11 +163,6 @@ def s2_residual(W: SpectralField, v: SpectralField, k: float, mu: float) -> floa
     coeffs = res.coeffs.copy()
     coeffs[res.n_t, 0] -= k
     return res.with_coeffs(coeffs).l2()
-
-
-def _eval_grid(u: SpectralField, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    b = space_eval_matrix(u.n_x, x, u.basis)
-    return ((e @ u.coeffs) @ b.T).real
 
 
 def chain_rule_defect(
@@ -194,11 +184,9 @@ def chain_rule_defect(
     phix = d_x(phi)
     m_t = 2 * (2 * n_t_p + 1)
     m_x = 2 * (n_x_p + 2)
-    x = space_nodes(m_x, Basis.NEUMANN_COSINE)
 
     def ev(u):
-        et = time_eval_matrix(u.n_t, m_t)
-        return _eval_grid(u, et, x)
+        return evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE).real
 
     w = d_x(W)
     vg = ev(v)
@@ -212,10 +200,7 @@ def chain_rule_defect(
 def grid_min(u: SpectralField, pad: int = 4) -> float:
     m_t = max(pad * (2 * u.n_t + 1), 8)
     m_x = max(pad * (u.n_x + 1), 8)
-    x = space_nodes(m_x, u.basis)
-    b = space_eval_matrix(u.n_x, x, u.basis)
-    e = time_eval_matrix(u.n_t, m_t)
-    return float(((e @ u.coeffs) @ b.T).real.min())
+    return float(evaluate(u, m_t, m_x).real.min())
 
 
 def grid_max(u: SpectralField, pad: int = 4) -> float:
@@ -259,11 +244,9 @@ def s2_to_s3(
     kp = e.K / (2.0 * mu)
     m_t = 4 * (2 * phi.n_t + 1)
     m_x = 4 * (phi.n_x + 2)
-    x = space_nodes(m_x, Basis.NEUMANN_COSINE)
-    e_w = time_eval_matrix(W.n_t, m_t)
-    e_p = time_eval_matrix(phi.n_t, m_t)
-    exact = np.exp(-_eval_grid(W, e_w, x) / (2.0 * mu)) / top
-    defect = float(np.abs(_eval_grid(phi, e_p, x) - exact).max())
+    mid = Basis.NEUMANN_COSINE  # midpoint nodes
+    exact = np.exp(-evaluate(W, m_t, m_x, mid).real / (2.0 * mu)) / top
+    defect = float(np.abs(evaluate(phi, m_t, m_x, mid).real - exact).max())
     if defect > resid_tol:
         raise ProjectionAccuracyError(
             f"projected exponential misses its pointwise values by {defect:.3e} "
@@ -316,10 +299,10 @@ class PeriodMap:
         self.n_x = v.n_x if n_x is None else n_x
         n_x = self.n_x
         m_x = 2 * (n_x + 1)
-        x = space_nodes(m_x, Basis.NEUMANN_COSINE)
-        bs = space_eval_matrix(n_x, x, Basis.DIRICHLET_SINE)      # sine eval
-        bc = space_eval_matrix(n_x, x, Basis.NEUMANN_COSINE)      # cosine eval
-        bv = space_eval_matrix(v.n_x, x, Basis.DIRICHLET_SINE)    # v eval
+        mid = Basis.NEUMANN_COSINE  # midpoint nodes
+        bs = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)      # sine eval
+        bc = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)      # cosine eval
+        bv = space_matrix(v.n_x, m_x, mid, Basis.DIRICHLET_SINE)    # v eval
         analysis = bc.T / m_x
         m = np.arange(0, n_x + 1).astype(float)
         lap = -((m * np.pi) ** 2)
@@ -360,7 +343,7 @@ def profile_values(psi: np.ndarray, m_x: int | None = None) -> np.ndarray:
     n_x = len(psi) - 1
     if m_x is None:
         m_x = max(4 * (n_x + 1), 16)
-    b = space_eval_matrix(n_x, space_nodes(m_x, Basis.NEUMANN_COSINE), Basis.NEUMANN_COSINE)
+    b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
     return b @ np.asarray(psi, dtype=float)
 
 
@@ -369,9 +352,8 @@ def profile_from_function(fn, n_x: int, m_x: int | None = None) -> np.ndarray:
     oversampled midpoint grid)."""
     if m_x is None:
         m_x = 4 * (n_x + 1)
-    x = space_nodes(m_x, Basis.NEUMANN_COSINE)
-    b = space_eval_matrix(n_x, x, Basis.NEUMANN_COSINE)
-    return (b.T @ fn(x)) / m_x
+    b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
+    return (b.T @ fn(space_nodes(m_x, Basis.NEUMANN_COSINE))) / m_x
 
 
 def evolve_period_map(

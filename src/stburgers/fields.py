@@ -14,11 +14,16 @@ so Parseval holds with unit weights and all norm formulas are diagonal.
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
+# layouts each transform cache holds before it evicts the least recently
+# used one; a 64x64 solve with its norms and products needs about ten
+TRANSFORM_CACHE_SIZE = 64
 
 
 class Basis(enum.Enum):
@@ -174,6 +179,71 @@ def time_eval_matrix(n_t: int, m_t: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * t)
 
 
+class LayoutCache:
+    """Basis matrices built once per layout and then kept read-only.
+
+    Holds at most `size` layouts and evicts the least recently used one.
+    A lock guards the table, so threads may share the cache (sweep rows
+    run in a pool); a cached matrix is never written after it is built."""
+
+    def __init__(self, build, size: int = TRANSFORM_CACHE_SIZE):
+        self._build = build
+        self.size = size
+        self._table: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, *layout) -> np.ndarray:
+        with self._lock:
+            mat = self._table.get(layout)
+            if mat is not None:
+                self._table.move_to_end(layout)
+                return mat
+        mat = self._build(*layout)
+        mat.setflags(write=False)
+        with self._lock:
+            self._table[layout] = mat
+            while len(self._table) > self.size:
+                self._table.popitem(last=False)
+        return mat
+
+    def entries(self) -> list:
+        """(layout, matrix) pairs, least recently used first."""
+        with self._lock:
+            return list(self._table.items())
+
+
+def _space_layout(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
+    return space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
+
+
+# E for the time layout (n_t, m_t); B for the space layout (n_x, m_x,
+# node family, basis), that is, `basis` evaluated on the m_x nodes of the
+# grid that belongs to `nodes`
+time_matrix = LayoutCache(lambda n_t, m_t: time_eval_matrix(n_t, m_t))
+space_matrix = LayoutCache(_space_layout)
+
+
+def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
+    """Complex values (E @ c) @ B.T of u on the m_t x m_x grid of the
+    node family `nodes` (by default the family of u's own basis)."""
+    e = time_matrix(u.n_t, m_t)
+    b = space_matrix(u.n_x, m_x, u.basis if nodes is None else nodes, u.basis)
+    return (e @ u.coeffs) @ b.T
+
+
+def analyse(values: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:
+    """Discrete analysis of grid values on the node family of `basis`;
+    the exact inverse of `evaluate` on band-limited fields."""
+    m_t, m_x = values.shape
+    e = time_matrix(n_t, m_t)
+    b = space_matrix(n_x, m_x, basis, basis)
+    # discrete orthogonality weight: sum_i b_j(x_i)^2 = m_x+1 on sine
+    # nodes and m_x on midpoint cosine nodes, for every basis function
+    w = (m_x + 1) if basis is Basis.DIRICHLET_SINE else m_x
+    coeffs = (e.conj().T @ values @ b) / (m_t * w)
+    return SpectralField(coeffs, n_t, n_x, basis)
+
+
 def zeros(n_t: int, n_x: int, basis: Basis = Basis.DIRICHLET_SINE) -> SpectralField:
     shape = (2 * n_t + 1, space_columns(n_x, basis))
     return SpectralField(np.zeros(shape, dtype=complex), n_t, n_x, basis)
@@ -215,9 +285,7 @@ def to_grid(u: SpectralField, m_t: int, m_x: int) -> GridField:
         raise ResolutionError(
             f"grid {m_t}x{m_x} too small for truncation ({u.n_t}, {u.n_x})"
         )
-    e = time_eval_matrix(u.n_t, m_t)
-    b = space_eval_matrix(u.n_x, space_nodes(m_x, u.basis), u.basis)
-    vals = (e @ u.coeffs) @ b.T
+    vals = evaluate(u, m_t, m_x)
     scale = max(1.0, np.abs(vals).max())
     imag = np.abs(vals.imag).max()
     if imag > 1e-12 * scale:
@@ -236,13 +304,7 @@ def to_spectral(g: GridField, n_t: int, n_x: int, basis: Basis | None = None) ->
         raise ResolutionError(
             f"grid {g.m_t}x{g.m_x} too small for truncation ({n_t}, {n_x})"
         )
-    e = time_eval_matrix(n_t, g.m_t)
-    b = space_eval_matrix(n_x, space_nodes(g.m_x, basis), basis)
-    # discrete orthogonality weight: sum_i b_j(x_i)^2 = m_x+1 on sine
-    # nodes and m_x on midpoint cosine nodes, for every basis function
-    w = (g.m_x + 1) if basis is Basis.DIRICHLET_SINE else g.m_x
-    coeffs = (e.conj().T @ g.values @ b) / (g.m_t * w)
-    return SpectralField(coeffs, n_t, n_x, basis)
+    return analyse(g.values, n_t, n_x, basis)
 
 
 def grid_quadrature(g: GridField) -> float:
@@ -279,17 +341,11 @@ def product_cosine(
         n_x_out = 2 * u.n_x
     m_t = 2 * u.n_t + n_t_out + 1
     m_x = u.n_x + v.n_x + n_x_out + 2
-    x = space_nodes(m_x, Basis.NEUMANN_COSINE)
-    bs = space_eval_matrix(u.n_x, x, Basis.DIRICHLET_SINE)
-    e = time_eval_matrix(u.n_t, m_t)
     # stays complex-bilinear so linearized solves may pass non-Hermitian
     # intermediates through; real inputs give real products automatically
-    gu = (e @ u.coeffs) @ bs.T
-    gv = (e @ v.coeffs) @ bs.T
-    bc = space_eval_matrix(n_x_out, x, Basis.NEUMANN_COSINE)
-    eo = time_eval_matrix(n_t_out, m_t)
-    coeffs = (eo.conj().T @ (gu * gv) @ bc) / (m_t * m_x)
-    return SpectralField(coeffs, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
+    gu = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
+    gv = evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
+    return analyse(gu * gv, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
 def cosine_to_sine_projection(n_x_sine: int, n_x_cos: int) -> np.ndarray:

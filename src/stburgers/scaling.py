@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, space_eval_matrix, space_nodes, time_eval_matrix, time_nodes
+from .fields import SpectralField, evaluate, space_nodes, time_nodes
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,5 @@ def denormalize(
         m_x = u_bar.n_x + 1
     tbar = time_nodes(m_t)
     xbar = space_nodes(m_x, u_bar.basis)
-    e = time_eval_matrix(u_bar.n_t, m_t)
-    b = space_eval_matrix(u_bar.n_x, xbar, u_bar.basis)
-    vals = (p.length / p.period) * ((e @ u_bar.coeffs) @ b.T).real
+    vals = (p.length / p.period) * evaluate(u_bar, m_t, m_x).real
     return PhysicalField(times=p.period * tbar, positions=p.length * xbar, values=vals)
