@@ -218,7 +218,9 @@ def _space_layout(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
 
 # E for the time layout (n_t, m_t); B for the space layout (n_x, m_x,
 # node family, basis), that is, `basis` evaluated on the m_x nodes of the
-# grid that belongs to `nodes`
+# grid that belongs to `nodes`.  The builders look the eval functions up
+# at call time, so a wrapper set on the module attribute (as
+# bench/tracer.py does) sees every cache miss.
 time_matrix = LayoutCache(lambda n_t, m_t: time_eval_matrix(n_t, m_t))
 space_matrix = LayoutCache(_space_layout)
 
@@ -318,6 +320,12 @@ def grid_quadrature(g: GridField) -> float:
     return float(g.values.sum() / (g.m_t * w))
 
 
+def _product_grid(u: SpectralField, n_t_out: int, n_x_out: int) -> tuple[int, int]:
+    """Padded grid (m_t, m_x) on which the product of two fields of u's
+    truncation is exact in the output band (n_t_out, n_x_out)."""
+    return 2 * u.n_t + n_t_out + 1, 2 * u.n_x + n_x_out + 2
+
+
 def product_cosine(
     u: SpectralField,
     v: SpectralField,
@@ -339,13 +347,43 @@ def product_cosine(
         n_t_out = 2 * u.n_t
     if n_x_out is None:
         n_x_out = 2 * u.n_x
-    m_t = 2 * u.n_t + n_t_out + 1
-    m_x = u.n_x + v.n_x + n_x_out + 2
+    m_t, m_x = _product_grid(u, n_t_out, n_x_out)
     # stays complex-bilinear so linearized solves may pass non-Hermitian
     # intermediates through; real inputs give real products automatically
     gu = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
     gv = evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
     return analyse(gu * gv, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
+
+
+def advection_matrix(m: SpectralField) -> np.ndarray:
+    """Matrix of the linear map w -> (m w)_x, the x-derivative of
+    product_cosine(m, w, n_t, n_x), on flattened Dirichlet-sine
+    coefficients of m's truncation.
+
+    On the padded grid of that product, with g = m on the grid, E the
+    time matrix and S, C the sine and cosine matrices on midpoint nodes,
+
+        A[(n, k), (i, j)] = sum_t sum_x conj(E[t, n]) E[t, i] g[t, x]
+                            * S[x, j] (-k pi) C[x, k] / (m_t m_x).
+
+    conj(E[t, n]) E[t, i] depends on i - n only, so the sum over t is one
+    product for the 4 n_t + 1 differences, the sum over x one more, and A
+    is block Toeplitz in (n, i)."""
+    if m.basis is not Basis.DIRICHLET_SINE:
+        raise BasisMismatchError("advection_matrix expects a Dirichlet-sine field")
+    rows, n_x = 2 * m.n_t + 1, m.n_x
+    m_t, m_x = _product_grid(m, m.n_t, n_x)
+    mid = Basis.NEUMANN_COSINE
+    diffs = time_matrix(2 * m.n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
+    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
+    k = np.arange(1, n_x + 1)
+    c = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)[:, 1:] * (-np.pi * k / (m_t * m_x))
+    d = (c[:, :, None] * s[:, None, :]).reshape(m_x, n_x * n_x)  # [x, (k, j)]
+    blocks = (diffs @ d).reshape(2 * rows - 1, n_x, n_x)  # [i - n, k, j]
+    a = np.empty((rows, n_x, rows, n_x), dtype=complex)  # [n, k, i, j]
+    for n in range(rows):
+        a[n] = blocks[rows - 1 - n : 2 * rows - 1 - n].transpose(1, 0, 2)
+    return a.reshape(rows * n_x, rows * n_x)
 
 
 def cosine_to_sine_projection(n_x_sine: int, n_x_cos: int) -> np.ndarray:

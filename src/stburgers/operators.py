@@ -23,6 +23,7 @@ from .fields import (
     Basis,
     BasisMismatchError,
     SpectralField,
+    advection_matrix,
     product_cosine,
 )
 
@@ -171,6 +172,13 @@ def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralFiel
         raise BasisMismatchError("T'(m) requires matching layouts")
     mw = product_cosine(m, w, m.n_t, m.n_x)
     return apply_L(w, mu) + d_x(mw)
+
+
+def T_prime_matrix(m: SpectralField, mu: float) -> np.ndarray:
+    """Dense matrix of T'(m) on flattened Dirichlet-sine coefficients."""
+    a = advection_matrix(m)
+    a[np.diag_indices_from(a)] += LinearSymbol(mu).values(m.n_t, m.n_x).ravel()
+    return a
 
 
 def p_transform(u: SpectralField) -> SpectralField:

@@ -3,8 +3,8 @@
 The linearized equations T'(m) w = r are solved in the preconditioned
 fixed-point form w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a
 compact perturbation, the regime where Krylov iterations converge mesh
-independently.  Small systems fall back to a densely assembled modal
-matrix so oracle comparisons stay available.
+independently.  Small systems are solved directly with the dense matrix
+of T'(m), which `operators.T_prime_matrix` assembles in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fields import SpectralField, zeros
 from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
-from .operators import apply_L, apply_T, apply_T_prime, d_x, invert_L
+from .operators import T_prime_matrix, apply_T, apply_T_prime, d_x, invert_L
 from .fields import product_cosine
 
 
@@ -51,6 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+        if self.max_krylov < 1:
+            raise ValueError("max_krylov must be at least 1")
         steps = tuple(float(s) for s in self.homotopy_steps)
         if steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])
@@ -118,18 +120,8 @@ def solve_linearized(
 
 
 def _dense_solve(m: SpectralField, r: SpectralField, cfg: SolverConfig) -> SpectralField:
-    shape = m.coeffs.shape
-    n = r.coeffs.size
-    a = np.empty((n, n), dtype=complex)
-    e = np.zeros(n, dtype=complex)
-    for k in range(n):
-        e[k] = 1.0
-        w = SpectralField(e.reshape(shape), m.n_t, m.n_x, m.basis)
-        col = apply_T_prime(m, w, cfg.mu).coeffs
-        a[:, k] = col.ravel()
-        e[k] = 0.0
-    x = np.linalg.solve(a, np.asarray(r.coeffs).ravel())
-    return r.with_coeffs(x.reshape(shape))
+    x = np.linalg.solve(T_prime_matrix(m, cfg.mu), r.coeffs.ravel())
+    return r.with_coeffs(x.reshape(r.coeffs.shape))
 
 
 def _residual_target(m, w, rn, cfg) -> float:
@@ -143,16 +135,19 @@ def _krylov_solve(m: SpectralField, r: SpectralField, cfg: SolverConfig) -> Spec
     rhs = invert_L(r, cfg.mu).coeffs.ravel()
     rn = dual_norm(r)
     rtol = cfg.krylov_tol
+    restart = min(cfg.max_krylov, rhs.size)
     x = None
     for _ in range(3):
+        # gmres counts maxiter in restart cycles; at most max_krylov
+        # inner iterations per call
         x, _info = gmres(
             op,
             rhs,
             x0=x,
             rtol=rtol,
             atol=0.0,
-            maxiter=cfg.max_krylov,
-            restart=min(cfg.max_krylov, rhs.size),
+            maxiter=cfg.max_krylov // restart,
+            restart=restart,
         )
         w = r.with_coeffs(x.reshape(m.coeffs.shape))
         res = dual_norm(apply_T_prime(m, _symmetrize(w), cfg.mu) - r)

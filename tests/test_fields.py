@@ -1,10 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from stburgers.fields import (
+    TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
     GridField,
+    LayoutCache,
     ResolutionError,
     SpectralField,
     cosine_to_sine_projection,
@@ -14,8 +19,10 @@ from stburgers.fields import (
     random_field,
     set_mode,
     space_eval_matrix,
+    space_matrix,
     space_nodes,
     time_eval_matrix,
+    time_matrix,
     to_grid,
     to_spectral,
     truncate,
@@ -185,3 +192,59 @@ def test_random_field_decay_envelope():
     low = np.abs(u.coeffs[u.n_t - 1 : u.n_t + 2, :2]).max()
     high = np.abs(u.coeffs[0, -1])
     assert high < low
+
+
+def test_cached_matrices_equal_the_eval_matrices():
+    u = random_field(30, 5, 4, 2.0)
+    to_spectral(to_grid(u, 16, 12), 5, 4)
+    dealiased_product(u, u)
+    to_grid(product_cosine(u, u), 24, 20)
+    assert time_matrix.entries() and space_matrix.entries()
+    for (n_t, m_t), e in time_matrix.entries():
+        assert np.array_equal(e, time_eval_matrix(n_t, m_t))
+    for (n_x, m_x, nodes, basis), b in space_matrix.entries():
+        assert np.array_equal(b, space_eval_matrix(n_x, space_nodes(m_x, nodes), basis))
+
+
+def test_cached_matrices_are_read_only():
+    e = time_matrix(3, 9)
+    b = space_matrix(3, 9, Basis.NEUMANN_COSINE, Basis.DIRICHLET_SINE)
+    for mat in (e, b):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
+    assert time_matrix(3, 9) is e
+
+
+def test_layout_cache_size_is_bounded():
+    for m_t in range(3, 3 + TRANSFORM_CACHE_SIZE + 10):
+        time_matrix(1, m_t)
+    layouts = [key for key, _ in time_matrix.entries()]
+    assert len(layouts) == TRANSFORM_CACHE_SIZE
+    # least recently used layouts go first
+    assert layouts[-1] == (1, 2 + TRANSFORM_CACHE_SIZE + 10)
+    assert (1, 3) not in layouts
+    assert np.array_equal(time_matrix(1, 3), time_eval_matrix(1, 3))
+
+
+def test_layout_cache_is_shared_between_threads():
+    # more threads than cores and a short switch interval, so lookups,
+    # builds and evictions interleave; every lookup must still return the
+    # right matrix and the table must stay within its size
+    cache = LayoutCache(time_eval_matrix, size=4)
+    layouts = [(n_t, 2 * n_t + 1 + k) for n_t in range(1, 4) for k in range(3)] * 20
+
+    def lookup(layout):
+        return np.array_equal(cache(*layout), time_eval_matrix(*layout))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(lookup, layouts, timeout=60))
+            u = [random_field(40 + i, 2 + i, 3, 2.0) for i in range(4)]
+            threaded = list(pool.map(lambda v: product_cosine(v, v).coeffs, u, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cache.entries()) == 4
+    serial = [product_cosine(v, v).coeffs for v in u]
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))

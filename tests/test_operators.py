@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stburgers.fields import (
     Basis,
     BasisMismatchError,
+    SpectralField,
+    advection_matrix,
     random_field,
     set_mode,
     space_eval_matrix,
@@ -13,6 +16,7 @@ from stburgers.operators import (
     HALF_DERIVATIVE,
     HILBERT,
     LinearSymbol,
+    T_prime_matrix,
     apply_L,
     apply_S,
     apply_T,
@@ -204,6 +208,52 @@ def test_apply_t_prime_finite_difference():
     fd_val = (1.0 / (2 * eps)) * (apply_T(u + eps * w, mu) - apply_T(u - eps * w, mu))
     exact = apply_T_prime(u, w, mu)
     assert (fd_val - exact).l2() < 1e-8
+
+
+def column_jacobian(m, mu):
+    """Reference matrix of T'(m), built one unit column at a time."""
+    shape = m.coeffs.shape
+    n = m.coeffs.size
+    a = np.empty((n, n), dtype=complex)
+    e = np.zeros(n, dtype=complex)
+    for k in range(n):
+        e[k] = 1.0
+        w = SpectralField(e.reshape(shape), m.n_t, m.n_x)
+        a[:, k] = apply_T_prime(m, w, mu).coeffs.ravel()
+        e[k] = 0.0
+    return a
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_t=st.integers(1, 7),
+    n_x=st.integers(1, 7),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    ref = column_jacobian(m, mu)
+    a = T_prime_matrix(m, mu)
+    assert a.shape == ref.shape
+    assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_t_prime_matrix_applies_t_prime():
+    # the dense matrix acts on a non-Hermitian direction exactly as the
+    # matrix-free derivative does
+    m = random_field(21, 5, 3, 1.5)
+    w = random_field(22, 5, 3, 1.5).coeffs * (1.0 + 0.5j)
+    w = SpectralField(w, 5, 3)
+    got = T_prime_matrix(m, 0.2) @ w.coeffs.ravel()
+    want = apply_T_prime(m, w, 0.2).coeffs.ravel()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_advection_matrix_rejects_cosine_fields():
+    with pytest.raises(BasisMismatchError):
+        advection_matrix(zeros(2, 2, Basis.NEUMANN_COSINE))
 
 
 def test_apply_t_secant_identity():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stburgers import fields, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, dual_norm
 from stburgers.operators import apply_T
@@ -56,6 +57,28 @@ def test_dense_and_krylov_solves_agree():
     assert np.max(np.abs(dense.u.coeffs - kry.u.coeffs)) < 1e-8
 
 
+def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
+    # a strongly advected linearization that GMRES cannot solve in a few
+    # iterations: each of the three GMRES calls may spend at most
+    # max_krylov inner iterations plus two residual evaluations, and the
+    # Newton solve then reports the failure instead of raising
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fields.product_cosine(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "product_cosine", counting)
+    f = 2.0 * random_field(3, 6, 6, 2.0)
+    u0 = 2.0 * random_field(4, 6, 6, 1.0)
+    cfg = SolverConfig(mu=0.05, max_krylov=4, dense_threshold=0)
+    rep = newton_solve(f, u0, cfg)
+    assert not rep.success
+    assert "GMRES did not converge" in rep.message
+    assert rep.u is u0
+    assert 0 < len(calls) <= 3 * (cfg.max_krylov + 2)
+
+
 def test_spectral_convergence_in_truncation():
     # band-limited forcing, refined solution truncation: the nonlinearity
     # spreads energy across all modes, but the solution is analytic so the
@@ -108,5 +131,7 @@ def test_config_validation():
         SolverConfig(mu=1.0, homotopy_steps=(0.0, 0.5, 0.4, 1.0))
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, homotopy_steps=(0.1, 1.0))
+    with pytest.raises(ValueError):
+        SolverConfig(mu=1.0, max_krylov=0)
     with pytest.raises(ValueError):
         newton_solve(random_field(2, 4, 4, 2.0))
