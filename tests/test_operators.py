@@ -240,17 +240,6 @@ def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_t_prime_matrix_applies_t_prime():
-    # the dense matrix acts on a non-Hermitian direction exactly as the
-    # matrix-free derivative does
-    m = random_field(21, 5, 3, 1.5)
-    w = random_field(22, 5, 3, 1.5).coeffs * (1.0 + 0.5j)
-    w = SpectralField(w, 5, 3)
-    got = T_prime_matrix(m, 0.2) @ w.coeffs.ravel()
-    want = apply_T_prime(m, w, 0.2).coeffs.ravel()
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_advection_matrix_rejects_cosine_fields():
     with pytest.raises(BasisMismatchError):
         advection_matrix(zeros(2, 2, Basis.NEUMANN_COSINE))
