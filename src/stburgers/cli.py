@@ -333,6 +333,13 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
     raise ConfigError(f"config.solver.method: unknown method {method!r}")
 
 
+def _monodromy_steps(cfg: dict) -> int:
+    steps = _get(cfg, "monodromy_steps", int, 512)
+    if steps < 1:
+        raise ConfigError(f"config.monodromy_steps: must be at least 1, got {steps}")
+    return steps
+
+
 def _outputs(cfg: dict):
     o = _get(cfg, "outputs", dict, {})
     report_path = _get(o, "report_path", str, None, where="config.outputs")
@@ -385,7 +392,7 @@ def cmd_verify(cfg: dict) -> int:
         mu=_get(cfg, "mu", float, 0.5, where=where),
         solve_n_t=_get(cfg, "solve_n_t", int, 8, where=where),
         solve_n_x=_get(cfg, "solve_n_x", int, 8, where=where),
-        monodromy_steps=_get(cfg, "monodromy_steps", int, 512, where=where),
+        monodromy_steps=_monodromy_steps(cfg),
         positivity_cases=_get(cfg, "positivity_cases", int, 20, where=where),
         tolerances=_get(cfg, "tolerances", dict, {}, where=where),
     )
@@ -444,6 +451,9 @@ def _sweep_row(cfg: dict, param: str, value) -> dict:
     except (sv.ContinuationError, sv.LinearSolveError, ConfigError) as e:
         row["success"] = False
         row["error"] = str(e)
+    except ch.PowerIterationError as e:
+        row["success"] = False
+        row["error"] = f"monodromy_leading_pair: {e}"
     return row
 
 
@@ -512,24 +522,37 @@ def cmd_colehopf(cfg: dict) -> int:
     scfg = build_solver_config(cfg, mu)
     n_starts = _get(cfg, "n_starts", int, 3)
     seed = _get(cfg, "seed", int, 0)
+    steps = _monodromy_steps(cfg)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x})
+
+    def failed(stage: str, e: Exception) -> int:
+        doc["success"] = False
+        doc["error"] = f"{stage}: {e}"
+        print(write_report(report_path, doc), end="")
+        return EXIT_SOLVER
+
     try:
         uniq = ch.verify_uniqueness(forcing, scfg, n_starts=n_starts, seed=seed)
     except (sv.ContinuationError, sv.LinearSolveError, RuntimeError) as e:
-        doc["success"] = False
-        doc["error"] = str(e)
-        print(write_report(report_path, doc), end="")
-        return EXIT_SOLVER
+        return failed("verify_uniqueness", e)
     v = uniq.solutions[0]
     doc["max_pairwise_l2"] = uniq.max_pairwise_l2
     doc["max_s1_residual"] = uniq.max_s1_residual
     w = uniq.solutions[0] - uniq.solutions[1]
-    e2 = ch.lift_s1_to_s2(w, uniq.solutions[1], mu)
-    e3 = ch.s2_to_s3(e2, mu)
+    try:
+        e2 = ch.lift_s1_to_s2(w, uniq.solutions[1], mu)
+    except ch.NotInS1Error as e:
+        return failed("lift_s1_to_s2", e)
+    try:
+        e3 = ch.s2_to_s3(e2, mu)
+    except ch.ProjectionAccuracyError as e:
+        return failed("s2_to_s3", e)
     doc["K_s2"] = e2.K
     doc["K_s3"] = e3.K
-    steps = _get(cfg, "monodromy_steps", int, 512)
-    rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
+    try:
+        rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
+    except ch.PowerIterationError as e:
+        return failed("monodromy_leading_pair", e)
     doc["rho"] = rho
     doc["eigfun_flatness"] = float(np.abs(ch.profile_values(eig) - 1.0).max())
     doc["success"] = bool(

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .fields import (
     Basis,
@@ -278,6 +277,11 @@ def s3_to_s2(e: ColeHopfElement, mu: float) -> ColeHopfElement:
 # Period (monodromy) map of the linear advection-diffusion flow
 
 
+# Steps whose propagators are formed and multiplied together at once;
+# bounds the period map's temporaries at a few block x (n_x+1)^2 floats.
+PERIOD_MAP_BLOCK = 64
+
+
 class PeriodMap:
     """One-period evolution psi(0) -> psi(1) of
     psi_t - mu psi_xx + v psi_x = 0 with Neumann conditions.
@@ -285,8 +289,9 @@ class PeriodMap:
     Space is the cosine modal basis (profiles are real coefficient
     vectors of length n_x+1); time stepping is trapezoidal in both the
     diffusion and the frozen-coefficient advection term, second order in
-    1/steps and unconditionally stable.  Step matrices are factorized
-    once so repeated application (power iteration) is cheap.
+    1/steps and unconditionally stable.  The whole period is assembled
+    once into `matrix`, the (n_x+1)x(n_x+1) monodromy matrix, so each
+    application (power iteration) is one matrix-vector product.
     """
 
     def __init__(self, v: SpectralField, mu: float, steps: int, n_x: int | None = None):
@@ -298,44 +303,47 @@ class PeriodMap:
         self.steps = steps
         self.n_x = v.n_x if n_x is None else n_x
         n_x = self.n_x
-        m_x = 2 * (n_x + 1)
+        n = n_x + 1
+        m_x = 2 * n
         mid = Basis.NEUMANN_COSINE  # midpoint nodes
         bs = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)      # sine eval
         bc = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)      # cosine eval
         bv = space_matrix(v.n_x, m_x, mid, Basis.DIRICHLET_SINE)    # v eval
-        analysis = bc.T / m_x
-        m = np.arange(0, n_x + 1).astype(float)
-        lap = -((m * np.pi) ** 2)
+        m = np.arange(n) * np.pi
         # cosine mode m differentiates to -m*pi times sine mode m
-        deriv = np.zeros((n_x, n_x + 1))
-        for mm in range(1, n_x + 1):
-            deriv[mm - 1, mm] = -mm * np.pi
+        grad = np.zeros((m_x, n))
+        grad[:, 1:] = bs * -m[1:]
+        # the advection matrix at time k is (vgrid[k] @ q).reshape(n, n),
+        # sum over nodes x of analysis[i, x] vgrid[k, x] grad[x, j]
+        q = ((bc / m_x)[:, :, None] * grad[:, None, :]).reshape(m_x, n * n)
         dt = 1.0 / steps
         times = np.arange(steps + 1) * dt
         e = np.exp(
             2j * np.pi * np.arange(-v.n_t, v.n_t + 1)[None, :] * times[:, None]
         )
         vgrid = ((e @ v.coeffs) @ bv.T).real  # (steps+1, m_x)
-        eye = np.eye(n_x + 1)
-        self._lu = []
-        self._rhs = []
-        mats = []
-        for k in range(steps + 1):
-            adv = analysis @ (vgrid[k][:, None] * (bs @ deriv))
-            mats.append(np.diag(self.mu * lap) - adv)
-        for k in range(steps):
-            left = eye - 0.5 * dt * mats[k + 1]
-            right = eye + 0.5 * dt * mats[k]
-            self._lu.append(lu_factor(left))
-            self._rhs.append(right)
+        diff = np.diag(mu * -(m**2))
+        eye = np.eye(n)
+        self.matrix = eye
+        for lo in range(0, steps, PERIOD_MAP_BLOCK):
+            hi = min(lo + PERIOD_MAP_BLOCK, steps)
+            a = diff - (vgrid[lo : hi + 1] @ q).reshape(-1, n, n)
+            props = np.linalg.solve(eye - 0.5 * dt * a[1:], eye + 0.5 * dt * a[:-1])
+            self.matrix = _chain_product(props) @ self.matrix
 
     def apply(self, psi0: np.ndarray) -> np.ndarray:
         psi = np.asarray(psi0, dtype=float)
         if psi.shape != (self.n_x + 1,):
             raise ValueError(f"profile must have {self.n_x + 1} cosine modes")
-        for lu, right in zip(self._lu, self._rhs):
-            psi = lu_solve(lu, right @ psi)
-        return psi
+        return self.matrix @ psi
+
+
+def _chain_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0] by pairwise batched products."""
+    while len(mats) > 1:
+        pairs = mats[1::2] @ mats[0 : len(mats) - 1 : 2]
+        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
+    return mats[0]
 
 
 def profile_values(psi: np.ndarray, m_x: int | None = None) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stburgers import cli
+from stburgers import colehopf as ch
 from stburgers.fields import Basis, GridField, to_spectral, zeros
 from stburgers.solver import SolverConfig, newton_solve
 from stburgers.fields import set_mode
@@ -225,4 +230,72 @@ def test_scale_command(tmp_path, capsys):
     assert doc["flip"] is False
     times, xs, vals = cli.read_field_csv(str(csv))
     assert times.max() < 2.0 and xs.max() < 3.0
+    capsys.readouterr()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("command", ["colehopf", "verify"])
+def test_monodromy_steps_below_one_is_a_config_error(tmp_path, command):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "stburgers.cli", command,
+            "--config", str(CONFIGS / f"{command}.json"),
+            "--override", "monodromy_steps=0",
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "config.monodromy_steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def colehopf_cfg(tmp_path):
+    return {
+        "mu": 1.0,
+        "n_t": 3,
+        "n_x": 3,
+        "n_starts": 2,
+        "monodromy_steps": 16,
+        "forcing": {"modes": [{"n": 1, "m": 1, "re": 0.2, "im": -0.1}]},
+        "outputs": {"report_path": str(tmp_path / "ch.json")},
+    }
+
+
+@pytest.mark.parametrize(
+    "stage, error",
+    [
+        ("verify_uniqueness", RuntimeError),
+        ("lift_s1_to_s2", ch.NotInS1Error),
+        ("s2_to_s3", ch.ProjectionAccuracyError),
+        ("monodromy_leading_pair", ch.PowerIterationError),
+    ],
+)
+def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatch, stage, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(ch, stage, fail)
+    assert run(tmp_path, "colehopf", colehopf_cfg(tmp_path)) == 2
+    doc = json.loads((tmp_path / "ch.json").read_text())
+    assert doc["success"] is False
+    assert doc["error"] == f"{stage}: injected"
+    capsys.readouterr()
+
+
+def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ch.PowerIterationError("injected")
+
+    monkeypatch.setattr(ch, "monodromy_leading_pair", fail)
+    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]}, monodromy=True)
+    assert run(tmp_path, "sweep", cfg) == 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["all_succeeded"] is False
+    assert [r["error"] for r in doc["rows"]] == ["monodromy_leading_pair: injected"] * 2
+    assert not any(r["success"] for r in doc["rows"])
     capsys.readouterr()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from stburgers.colehopf import (
     ColeHopfElement,
     Kind,
     NonpositivePhiError,
     NotInS1Error,
+    PERIOD_MAP_BLOCK,
     PeriodMap,
     StepCountError,
     antiderivative_x,
@@ -23,7 +26,7 @@ from stburgers.colehopf import (
     s3_to_s2,
     verify_uniqueness,
 )
-from stburgers.fields import Basis, random_field, truncate, zeros
+from stburgers.fields import Basis, random_field, space_matrix, truncate, zeros
 from stburgers.norms import dual_norm
 from stburgers.solver import SolverConfig
 
@@ -137,6 +140,57 @@ def test_period_map_preserves_constants_exactly():
     psi0[0] = 1.0
     out = PeriodMap(v, 0.2, 64, n_x=6).apply(psi0)
     assert np.max(np.abs(out - psi0)) < 1e-13
+
+
+def step_oracle(v, mu, steps, n_x, psi):
+    """Reference period map: the trapezoidal evolution one step at a
+    time, with one LU factorization and one solve per step."""
+    m_x = 2 * (n_x + 1)
+    mid = Basis.NEUMANN_COSINE
+    bs = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
+    bc = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)
+    bv = space_matrix(v.n_x, m_x, mid, Basis.DIRICHLET_SINE)
+    analysis = bc.T / m_x
+    lap = -((np.arange(n_x + 1) * np.pi) ** 2)
+    deriv = np.zeros((n_x, n_x + 1))
+    for mm in range(1, n_x + 1):
+        deriv[mm - 1, mm] = -mm * np.pi
+    dt = 1.0 / steps
+    times = np.arange(steps + 1) * dt
+    e = np.exp(2j * np.pi * np.arange(-v.n_t, v.n_t + 1)[None, :] * times[:, None])
+    vgrid = ((e @ v.coeffs) @ bv.T).real
+    eye = np.eye(n_x + 1)
+    mats = [
+        np.diag(mu * lap) - analysis @ (vgrid[k][:, None] * (bs @ deriv))
+        for k in range(steps + 1)
+    ]
+    for k in range(steps):
+        lu = lu_factor(eye - 0.5 * dt * mats[k + 1])
+        psi = lu_solve(lu, (eye + 0.5 * dt * mats[k]) @ psi)
+    return psi
+
+
+B = PERIOD_MAP_BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_x=st.integers(1, 10),
+    v_n_t=st.integers(1, 4),
+    v_n_x=st.integers(1, 10),
+    mu=st.floats(0.01, 2.0),
+    steps=st.sampled_from([1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 512]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_period_map_matches_step_oracle(n_x, v_n_t, v_n_x, mu, steps, seed):
+    v = 2.0 * random_field(seed, v_n_t, v_n_x, 2.0)
+    psi = np.random.default_rng(seed).standard_normal(n_x + 1)
+    pmap = PeriodMap(v, mu, steps, n_x=n_x)
+    ref = step_oracle(v, mu, steps, n_x, psi)
+    assert np.abs(pmap.apply(psi) - ref).max() <= 1e-12 * np.abs(ref).max()
+    e0 = np.zeros(n_x + 1)
+    e0[0] = 1.0
+    assert np.array_equal(pmap.matrix[:, 0], e0)  # constants are fixed points
 
 
 def test_step_count_check_fires_on_coarse_grids():
