@@ -312,14 +312,25 @@ def _workers() -> int:
 # Subcommands
 
 
+def _count(cfg: dict, key: str, default=...) -> int:
+    """cfg[key] as an integer of at least 1."""
+    value = _get(cfg, key, int, default)
+    if value < 1:
+        raise ConfigError(f"config.{key}: must be at least 1, got {value}")
+    return value
+
+
+def _viscosity(cfg: dict, default=...) -> float:
+    mu = _get(cfg, "mu", float, default)
+    if not 0.0 < mu < np.inf:
+        raise ConfigError(f"config.mu: must be positive and finite, got {mu}")
+    return mu
+
+
 def _common_problem(cfg: dict):
-    mu = _get(cfg, "mu", float)
-    if mu <= 0:
-        raise ConfigError("config.mu: must be strictly positive")
-    n_t = _get(cfg, "n_t", int)
-    n_x = _get(cfg, "n_x", int)
-    if n_t < 1 or n_x < 1:
-        raise ConfigError("config.n_t / config.n_x: must be at least 1")
+    mu = _viscosity(cfg)
+    n_t = _count(cfg, "n_t")
+    n_x = _count(cfg, "n_x")
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     return mu, n_t, n_x, forcing
 
@@ -331,13 +342,6 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
     if method == "homotopy":
         return sv.homotopy_solve(forcing, scfg)
     raise ConfigError(f"config.solver.method: unknown method {method!r}")
-
-
-def _monodromy_steps(cfg: dict) -> int:
-    steps = _get(cfg, "monodromy_steps", int, 512)
-    if steps < 1:
-        raise ConfigError(f"config.monodromy_steps: must be at least 1, got {steps}")
-    return steps
 
 
 def _outputs(cfg: dict):
@@ -383,18 +387,17 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    where = "config"
     vcfg = vf.VerifyConfig(
         seed=_get(cfg, "seed", int),
-        n_samples=_get(cfg, "n_samples", int, 100, where=where),
-        n_t=_get(cfg, "n_t", int, 32, where=where),
-        n_x=_get(cfg, "n_x", int, 32, where=where),
-        mu=_get(cfg, "mu", float, 0.5, where=where),
-        solve_n_t=_get(cfg, "solve_n_t", int, 8, where=where),
-        solve_n_x=_get(cfg, "solve_n_x", int, 8, where=where),
-        monodromy_steps=_monodromy_steps(cfg),
-        positivity_cases=_get(cfg, "positivity_cases", int, 20, where=where),
-        tolerances=_get(cfg, "tolerances", dict, {}, where=where),
+        n_samples=_count(cfg, "n_samples", 100),
+        n_t=_count(cfg, "n_t", 32),
+        n_x=_count(cfg, "n_x", 32),
+        mu=_viscosity(cfg, 0.5),
+        solve_n_t=_count(cfg, "solve_n_t", 8),
+        solve_n_x=_count(cfg, "solve_n_x", 8),
+        monodromy_steps=_count(cfg, "monodromy_steps", 512),
+        positivity_cases=_count(cfg, "positivity_cases", 20),
+        tolerances=_get(cfg, "tolerances", dict, {}),
     )
     for name in vcfg.tolerances:
         if name not in vf.DEFAULT_TOLERANCES:
@@ -499,7 +502,7 @@ def cmd_colehopf(cfg: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
-        mu = _get(cfg, "mu", float)
+        mu = _viscosity(cfg)
         try:
             times, xs, vals = read_field_csv(path)
         except (OSError, ValueError) as e:
@@ -522,7 +525,7 @@ def cmd_colehopf(cfg: dict) -> int:
     scfg = build_solver_config(cfg, mu)
     n_starts = _get(cfg, "n_starts", int, 3)
     seed = _get(cfg, "seed", int, 0)
-    steps = _monodromy_steps(cfg)
+    steps = _count(cfg, "monodromy_steps", 512)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x})
 
     def failed(stage: str, e: Exception) -> int:
@@ -566,8 +569,8 @@ def cmd_scale(cfg: dict) -> int:
     period = _get(cfg, "period", float)
     length = _get(cfg, "length", float)
     viscosity = _get(cfg, "viscosity", float)
-    n_t = _get(cfg, "n_t", int)
-    n_x = _get(cfg, "n_x", int)
+    n_t = _count(cfg, "n_t")
+    n_x = _count(cfg, "n_x")
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     try:
         prob = sc.PhysicalProblem(

@@ -387,6 +387,48 @@ def advection_matrix(m: SpectralField) -> np.ndarray:
     return a.reshape(rows * n_x, rows * n_x)
 
 
+def advection_operator(m: SpectralField):
+    """Matrix-free twin of advection_matrix(m): a function that maps the
+    flattened Dirichlet-sine coefficients x of w to those of (m w)_x.
+
+    Everything that depends on m alone is formed here, once: the real
+    values g of m on the padded grid of the product, and the midpoint
+    cosine matrix C of modes 1..n_x scaled by the derivative factor
+    -k pi / (m_t m_x); E and the midpoint sine matrix S come from the
+    layout caches.  An apply is then four products, time first on
+    evaluation and space first on analysis,
+
+        (m w)_x = E^H ((C^T (g * (S (E W)^T)))^T),
+
+    carried out on transposes so that each real matrix S, C^T multiplies
+    the complex operand as one real product on its float view."""
+    if m.basis is not Basis.DIRICHLET_SINE:
+        raise BasisMismatchError("advection_operator expects a Dirichlet-sine field")
+    rows, n_x = 2 * m.n_t + 1, m.n_x
+    m_t, m_x = _product_grid(m, m.n_t, n_x)
+    mid = Basis.NEUMANN_COSINE
+    e = time_matrix(m.n_t, m_t)  # [t, i]
+    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)  # [x, j]
+    k = np.arange(1, n_x + 1)
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
+    c_t = np.ascontiguousarray(c.T)  # [k, x]
+    g = evaluate(m, m_t, m_x, mid)
+    if np.abs(g.imag).max() > 1e-12 * max(1.0, np.abs(g).max()):
+        raise ValueError("advection_operator expects a real field (Hermitian coefficients)")
+    g_t = np.ascontiguousarray(g.real.T)  # [x, t]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        w_t = x.reshape(rows, n_x).T @ e.T  # [j, t]
+        p_t = (s @ w_t.view(float)).view(complex)  # [x, t]
+        p_t *= g_t
+        q_t = (c_t @ p_t.view(float)).view(complex)  # [k, t]
+        # E^H = E with its columns reversed (time mode n -> -n), so the
+        # analysis needs no conjugated copy of E
+        return (q_t @ e)[:, ::-1].T.ravel()
+
+    return apply
+
+
 def cosine_to_sine_projection(n_x_sine: int, n_x_cos: int) -> np.ndarray:
     """Matrix of L2(0,1) inner products <q_k, b_m>.
 

@@ -3,8 +3,11 @@
 The linearized equations T'(m) w = r are solved in the preconditioned
 fixed-point form w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a
 compact perturbation, the regime where Krylov iterations converge mesh
-independently.  Small systems are solved directly with the dense matrix
-of T'(m), which `operators.T_prime_matrix` assembles in closed form.
+independently.  The linearization is built once per Newton step: small
+systems are solved directly with the dense matrix of T'(m), which
+`operators.T_prime_matrix` assembles in closed form; larger ones run
+GMRES on `fields.advection_operator(m)`, which holds m on the padded
+product grid, so each matvec is four products.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .fields import SpectralField, zeros
+from .fields import SpectralField, advection_operator, zeros
 from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
-from .operators import T_prime_matrix, apply_T, apply_T_prime, d_x, invert_L
-from .fields import product_cosine
+from .operators import LinearSymbol, T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
 class LinearSolveError(RuntimeError):
@@ -84,16 +86,14 @@ def _symmetrize(u: SpectralField) -> SpectralField:
 
 
 def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
-    """Preconditioned operator w -> w + L^{-1} (m w)_x on flat coefficients."""
-    shape = m.coeffs.shape
-
-    def mv(x):
-        w = m.with_coeffs(x.reshape(shape))
-        pert = invert_L(d_x(product_cosine(m, w, m.n_t, m.n_x)), cfg.mu)
-        return (w.coeffs + pert.coeffs).ravel()
-
-    n = m.coeffs.size
-    return LinearOperator((n, n), matvec=mv, dtype=complex)
+    """Preconditioned operator x -> x + L^{-1} (m w)_x on the flattened
+    coefficients x of w; the advection operator is built once here."""
+    advect = advection_operator(m)
+    lam = LinearSymbol(cfg.mu).values(m.n_t, m.n_x).ravel()
+    n = lam.size
+    return LinearOperator(
+        (n, n), matvec=lambda x: x.ravel() + advect(x) / lam, dtype=complex
+    )
 
 
 def solve_linearized(
@@ -103,12 +103,9 @@ def solve_linearized(
     rn = dual_norm(r)
     if rn == 0.0:
         return zeros(r.n_t, r.n_x, r.basis)
-    total = r.coeffs.size
-    if total <= cfg.dense_threshold:
-        w = _dense_solve(m, r, cfg)
-    else:
-        w = _krylov_solve(m, r, cfg)
-    w = _symmetrize(w)
+    if r.coeffs.size > cfg.dense_threshold:
+        return _krylov_solve(m, r, rn, cfg)[0]
+    w = _symmetrize(_dense_solve(m, r, cfg))
     res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
     if res > 10.0 * _residual_target(m, w, rn, cfg):
         raise LinearSolveError(
@@ -130,10 +127,13 @@ def _residual_target(m, w, rn, cfg) -> float:
     return max(cfg.krylov_tol * rn, floor)
 
 
-def _krylov_solve(m: SpectralField, r: SpectralField, cfg: SolverConfig) -> SpectralField:
+def _krylov_solve(
+    m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
+) -> tuple[SpectralField, float]:
+    """GMRES on the preconditioned form; returns the symmetrized iterate
+    and its dual residual, which meets the target."""
     op = _linearized_matvec(m, cfg)
     rhs = invert_L(r, cfg.mu).coeffs.ravel()
-    rn = dual_norm(r)
     rtol = cfg.krylov_tol
     restart = min(cfg.max_krylov, rhs.size)
     x = None
@@ -150,9 +150,10 @@ def _krylov_solve(m: SpectralField, r: SpectralField, cfg: SolverConfig) -> Spec
             restart=restart,
         )
         w = r.with_coeffs(x.reshape(m.coeffs.shape))
-        res = dual_norm(apply_T_prime(m, _symmetrize(w), cfg.mu) - r)
+        ws = _symmetrize(w)
+        res = dual_norm(apply_T_prime(m, ws, cfg.mu) - r)
         if res <= _residual_target(m, w, rn, cfg):
-            return w
+            return ws, res
         rtol *= 1e-2
     raise LinearSolveError(
         f"GMRES did not converge (dual residual {res:.3e})", residual=res

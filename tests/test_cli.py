@@ -179,6 +179,10 @@ def test_colehopf_phi_file_validation(tmp_path, capsys):
     doc = json.loads((tmp_path / "ch.json").read_text())
     assert doc["phi_min"] > 0
 
+    for mu in (-1.0, 0.0):
+        assert run(tmp_path, "colehopf", dict(cfg, mu=mu)) == 1
+        assert "config.mu" in capsys.readouterr().err
+
     bad = tmp_path / "phi_bad.csv"
     write_phi_csv(bad, lambda t, x: np.cos(np.pi * x))  # changes sign
     cfg["phi_file"] = str(bad)
@@ -236,22 +240,45 @@ def test_scale_command(tmp_path, capsys):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize("command", ["colehopf", "verify"])
-def test_monodromy_steps_below_one_is_a_config_error(tmp_path, command):
+def run_cli(tmp_path, command, *overrides):
+    """Run `stburgers <command>` on its checked-in config in a fresh
+    interpreter, so an uncaught exception shows as a traceback."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "stburgers.cli", command,
-            "--config", str(CONFIGS / f"{command}.json"),
-            "--override", "monodromy_steps=0",
-        ],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    argv = [sys.executable, "-m", "stburgers.cli", command,
+            "--config", str(CONFIGS / f"{command}.json")]
+    for o in overrides:
+        argv += ["--override", o]
+    return subprocess.run(
+        argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("command", ["colehopf", "verify"])
+def test_monodromy_steps_below_one_is_a_config_error(tmp_path, command):
+    proc = run_cli(tmp_path, command, "monodromy_steps=0")
     assert proc.returncode == 1
     assert "config.monodromy_steps" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mu", -1), ("mu", 0), ("mu", "NaN"),
+        ("n_t", 0), ("n_x", 0), ("solve_n_t", 0), ("solve_n_x", 0),
+        ("n_samples", 0), ("positivity_cases", 0),
+    ],
+)
+def test_verify_rejects_vacuous_sizes_and_nonpositive_mu(tmp_path, key, value):
+    # each of these ran the suite before: mu = -1 into a traceback, the
+    # zero counts into all_passed on invariants that held vacuously
+    proc = run_cli(tmp_path, "verify", f"{key}={value}")
+    assert proc.returncode == 1
+    assert f"config.{key}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # rejected before the suite wrote a report
 
 
 def colehopf_cfg(tmp_path):

@@ -7,11 +7,14 @@ from stburgers.fields import (
     BasisMismatchError,
     SpectralField,
     advection_matrix,
+    advection_operator,
+    product_cosine,
     random_field,
     set_mode,
     space_eval_matrix,
     zeros,
 )
+from stburgers import solver
 from stburgers.operators import (
     HALF_DERIVATIVE,
     HILBERT,
@@ -238,6 +241,43 @@ def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
     a = T_prime_matrix(m, mu)
     assert a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_t=st.integers(1, 12),
+    n_x=st.integers(1, 12),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    rng = np.random.default_rng(seed)
+    shape = m.coeffs.shape
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
+    w = m.with_coeffs(x)
+    x = x.ravel()
+    y = advection_operator(m)(x)
+    by_matrix = advection_matrix(m) @ x
+    by_product = d_x(product_cosine(m, w, n_t, n_x)).coeffs.ravel()
+    # at n_x = 1, (m w)_x has no mode in the band (sin^2 holds cosine
+    # modes 0 and 2 only), so the entries are compared with the size
+    # pi |m| |x| of the product there
+    scale = np.abs(by_product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(x)
+    assert np.abs(y - by_matrix).max() <= 1e-13 * scale
+    assert np.abs(y - by_product).max() <= 1e-13 * scale
+    # the solver's preconditioned GMRES operator x + L^{-1} (m w)_x
+    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu)).matvec(x)
+    ref = x + invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs.ravel()
+    assert np.abs(mv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_advection_operator_rejects_cosine_and_complex_fields():
+    with pytest.raises(BasisMismatchError):
+        advection_operator(zeros(2, 2, Basis.NEUMANN_COSINE))
+    with pytest.raises(ValueError, match="real field"):
+        advection_operator(zeros(2, 2).with_coeffs(np.full((5, 2), 1j)))
 
 
 def test_advection_matrix_rejects_cosine_fields():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stburgers import fields, solver
+from stburgers import fields, operators, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, dual_norm
 from stburgers.operators import apply_T
@@ -60,15 +60,27 @@ def test_dense_and_krylov_solves_agree():
 def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     # a strongly advected linearization that GMRES cannot solve in a few
     # iterations: each of the three GMRES calls may spend at most
-    # max_krylov inner iterations plus two residual evaluations, and the
-    # Newton solve then reports the failure instead of raising
-    calls = []
+    # max_krylov inner iterations plus its two residual evaluations
+    # b - A x (operator applies both), the solver checks the dual residual
+    # of each call's iterate once, and the Newton solve then reports the
+    # failure instead of raising
+    applies, residuals = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fields.product_cosine(*args, **kwargs)
+    def counting_operator(m):
+        advect = fields.advection_operator(m)
 
-    monkeypatch.setattr(solver, "product_cosine", counting)
+        def counted(x):
+            applies.append(1)
+            return advect(x)
+
+        return counted
+
+    def counting_residual(*args, **kwargs):
+        residuals.append(1)
+        return operators.apply_T_prime(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "advection_operator", counting_operator)
+    monkeypatch.setattr(solver, "apply_T_prime", counting_residual)
     f = 2.0 * random_field(3, 6, 6, 2.0)
     u0 = 2.0 * random_field(4, 6, 6, 1.0)
     cfg = SolverConfig(mu=0.05, max_krylov=4, dense_threshold=0)
@@ -76,7 +88,8 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     assert not rep.success
     assert "GMRES did not converge" in rep.message
     assert rep.u is u0
-    assert 0 < len(calls) <= 3 * (cfg.max_krylov + 2)
+    assert 0 < len(applies) <= 3 * (cfg.max_krylov + 2)
+    assert len(residuals) == 3
 
 
 def test_spectral_convergence_in_truncation():
