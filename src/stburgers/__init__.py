@@ -1,6 +1,7 @@
 """Space-time spectral solver and verification suite for the
 time-periodic forced viscous Burgers equation on T x (0, 1)."""
 
+from .errors import ConfigError, SolverError, StburgersError
 from .fields import (
     Basis,
     BasisMismatchError,

@@ -8,7 +8,11 @@ the single `timestamp` header entry.  Field dumps are CSV with header
 `t,x,u`, row-major over t then x.
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 verification invariant failure.
+3 verification invariant failure.  `main` is the one place that turns
+an error into an exit code: a `ConfigError` exits 1 with its message on
+stderr and no report; any other `StburgersError` writes the report so
+far with `success: false` and the `error`, and exits with the error's
+`exit_code`.
 """
 
 from __future__ import annotations
@@ -29,16 +33,7 @@ from . import operators as op
 from . import scaling as sc
 from . import solver as sv
 from . import verify as vf
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending key."""
-
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_SOLVER = 2
-EXIT_VERIFY = 3
+from .errors import EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, ConfigError, SolverError, StburgersError
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +348,20 @@ def _outputs(cfg: dict):
     return report_path, csv_path, m_t, m_x
 
 
-def cmd_solve(cfg: dict) -> int:
+def _stage(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a failure re-raised under the stage name."""
+    try:
+        return fn(*args, **kwargs)
+    except StburgersError as e:
+        raise type(e)(f"{name}: {e}") from e
+
+
+def cmd_solve(cfg: dict, doc: dict) -> int:
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
-    report_path, csv_path, m_t, m_x = _outputs(cfg)
-    doc = report_header("solve")
+    _, csv_path, m_t, m_x = _outputs(cfg)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
-    try:
-        result = _run_solve(cfg, forcing, scfg)
-    except (sv.ContinuationError, sv.LinearSolveError) as e:
-        doc["success"] = False
-        doc["error"] = str(e)
-        print(write_report(report_path, doc), end="")
-        return EXIT_SOLVER
+    result = _run_solve(cfg, forcing, scfg)
     doc["success"] = bool(result.success)
     doc["message"] = result.message
     doc["newton_iterations"] = result.newton_iters
@@ -373,7 +369,6 @@ def cmd_solve(cfg: dict) -> int:
     doc["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
     doc["lambda_path"] = [list(map(float, row)) for row in result.lambda_path]
     doc["norms"] = _norm_block(result.u)
-    print(write_report(report_path, doc), end="")
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
@@ -386,7 +381,7 @@ def cmd_solve(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, doc: dict) -> int:
     vcfg = vf.VerifyConfig(
         seed=_get(cfg, "seed", int),
         n_samples=_count(cfg, "n_samples", 100),
@@ -402,9 +397,7 @@ def cmd_verify(cfg: dict) -> int:
     for name in vcfg.tolerances:
         if name not in vf.DEFAULT_TOLERANCES:
             raise ConfigError(f"config.tolerances: unknown invariant {name!r}")
-    results = vf.run_suite(vcfg)
-    report_path, _, _, _ = _outputs(cfg)
-    doc = report_header("verify")
+    results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
     doc["n_samples"] = vcfg.n_samples
     doc["invariants"] = [
@@ -418,7 +411,6 @@ def cmd_verify(cfg: dict) -> int:
         for r in results
     ]
     doc["all_passed"] = all(r.passed for r in results)
-    print(write_report(report_path, doc), end="")
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY
 
 
@@ -439,28 +431,25 @@ def _sweep_row(cfg: dict, param: str, value) -> dict:
         scfg = build_solver_config(local, mu)
         result = _run_solve(local, forcing, scfg)
         if not result.success:
-            raise sv.ContinuationError(result.message)
+            raise SolverError(result.message)
         row["success"] = True
         row["newton_iterations"] = result.newton_iters
         row["residual_dual"] = result.residual_dual
         row["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
         row["norms"] = _norm_block(result.u)
         if local.get("monodromy", False):
-            rho, eig = ch.monodromy_leading_pair(result.u, mu)
+            rho, eig = _stage("monodromy_leading_pair", ch.monodromy_leading_pair, result.u, mu)
             row["rho"] = rho
             row["eigfun_flatness"] = float(
                 np.abs(ch.profile_values(eig) - 1.0).max()
             )
-    except (sv.ContinuationError, sv.LinearSolveError, ConfigError) as e:
+    except StburgersError as e:
         row["success"] = False
         row["error"] = str(e)
-    except ch.PowerIterationError as e:
-        row["success"] = False
-        row["error"] = f"monodromy_leading_pair: {e}"
     return row
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, doc: dict) -> int:
     sweep = _get(cfg, "sweep", dict)
     param = _get(sweep, "param", str, where="config.sweep")
     if param not in ("mu", "n_modes", "forcing_amplitude"):
@@ -472,12 +461,10 @@ def cmd_sweep(cfg: dict) -> int:
         _get(cfg, "monodromy", bool)
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         rows = list(pool.map(lambda v: _sweep_row(cfg, param, v), values))
-    report_path, csv_path, _, _ = _outputs(cfg)
-    doc = report_header("sweep")
+    _, csv_path, _, _ = _outputs(cfg)
     doc["param"] = param
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
-    print(write_report(report_path, doc), end="")
     if csv_path:
         cols = ["value", "success", "newton_iterations", "residual_dual", "l2", "aniso"]
         with open(csv_path, "w", newline="\n") as fh:
@@ -496,9 +483,7 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_OK if doc["all_succeeded"] else EXIT_SOLVER
 
 
-def cmd_colehopf(cfg: dict) -> int:
-    report_path, _, _, _ = _outputs(cfg)
-    doc = report_header("colehopf")
+def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
@@ -519,7 +504,6 @@ def cmd_colehopf(cfg: dict) -> int:
             raise ConfigError(f"config.phi_file: {e}")
         doc["phi_min"] = ch.grid_min(phi)
         doc["success"] = True
-        print(write_report(report_path, doc), end="")
         return EXIT_OK
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
@@ -527,45 +511,27 @@ def cmd_colehopf(cfg: dict) -> int:
     seed = _get(cfg, "seed", int, 0)
     steps = _count(cfg, "monodromy_steps", 512)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x})
-
-    def failed(stage: str, e: Exception) -> int:
-        doc["success"] = False
-        doc["error"] = f"{stage}: {e}"
-        print(write_report(report_path, doc), end="")
-        return EXIT_SOLVER
-
-    try:
-        uniq = ch.verify_uniqueness(forcing, scfg, n_starts=n_starts, seed=seed)
-    except (sv.ContinuationError, sv.LinearSolveError, RuntimeError) as e:
-        return failed("verify_uniqueness", e)
+    uniq = _stage(
+        "verify_uniqueness", ch.verify_uniqueness, forcing, scfg, n_starts=n_starts, seed=seed
+    )
     v = uniq.solutions[0]
     doc["max_pairwise_l2"] = uniq.max_pairwise_l2
     doc["max_s1_residual"] = uniq.max_s1_residual
     w = uniq.solutions[0] - uniq.solutions[1]
-    try:
-        e2 = ch.lift_s1_to_s2(w, uniq.solutions[1], mu)
-    except ch.NotInS1Error as e:
-        return failed("lift_s1_to_s2", e)
-    try:
-        e3 = ch.s2_to_s3(e2, mu)
-    except ch.ProjectionAccuracyError as e:
-        return failed("s2_to_s3", e)
+    e2 = _stage("lift_s1_to_s2", ch.lift_s1_to_s2, w, uniq.solutions[1], mu)
+    e3 = _stage("s2_to_s3", ch.s2_to_s3, e2, mu)
     doc["K_s2"] = e2.K
     doc["K_s3"] = e3.K
-    try:
-        rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
-    except ch.PowerIterationError as e:
-        return failed("monodromy_leading_pair", e)
+    rho, eig = _stage("monodromy_leading_pair", ch.monodromy_leading_pair, v, mu, steps=steps)
     doc["rho"] = rho
     doc["eigfun_flatness"] = float(np.abs(ch.profile_values(eig) - 1.0).max())
     doc["success"] = bool(
         uniq.unique and abs(rho - 1.0) <= 1e-6 and doc["eigfun_flatness"] <= 1e-5
     )
-    print(write_report(report_path, doc), end="")
     return EXIT_OK if doc["success"] else EXIT_SOLVER
 
 
-def cmd_scale(cfg: dict) -> int:
+def cmd_scale(cfg: dict, doc: dict) -> int:
     period = _get(cfg, "period", float)
     length = _get(cfg, "length", float)
     viscosity = _get(cfg, "viscosity", float)
@@ -582,20 +548,12 @@ def cmd_scale(cfg: dict) -> int:
     local = dict(cfg)
     local["mu"] = mu
     scfg = build_solver_config(local, mu)
-    report_path, csv_path, m_t, m_x = _outputs(cfg)
-    doc = report_header("scale")
+    _, csv_path, m_t, m_x = _outputs(cfg)
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
-    try:
-        result = _run_solve(local, f, scfg)
-    except (sv.ContinuationError, sv.LinearSolveError) as e:
-        doc["success"] = False
-        doc["error"] = str(e)
-        print(write_report(report_path, doc), end="")
-        return EXIT_SOLVER
+    result = _run_solve(local, f, scfg)
     doc["success"] = bool(result.success)
     doc["residual_dual"] = result.residual_dual
     doc["norms_normalized"] = _norm_block(result.u)
-    print(write_report(report_path, doc), end="")
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
@@ -638,10 +596,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)
-        return COMMANDS[args.command](cfg)
+        report_path = _outputs(cfg)[0]
+        doc = report_header(args.command)
+        code = COMMANDS[args.command](cfg, doc)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return e.exit_code
+    except StburgersError as e:
+        doc["success"] = False
+        doc["error"] = str(e)
+        code = e.exit_code
+    print(write_report(report_path, doc), end="")
+    return code
 
 
 if __name__ == "__main__":

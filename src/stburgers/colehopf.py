@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SolverError, StburgersError
 from .fields import (
     Basis,
     BasisMismatchError,
@@ -39,23 +40,23 @@ from .norms import dual_norm
 from .solver import SolverConfig, SolveReport, newton_solve, solve_linear
 
 
-class NotInS1Error(ValueError):
+class NotInS1Error(StburgersError, ValueError):
     """The x-dependent part of the potential residual is too large."""
 
 
-class ProjectionAccuracyError(ValueError):
+class ProjectionAccuracyError(StburgersError, ValueError):
     """Re-projected exponential field fails its own equation residual."""
 
 
-class NonpositivePhiError(ValueError):
+class NonpositivePhiError(StburgersError, ValueError):
     """S3 representative is not strictly positive on the grid."""
 
 
-class StepCountError(ValueError):
+class StepCountError(StburgersError, ValueError):
     """Period-map step count too small: halving test drifted."""
 
 
-class PowerIterationError(RuntimeError):
+class PowerIterationError(SolverError):
     """Power iteration on the period map did not converge."""
 
 
@@ -469,7 +470,7 @@ def verify_uniqueness(
     reports = [newton_solve(f, s, cfg) for s in starts[:n_starts]]
     for r in reports:
         if not r.success:
-            raise RuntimeError(f"start failed to converge: {r.message}")
+            raise SolverError(f"start failed to converge: {r.message}")
     sols = [r.u for r in reports]
     max_d = 0.0
     max_res = 0.0

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StburgersError
+
 SQRT2 = np.sqrt(2.0)
 # layouts each transform cache holds before it evicts the least recently
 # used one; the verify suite with the Cole-Hopf chain at the configs/
@@ -32,11 +34,11 @@ class Basis(enum.Enum):
     NEUMANN_COSINE = "neumann-cosine"
 
 
-class ResolutionError(ValueError):
+class ResolutionError(StburgersError, ValueError):
     """Grid resolution too small for the requested truncation."""
 
 
-class BasisMismatchError(ValueError):
+class BasisMismatchError(StburgersError, ValueError):
     """Operation applied to a field in the wrong basis."""
 
 

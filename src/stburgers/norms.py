@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StburgersError
 from .fields import (
     Basis,
     BasisMismatchError,
@@ -27,7 +28,7 @@ from .fields import (
 from .operators import d_x, half_derivative, pairing
 
 
-class DegenerateSampleError(ValueError):
+class DegenerateSampleError(StburgersError, ValueError):
     """All probe samples were degenerate (zero space derivative)."""
 
 

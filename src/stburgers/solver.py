@@ -17,25 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from .errors import SolverError
 from .fields import SpectralField, advection_operator, zeros
 from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
 from .operators import LinearSymbol, T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(SolverError):
     """Krylov iteration failed to reach the requested residual."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
-
-class ContinuationError(RuntimeError):
+class ContinuationError(SolverError):
     """Homotopy continuation failed at a specific lambda step."""
-
-    def __init__(self, message: str, lam: float):
-        super().__init__(message)
-        self.lam = lam
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,7 @@ def solve_linearized(
     if res > 10.0 * _residual_target(m, w, rn, cfg):
         raise LinearSolveError(
             f"linearized solve stalled at dual residual {res:.3e} "
-            f"(target {cfg.krylov_tol * rn:.3e})",
-            residual=res,
+            f"(target {cfg.krylov_tol * rn:.3e})"
         )
     return w
 
@@ -155,9 +147,7 @@ def _krylov_solve(
         if res <= _residual_target(m, w, rn, cfg):
             return ws, res
         rtol *= 1e-2
-    raise LinearSolveError(
-        f"GMRES did not converge (dual residual {res:.3e})", residual=res
-    )
+    raise LinearSolveError(f"GMRES did not converge (dual residual {res:.3e})")
 
 
 def _newton(
@@ -278,8 +268,7 @@ def homotopy_solve(
         if not report.success:
             if bisections >= max_bisections or lam - prev_lam < 1e-6:
                 raise ContinuationError(
-                    f"continuation failed at lambda = {lam:.6g}: {report.message}",
-                    lam=lam,
+                    f"continuation failed at lambda = {lam:.6g}: {report.message}"
                 )
             pending.insert(0, 0.5 * (prev_lam + lam))
             bisections += 1

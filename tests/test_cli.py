@@ -9,6 +9,7 @@ import pytest
 
 from stburgers import cli
 from stburgers import colehopf as ch
+from stburgers.errors import SolverError
 from stburgers.fields import Basis, GridField, to_spectral, zeros
 from stburgers.solver import SolverConfig, newton_solve
 from stburgers.fields import set_mode
@@ -296,7 +297,7 @@ def colehopf_cfg(tmp_path):
 @pytest.mark.parametrize(
     "stage, error",
     [
-        ("verify_uniqueness", RuntimeError),
+        ("verify_uniqueness", SolverError),
         ("lift_s1_to_s2", ch.NotInS1Error),
         ("s2_to_s3", ch.ProjectionAccuracyError),
         ("monodromy_leading_pair", ch.PowerIterationError),
