@@ -35,6 +35,9 @@ from . import solver as sv
 from . import verify as vf
 from .errors import EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, ConfigError, SolverError, StburgersError
 
+# how far the nodes of a grid file may lie from the grid it must be on
+NODE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Configuration plumbing
@@ -81,18 +84,22 @@ def _get(cfg: dict, key: str, kind, default=..., where: str = "config"):
     """Fetch and type-check cfg[key]; `...` marks a required key."""
     if key not in cfg:
         if default is ...:
-            raise ConfigError(f"{where}: missing required key {key!r}")
+            raise ConfigError(f"{where}.{key}: missing required key")
         return default
-    value = cfg[key]
+    return _check(cfg[key], kind, f"{where}.{key}")
+
+
+def _check(value, kind, where: str):
+    """`value` as a `kind`; integers pass as floats, booleans never as
+    integers, and floats must be finite."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected integer, got boolean")
+        raise ConfigError(f"{where}: expected integer, got boolean")
     if not isinstance(value, kind):
-        raise ConfigError(
-            f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
     return value
 
 
@@ -105,18 +112,18 @@ def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "f
             f"{where}: exactly one of modes / grid_file / decomposition required"
         )
     if keys[0] == "modes":
-        return _forcing_from_modes(spec["modes"], n_t, n_x, where)
+        return _forcing_from_modes(spec, "modes", n_t, n_x, where)
     if keys[0] == "grid_file":
-        return _forcing_from_grid(spec["grid_file"], n_t, n_x, where)
-    d = spec["decomposition"]
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}.decomposition: expected a mapping")
-    g = _forcing_from_modes(d.get("g_modes", []), n_t, n_x, where + ".decomposition")
-    h_modes = d.get("h_modes", [])
-    h = fd.zeros(n_t, n_x, fd.Basis.NEUMANN_COSINE)
-    for i, entry in enumerate(h_modes):
-        n, m, val = _check_mode(entry, n_t, n_x, f"{where}.decomposition.h_modes[{i}]", m_min=0)
-        h = fd.set_mode(h, n, m, val)
+        path = _get(spec, "grid_file", str, where=where)
+        g = _read_grid(path, fd.Basis.DIRICHLET_SINE, f"{where}.grid_file")
+        try:
+            return fd.to_spectral(g, n_t, n_x)
+        except fd.ResolutionError as e:
+            raise ConfigError(f"{where}.grid_file: {e}")
+    d = _get(spec, "decomposition", dict, where=where)
+    where += ".decomposition"
+    g = _forcing_from_modes(d, "g_modes", n_t, n_x, where)
+    h = _forcing_from_modes(d, "h_modes", n_t, n_x, where, fd.Basis.NEUMANN_COSINE)
     return op.half_derivative(g) + op.d_x(h)
 
 
@@ -143,27 +150,37 @@ def _check_mode(entry, n_t: int, n_x: int, where: str, m_min: int = 1):
     return n, m, complex(re, im)
 
 
-def _forcing_from_modes(modes, n_t: int, n_x: int, where: str) -> "fd.SpectralField":
-    if not isinstance(modes, list):
-        raise ConfigError(f"{where}.modes: expected a list")
-    f = fd.zeros(n_t, n_x)
-    for i, entry in enumerate(modes):
-        n, m, val = _check_mode(entry, n_t, n_x, f"{where}.modes[{i}]")
+def _forcing_from_modes(
+    spec: dict, key: str, n_t: int, n_x: int, where: str, basis=fd.Basis.DIRICHLET_SINE
+) -> "fd.SpectralField":
+    """The field of the mode list spec[key]; cosine fields take m = 0."""
+    f = fd.zeros(n_t, n_x, basis)
+    m_min = 0 if basis is fd.Basis.NEUMANN_COSINE else 1
+    for i, entry in enumerate(_get(spec, key, list, [], where=where)):
+        n, m, val = _check_mode(entry, n_t, n_x, f"{where}.{key}[{i}]", m_min)
         f = fd.set_mode(f, n, m, val)
     return f
 
 
-def _forcing_from_grid(path, n_t: int, n_x: int, where: str) -> "fd.SpectralField":
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}.grid_file: expected a path string")
+def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
+    """The `t,x,u` CSV at `path` as a grid field; its nodes must be the
+    time nodes j/m_t and the space nodes of `basis`."""
     try:
         times, xs, vals = read_field_csv(path)
     except OSError as e:
-        raise ConfigError(f"{where}.grid_file: cannot read {path!r}: {e.strerror}")
+        raise ConfigError(f"{where}: cannot read {path!r}: {e.strerror}")
     except ValueError as e:
-        raise ConfigError(f"{where}.grid_file: malformed CSV {path!r}: {e}")
-    g = fd.GridField(vals, len(times), len(xs), fd.Basis.DIRICHLET_SINE)
-    return fd.to_spectral(g, n_t, n_x)
+        raise ConfigError(f"{where}: malformed CSV {path!r}: {e}")
+    m_t, m_x = len(times), len(xs)
+    if not (
+        np.allclose(times, fd.time_nodes(m_t), rtol=0.0, atol=NODE_TOL)
+        and np.allclose(xs, fd.space_nodes(m_x, basis), rtol=0.0, atol=NODE_TOL)
+    ):
+        x_nodes = "i/(m_x+1), i = 1..m_x" if basis is fd.Basis.DIRICHLET_SINE else "(i+1/2)/m_x"
+        raise ConfigError(
+            f"{where}: {path!r} is not on the {m_t}x{m_x} grid t = j/m_t, x = {x_nodes}"
+        )
+    return fd.GridField(vals, m_t, m_x, basis)
 
 
 def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
@@ -182,7 +199,9 @@ def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
             kwargs[key] = _get(s, key, kind, where=where)
     if "homotopy_steps" in s:
         steps = _get(s, "homotopy_steps", list, where=where)
-        kwargs["homotopy_steps"] = tuple(float(v) for v in steps)
+        kwargs["homotopy_steps"] = tuple(
+            _check(v, float, f"{where}.homotopy_steps[{i}]") for i, v in enumerate(steps)
+        )
     try:
         return sv.SolverConfig(**kwargs)
     except ValueError as e:
@@ -250,21 +269,21 @@ def report_header(command: str) -> dict:
     }
 
 
-def write_field_csv(
-    path: str, u: "fd.SpectralField", m_t: int, m_x: int
-) -> None:
-    times = fd.time_nodes(m_t)
-    xs = fd.space_nodes(m_x, u.basis)
-    vals = fd.evaluate(u, m_t, m_x).real
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,u\n")
-        for i, t in enumerate(times):
-            for j, x in enumerate(xs):
-                fh.write(f"{t:.17g},{x:.17g},{vals[i, j]:.17g}\n")
+def write_field_csv(path: str, times, xs, values) -> None:
+    """Write values[i, j] at (times[i], xs[j]) as a `t,x,u` dump."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("t,x,u\n")
+            for i, t in enumerate(times):
+                for j, x in enumerate(xs):
+                    fh.write(f"{t:.17g},{x:.17g},{values[i, j]:.17g}\n")
+    except OSError as e:
+        raise ConfigError(f"config.outputs.field_csv_path: cannot write {path!r}: {e.strerror}")
 
 
 def read_field_csv(path: str):
-    """Read a `t,x,u` dump back into node vectors and a value matrix."""
+    """Read a `t,x,u` dump, rows in any order, back into sorted node
+    vectors and a value matrix."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,x,u":
@@ -273,9 +292,13 @@ def read_field_csv(path: str):
     data = np.array([[float(c) for c in r] for r in rows])
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError("expected three columns per row")
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite entry")
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
     times = np.unique(data[:, 0])
     xs = np.unique(data[:, 1])
-    if len(times) * len(xs) != len(data):
+    nodes = np.stack(np.meshgrid(times, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    if nodes.shape != data[:, :2].shape or (nodes != data[:, :2]).any():
         raise ValueError("rows do not form a full tensor grid")
     vals = data[:, 2].reshape(len(times), len(xs))
     return times, xs, vals
@@ -307,23 +330,24 @@ def _workers() -> int:
 # Subcommands
 
 
-def _count(cfg: dict, key: str, default=...) -> int:
-    """cfg[key] as an integer of at least 1."""
-    value = _get(cfg, key, int, default)
-    if value < 1:
-        raise ConfigError(f"config.{key}: must be at least 1, got {value}")
+def _count(cfg: dict, key: str, default=..., where: str = "config", least: int = 1) -> int:
+    """cfg[key] as an integer of at least `least`."""
+    value = _get(cfg, key, int, default, where)
+    if value is not None and value < least:
+        raise ConfigError(f"{where}.{key}: must be at least {least}, got {value}")
     return value
 
 
-def _viscosity(cfg: dict, default=...) -> float:
-    mu = _get(cfg, "mu", float, default)
-    if not 0.0 < mu < np.inf:
-        raise ConfigError(f"config.mu: must be positive and finite, got {mu}")
-    return mu
+def _positive(cfg: dict, key: str, default=...) -> float:
+    """cfg[key] as a positive float."""
+    value = _get(cfg, key, float, default)
+    if value <= 0.0:
+        raise ConfigError(f"config.{key}: must be positive, got {value}")
+    return value
 
 
 def _common_problem(cfg: dict):
-    mu = _viscosity(cfg)
+    mu = _positive(cfg, "mu")
     n_t = _count(cfg, "n_t")
     n_x = _count(cfg, "n_x")
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
@@ -331,7 +355,7 @@ def _common_problem(cfg: dict):
 
 
 def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
-    method = _get(_get(cfg, "solver", dict, {}), "method", str, "homotopy")
+    method = _get(_get(cfg, "solver", dict, {}), "method", str, "homotopy", "config.solver")
     if method == "newton":
         return sv.newton_solve(forcing, None, scfg)
     if method == "homotopy":
@@ -341,11 +365,18 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
 
 def _outputs(cfg: dict):
     o = _get(cfg, "outputs", dict, {})
-    report_path = _get(o, "report_path", str, None, where="config.outputs")
-    csv_path = _get(o, "field_csv_path", str, None, where="config.outputs")
-    m_t = _get(o, "grid_m_t", int, None, where="config.outputs")
-    m_x = _get(o, "grid_m_x", int, None, where="config.outputs")
-    return report_path, csv_path, m_t, m_x
+    paths = []
+    for key in ("report_path", "field_csv_path"):
+        path = _get(o, key, str, None, where="config.outputs")
+        folder = os.path.dirname(path or "") or "."
+        if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+            raise ConfigError(
+                f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
+            )
+        paths.append(path)
+    m_t = _count(o, "grid_m_t", None, where="config.outputs")
+    m_x = _count(o, "grid_m_x", None, where="config.outputs")
+    return *paths, m_t, m_x
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -372,22 +403,19 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
-        write_field_csv(
-            csv_path,
-            result.u,
-            m_t or 4 * (n_t + 1),
-            m_x or 4 * (n_x + 1),
-        )
+        m_t, m_x = m_t or 4 * (n_t + 1), m_x or 4 * (n_x + 1)
+        xs = fd.space_nodes(m_x, result.u.basis)
+        write_field_csv(csv_path, fd.time_nodes(m_t), xs, fd.evaluate(result.u, m_t, m_x).real)
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
     vcfg = vf.VerifyConfig(
-        seed=_get(cfg, "seed", int),
+        seed=_count(cfg, "seed", least=0),
         n_samples=_count(cfg, "n_samples", 100),
         n_t=_count(cfg, "n_t", 32),
         n_x=_count(cfg, "n_x", 32),
-        mu=_viscosity(cfg, 0.5),
+        mu=_positive(cfg, "mu", 0.5),
         solve_n_t=_count(cfg, "solve_n_t", 8),
         solve_n_x=_count(cfg, "solve_n_x", 8),
         monodromy_steps=_count(cfg, "monodromy_steps", 512),
@@ -397,6 +425,7 @@ def cmd_verify(cfg: dict, doc: dict) -> int:
     for name in vcfg.tolerances:
         if name not in vf.DEFAULT_TOLERANCES:
             raise ConfigError(f"config.tolerances: unknown invariant {name!r}")
+        _get(vcfg.tolerances, name, float, where="config.tolerances")
     results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
     doc["n_samples"] = vcfg.n_samples
@@ -419,10 +448,7 @@ def _sweep_row(cfg: dict, param: str, value) -> dict:
     if param == "mu":
         local["mu"] = value
     elif param == "n_modes":
-        local["n_t"] = int(value)
-        local["n_x"] = int(value)
-    elif param == "forcing_amplitude":
-        pass  # handled below by scaling the built forcing
+        local["n_t"] = local["n_x"] = value
     row = {"param": param, "value": value}
     try:
         mu, n_t, n_x, forcing = _common_problem(local)
@@ -457,6 +483,8 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
     values = _get(sweep, "values", list, where="config.sweep")
     if not values:
         raise ConfigError("config.sweep.values: must be non-empty")
+    for i, v in enumerate(values):
+        _check(v, int if param == "n_modes" else float, f"config.sweep.values[{i}]")
     if "monodromy" in cfg:
         _get(cfg, "monodromy", bool)
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
@@ -487,14 +515,10 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
-        mu = _viscosity(cfg)
-        try:
-            times, xs, vals = read_field_csv(path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"config.phi_file: cannot read {path!r}: {e}")
-        g = fd.GridField(vals, len(times), len(xs), fd.Basis.NEUMANN_COSINE)
-        n_t = (len(times) - 1) // 2
-        n_x = len(xs) - 1
+        mu = _positive(cfg, "mu")
+        g = _read_grid(path, fd.Basis.NEUMANN_COSINE, "config.phi_file")
+        n_t = (g.m_t - 1) // 2
+        n_x = g.m_x - 1
         phi = fd.to_spectral(g, n_t, n_x)
         v = fd.zeros(n_t, n_x)
         elem = ch.ColeHopfElement(kind=ch.Kind.S3, v=v, phi=phi, K=0.0)
@@ -507,8 +531,8 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
         return EXIT_OK
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
-    n_starts = _get(cfg, "n_starts", int, 3)
-    seed = _get(cfg, "seed", int, 0)
+    n_starts = _count(cfg, "n_starts", 3, least=2)
+    seed = _count(cfg, "seed", 0, least=0)
     steps = _count(cfg, "monodromy_steps", 512)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x})
     uniq = _stage(
@@ -532,18 +556,15 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
 
 
 def cmd_scale(cfg: dict, doc: dict) -> int:
-    period = _get(cfg, "period", float)
-    length = _get(cfg, "length", float)
+    period = _positive(cfg, "period")
+    length = _positive(cfg, "length")
     viscosity = _get(cfg, "viscosity", float)
+    if viscosity == 0.0:
+        raise ConfigError("config.viscosity: must be nonzero")
     n_t = _count(cfg, "n_t")
     n_x = _count(cfg, "n_x")
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
-    try:
-        prob = sc.PhysicalProblem(
-            period=period, length=length, viscosity=viscosity, forcing=forcing
-        )
-    except ValueError as e:
-        raise ConfigError(f"config: {e}")
+    prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)
     local = dict(cfg)
     local["mu"] = mu
@@ -560,11 +581,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
         phys = sc.denormalize(
             result.u, prob, m_t=m_t or 4 * (n_t + 1), m_x=m_x or 4 * (n_x + 1)
         )
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("t,x,u\n")
-            for i, t in enumerate(phys.times):
-                for j, x in enumerate(phys.positions):
-                    fh.write(f"{t:.17g},{x:.17g},{phys.values[i, j]:.17g}\n")
+        write_field_csv(csv_path, phys.times, phys.positions, phys.values)
     return EXIT_OK
 
 

@@ -49,7 +49,7 @@ class SolverConfig:
         if self.max_krylov < 1:
             raise ValueError("max_krylov must be at least 1")
         steps = tuple(float(s) for s in self.homotopy_steps)
-        if steps[0] != 0.0 or steps[-1] != 1.0 or any(
+        if not steps or steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])
         ):
             raise ValueError("homotopy_steps must increase strictly from 0 to 1")

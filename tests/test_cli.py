@@ -241,14 +241,15 @@ def test_scale_command(tmp_path, capsys):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def run_cli(tmp_path, command, *overrides):
-    """Run `stburgers <command>` on its checked-in config in a fresh
-    interpreter, so an uncaught exception shows as a traceback."""
+def run_cli(tmp_path, command, *overrides, config=None):
+    """Run `stburgers <command>` on the checked-in config `config`
+    (default: the command's own) in a fresh interpreter, so an uncaught
+    exception shows as a traceback."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "stburgers.cli", command,
-            "--config", str(CONFIGS / f"{command}.json")]
+            "--config", str(CONFIGS / f"{config or command}.json")]
     for o in overrides:
         argv += ["--override", o]
     return subprocess.run(
@@ -327,3 +328,90 @@ def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys,
     assert [r["error"] for r in doc["rows"]] == ["monodromy_leading_pair: injected"] * 2
     assert not any(r["success"] for r in doc["rows"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, override, key",
+    [
+        ("solve", None, "solver.homotopy_steps=[]", "config.solver: homotopy_steps"),
+        ("solve", None, 'solver.homotopy_steps=["a"]', "config.solver.homotopy_steps[0]"),
+        ("verify", None, 'tolerances={"energy_identity":"x"}', "config.tolerances.energy_identity"),
+        ("verify", None, "seed=-1", "config.seed"),
+        ("colehopf", None, "seed=-1", "config.seed"),
+        ("sweep", "sweep_mu", 'sweep={"param":"n_modes","values":["a"]}', "config.sweep.values[0]"),
+        ("colehopf", None, "n_starts=1", "config.n_starts"),
+        ("solve", None, "outputs.report_path=nodir/r.json", "config.outputs.report_path"),
+        ("solve", None, "outputs.field_csv_path=nodir/f.csv", "config.outputs.field_csv_path"),
+        ("solve", None, "outputs.grid_m_t=-3", "config.outputs.grid_m_t"),
+        ("solve", None, "outputs.grid_m_x=0", "config.outputs.grid_m_x"),
+        ("solve", None, 'forcing.modes=[{"n":1,"m":1,"re":Infinity}]', "config.forcing.modes[0].re"),
+        ("solve", None, 'forcing.modes=[{"n":1,"m":1,"im":NaN}]', "config.forcing.modes[0].im"),
+        ("scale", None, "viscosity=NaN", "config.viscosity"),
+    ],
+)
+def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
+    # each of these ended in a traceback, ran into RuntimeWarnings and
+    # exited 2, or was silently accepted
+    proc = run_cli(tmp_path, command, override, config=config)
+    assert proc.returncode == 1
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == []  # no report, no field dump
+
+
+def write_grid_csv(path, times, xs, fn, rng=None):
+    rows = [(t, x, fn(t, x)) for t in times for x in xs]
+    if rng is not None:
+        rng.shuffle(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,x,u\n")
+        for row in rows:
+            fh.write("%.17g,%.17g,%.17g\n" % row)
+
+
+def grid_forcing(t, x):
+    return np.sin(np.pi * x) * (1.0 + 0.5 * np.cos(2 * np.pi * t)) + 0.3 * np.sin(2 * np.pi * x)
+
+
+def test_grid_file_rows_may_come_in_any_order(tmp_path, capsys):
+    times, xs = np.arange(4) / 4, np.arange(1, 4) / 4  # 4x3 Dirichlet grid
+    write_grid_csv(tmp_path / "sorted.csv", times, xs, grid_forcing)
+    write_grid_csv(tmp_path / "shuffled.csv", times, xs, grid_forcing, np.random.default_rng(3))
+    assert (tmp_path / "sorted.csv").read_text() != (tmp_path / "shuffled.csv").read_text()
+    f_sorted = cli.build_forcing({"grid_file": str(tmp_path / "sorted.csv")}, 1, 3)
+    f_shuffled = cli.build_forcing({"grid_file": str(tmp_path / "shuffled.csv")}, 1, 3)
+    assert np.abs(f_sorted.coeffs).max() > 0.1
+    assert np.array_equal(f_sorted.coeffs, f_shuffled.coeffs)
+
+    reports = []
+    for name in ("sorted", "shuffled"):
+        cfg = solve_cfg(tmp_path, n_t=1, n_x=3, forcing={"grid_file": str(tmp_path / f"{name}.csv")})
+        assert run(tmp_path, "solve", cfg) == 0
+        text = (tmp_path / "report.json").read_text()
+        reports.append([line for line in text.split("\n") if '"timestamp"' not in line])
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
+def test_grid_files_off_their_nodes_or_too_small_are_config_errors(tmp_path, capsys):
+    midpoint = tmp_path / "midpoint.csv"  # cosine nodes where sine nodes belong
+    write_grid_csv(midpoint, np.arange(9) / 9, (np.arange(8) + 0.5) / 8, grid_forcing)
+    tiny = tmp_path / "tiny.csv"
+    write_grid_csv(tiny, [0.0], [0.5], grid_forcing)
+    for path in (midpoint, tiny):
+        cfg = solve_cfg(tmp_path, forcing={"grid_file": str(path)})
+        assert run(tmp_path, "solve", cfg) == 1
+        assert "config.forcing.grid_file" in capsys.readouterr().err
+
+    sine_nodes = tmp_path / "phi_sine_nodes.csv"  # sine nodes where cosine nodes belong
+    write_grid_csv(sine_nodes, np.arange(9) / 9, np.arange(1, 9) / 9, lambda t, x: 1.0 + 0.3 * x)
+    cfg = {"mu": 0.5, "phi_file": str(sine_nodes)}
+    assert run(tmp_path, "colehopf", cfg) == 1
+    assert "config.phi_file" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_write_field_csv_names_the_output_key(tmp_path):
+    with pytest.raises(cli.ConfigError, match="config.outputs.field_csv_path"):
+        cli.write_field_csv(str(tmp_path / "nodir" / "f.csv"), [0.0], [0.5], np.zeros((1, 1)))
