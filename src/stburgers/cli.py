@@ -9,8 +9,8 @@ the single `timestamp` header entry.  Field dumps are CSV with header
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 verification invariant failure.  `main` is the one place that turns
-an error into an exit code: a `ConfigError` exits 1 with its message on
-stderr and no report; any other `StburgersError` writes the report so
+an exception into an exit code: a `ConfigError` exits 1 with its message
+on stderr and no report; any other `StburgersError` writes the report so
 far with `success: false` and the `error`, and exits with the error's
 `exit_code`.
 """
@@ -187,16 +187,12 @@ def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
     s = _get(cfg, "solver", dict, {})
     where = "config.solver"
     kwargs = dict(mu=mu)
-    for key, kind in (
-        ("newton_tol", float),
-        ("max_newton", int),
-        ("krylov_tol", float),
-        ("max_krylov", int),
-        ("dense_threshold", int),
-        ("max_damping", int),
-    ):
+    for key in ("newton_tol", "krylov_tol"):
         if key in s:
-            kwargs[key] = _get(s, key, kind, where=where)
+            kwargs[key] = _positive(s, key, where=where)
+    for key, least in (("max_newton", 1), ("max_krylov", 1), ("dense_threshold", 0), ("max_damping", 1)):
+        if key in s:
+            kwargs[key] = _count(s, key, where=where, least=least)
     if "homotopy_steps" in s:
         steps = _get(s, "homotopy_steps", list, where=where)
         kwargs["homotopy_steps"] = tuple(
@@ -338,11 +334,11 @@ def _count(cfg: dict, key: str, default=..., where: str = "config", least: int =
     return value
 
 
-def _positive(cfg: dict, key: str, default=...) -> float:
+def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
     """cfg[key] as a positive float."""
-    value = _get(cfg, key, float, default)
+    value = _get(cfg, key, float, default, where)
     if value <= 0.0:
-        raise ConfigError(f"config.{key}: must be positive, got {value}")
+        raise ConfigError(f"{where}.{key}: must be positive, got {value}")
     return value
 
 

@@ -335,6 +335,9 @@ def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys,
     [
         ("solve", None, "solver.homotopy_steps=[]", "config.solver: homotopy_steps"),
         ("solve", None, 'solver.homotopy_steps=["a"]', "config.solver.homotopy_steps[0]"),
+        ("solve", None, "solver.max_newton=0", "config.solver.max_newton"),
+        ("solve", None, "solver.newton_tol=-1", "config.solver.newton_tol"),
+        ("solve", None, "solver.max_damping=0", "config.solver.max_damping"),
         ("verify", None, 'tolerances={"energy_identity":"x"}', "config.tolerances.energy_identity"),
         ("verify", None, "seed=-1", "config.seed"),
         ("colehopf", None, "seed=-1", "config.seed"),
@@ -350,8 +353,8 @@ def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys,
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
-    # each of these ended in a traceback, ran into RuntimeWarnings and
-    # exited 2, or was silently accepted
+    # each of these ended in a traceback, ran into RuntimeWarnings or a
+    # futile solve and exited 2, or was silently accepted
     proc = run_cli(tmp_path, command, override, config=config)
     assert proc.returncode == 1
     assert key in proc.stderr
@@ -415,3 +418,23 @@ def test_grid_files_off_their_nodes_or_too_small_are_config_errors(tmp_path, cap
 def test_write_field_csv_names_the_output_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="config.outputs.field_csv_path"):
         cli.write_field_csv(str(tmp_path / "nodir" / "f.csv"), [0.0], [0.5], np.zeros((1, 1)))
+
+
+def test_every_package_error_carries_an_exit_code():
+    import importlib
+    import pkgutil
+
+    import stburgers
+    from stburgers.errors import StburgersError
+
+    modules = [importlib.import_module(f"stburgers.{m.name}") for m in pkgutil.iter_modules(stburgers.__path__)]
+    errors = {
+        obj
+        for mod in modules
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("stburgers.")
+    }
+    assert len(errors) == 13  # 3 in stburgers.errors, 10 in the layers
+    for cls in errors:
+        assert issubclass(cls, StburgersError), cls
+        assert cls.exit_code in (1, 2), cls

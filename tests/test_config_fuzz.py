@@ -94,21 +94,18 @@ def mutated(base, path, value):
     return cfg
 
 
-def write_grid(path, times, xs, fn):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,u\n")
-        for t in times:
-            for x in xs:
-                fh.write(f"{t:.17g},{x:.17g},{fn(t, x):.17g}\n")
+def write_grid(path, m_t, m_x, basis, fn):
+    times, xs = time_nodes(m_t), space_nodes(m_x, basis)
+    cli.write_field_csv(path, times, xs, fn(*np.meshgrid(times, xs, indexing="ij")))
 
 
 @pytest.mark.parametrize("name", list(BASES))
 def test_single_entry_mutations_end_in_a_documented_exit(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("STBURGERS_WORKERS", raising=False)
-    write_grid("forcing.csv", time_nodes(5), space_nodes(2, Basis.DIRICHLET_SINE),
+    write_grid("forcing.csv", 5, 2, Basis.DIRICHLET_SINE,
                lambda t, x: 0.2 * np.sin(np.pi * x) * np.cos(2 * np.pi * t))
-    write_grid("phi.csv", time_nodes(5), space_nodes(3, Basis.NEUMANN_COSINE),
+    write_grid("phi.csv", 5, 3, Basis.NEUMANN_COSINE,
                lambda t, x: 1.0 + 0.3 * np.cos(np.pi * x))
     command, base = BASES[name]
     cases = [((), MISSING)] + [(p, v) for p in entries(base) for v in MUTATIONS]
