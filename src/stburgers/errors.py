@@ -12,6 +12,8 @@ EXIT_VERIFY = 3
 
 
 class StburgersError(Exception):
+    """Base of the package's errors; `exit_code` is the CLI's exit status."""
+
     exit_code = EXIT_SOLVER
 
 
