@@ -350,13 +350,17 @@ def _common_problem(cfg: dict):
     return mu, n_t, n_x, forcing
 
 
-def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
+def _solve_method(cfg: dict) -> str:
     method = _get(_get(cfg, "solver", dict, {}), "method", str, "homotopy", "config.solver")
-    if method == "newton":
+    if method not in ("newton", "homotopy"):
+        raise ConfigError(f"config.solver.method: unknown method {method!r}")
+    return method
+
+
+def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
+    if _solve_method(cfg) == "newton":
         return sv.newton_solve(forcing, None, scfg)
-    if method == "homotopy":
-        return sv.homotopy_solve(forcing, scfg)
-    raise ConfigError(f"config.solver.method: unknown method {method!r}")
+    return sv.homotopy_solve(forcing, scfg)
 
 
 def _outputs(cfg: dict):
@@ -439,18 +443,25 @@ def cmd_verify(cfg: dict, doc: dict) -> int:
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY
 
 
-def _sweep_row(cfg: dict, param: str, value) -> dict:
+def _sweep_problem(cfg: dict, param: str, value) -> tuple:
+    """The config, forcing and solver settings of one sweep row, checked
+    before any row runs (a ConfigError here ends the sweep)."""
     local = json.loads(json.dumps(cfg))  # deep copy, JSON-safe by construction
     if param == "mu":
         local["mu"] = value
     elif param == "n_modes":
         local["n_t"] = local["n_x"] = value
+    mu, _, _, forcing = _common_problem(local)
+    if param == "forcing_amplitude":
+        forcing = float(value) * forcing
+    _solve_method(local)
+    return local, forcing, build_solver_config(local, mu)
+
+
+def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
+    mu = scfg.mu
     row = {"param": param, "value": value}
     try:
-        mu, n_t, n_x, forcing = _common_problem(local)
-        if param == "forcing_amplitude":
-            forcing = float(value) * forcing
-        scfg = build_solver_config(local, mu)
         result = _run_solve(local, forcing, scfg)
         if not result.success:
             raise SolverError(result.message)
@@ -483,8 +494,9 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
         _check(v, int if param == "n_modes" else float, f"config.sweep.values[{i}]")
     if "monodromy" in cfg:
         _get(cfg, "monodromy", bool)
+    problems = [_sweep_problem(cfg, param, v) for v in values]
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(cfg, param, v), values))
+        rows = list(pool.map(lambda v, p: _sweep_row(param, v, *p), values, problems))
     _, csv_path, _, _ = _outputs(cfg)
     doc["param"] = param
     doc["rows"] = rows

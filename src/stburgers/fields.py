@@ -358,35 +358,85 @@ def product_cosine(
     return analyse(gu * gv, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
+def pack(c: np.ndarray) -> np.ndarray:
+    """Real coordinates of the Hermitian part of a coefficient array.
+
+    Rows n >= 0 of h = (c[n] + conj(c[-n])) / 2 give, in one real array
+    of c's shape, the row Re h[0], then the rows sqrt(2) Re h[n] and then
+    sqrt(2) Im h[n] for n = 1..n_t.  The weights make pack an isometry on
+    Hermitian arrays, |pack(c)|_2 = |c|_2, and its adjoint is `unpack`;
+    the anti-Hermitian part of c is dropped."""
+    n_t = c.shape[0] // 2
+    h = 0.5 * (c[n_t:] + c[n_t::-1].conj())
+    h[1:] *= SQRT2
+    return np.concatenate([h.real, h[1:].imag])
+
+
+def unpack(x: np.ndarray) -> np.ndarray:
+    """The Hermitian coefficient array whose `pack` is the real array x."""
+    n_t = x.shape[0] // 2
+    upper = x[: n_t + 1].astype(complex)
+    upper[1:] = (x[1 : n_t + 1] + 1j * x[n_t + 1 :]) / SQRT2
+    return np.concatenate([upper[:0:-1].conj(), upper])
+
+
+def _real_grid(m: SpectralField, m_t: int, m_x: int) -> np.ndarray:
+    """Values of m on the m_t x m_x midpoint grid, which must be real."""
+    g = evaluate(m, m_t, m_x, Basis.NEUMANN_COSINE)
+    if np.abs(g.imag).max() > 1e-12 * max(1.0, np.abs(g).max()):
+        raise ValueError("advection operator expects a real field (Hermitian coefficients)")
+    return g.real
+
+
 def advection_matrix(m: SpectralField) -> np.ndarray:
-    """Matrix of the linear map w -> (m w)_x, the x-derivative of
-    product_cosine(m, w, n_t, n_x), on flattened Dirichlet-sine
-    coefficients of m's truncation.
+    """Real matrix of the linear map w -> (m w)_x, the x-derivative of
+    product_cosine(m, w, n_t, n_x), on the packed (`pack`) Dirichlet-sine
+    coefficients of m's truncation; m must be real.
 
     On the padded grid of that product, with g = m on the grid, E the
     time matrix and S, C the sine and cosine matrices on midpoint nodes,
+    the complex matrix on all coefficients is block Toeplitz,
 
-        A[(n, k), (i, j)] = sum_t sum_x conj(E[t, n]) E[t, i] g[t, x]
-                            * S[x, j] (-k pi) C[x, k] / (m_t m_x).
+        A[(n, k), (i, j)] = B[i - n][k, j]
+                          = sum_t sum_x conj(E[t, n]) E[t, i] g[t, x]
+                            * S[x, j] (-k pi) C[x, k] / (m_t m_x),
 
-    conj(E[t, n]) E[t, i] depends on i - n only, so the sum over t is one
-    product for the 4 n_t + 1 differences, the sum over x one more, and A
-    is block Toeplitz in (n, i)."""
+    so the sum over t is one product for the 4 n_t + 1 differences and
+    the sum over x one more.  For real g, B[-d] = conj(B[d]), and on a
+    Hermitian w = a + i b the rows n >= 0 of (m w)_x are the sum over
+    i >= 0 of (P[n, i] a[i] + i M[n, i] b[i]) / (2 if i = 0 else 1), with
+    the Toeplitz and Hankel slices P, M = B[i - n] +- B[-i - n].  Their
+    real and imaginary parts, scaled by the packing weights, fill the
+    real matrix; no complex matrix is built."""
     if m.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("advection_matrix expects a Dirichlet-sine field")
-    rows, n_x = 2 * m.n_t + 1, m.n_x
-    m_t, m_x = _product_grid(m, m.n_t, n_x)
+    n_t, n_x = m.n_t, m.n_x
+    m_t, m_x = _product_grid(m, n_t, n_x)
     mid = Basis.NEUMANN_COSINE
-    diffs = time_matrix(2 * m.n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
+    diffs = time_matrix(2 * n_t, m_t).T @ _real_grid(m, m_t, m_x)  # [i - n, x]
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
     k = np.arange(1, n_x + 1)
-    c = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)[:, 1:] * (-np.pi * k / (m_t * m_x))
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
     d = (c[:, :, None] * s[:, None, :]).reshape(m_x, n_x * n_x)  # [x, (k, j)]
-    blocks = (diffs @ d).reshape(2 * rows - 1, n_x, n_x)  # [i - n, k, j]
-    a = np.empty((rows, n_x, rows, n_x), dtype=complex)  # [n, k, i, j]
-    for n in range(rows):
-        a[n] = blocks[rows - 1 - n : 2 * rows - 1 - n].transpose(1, 0, 2)
-    return a.reshape(rows * n_x, rows * n_x)
+    blocks = (diffs @ d).reshape(4 * n_t + 1, n_x, n_x)  # [i - n + 2 n_t, k, j]
+    h = n_t + 1
+    a = np.empty((2 * n_t + 1, n_x, 2 * n_t + 1, n_x))  # [row, k, col, j]
+    for n in range(h):
+        toeplitz = blocks[2 * n_t - n : 3 * n_t - n + 1]  # B[i - n], i = 0..n_t
+        hankel = blocks[n_t - n : 2 * n_t - n + 1][::-1]  # B[-i - n]
+        p = (toeplitz + hankel).transpose(1, 0, 2)  # [k, i, j]
+        q = (toeplitz[1:] - hankel[1:]).transpose(1, 0, 2)
+        a[n, :, :h] = p.real
+        a[n, :, h:] = -q.imag
+        if n:
+            a[n_t + n, :, :h] = p.imag
+            a[n_t + n, :, h:] = q.real
+    # packed coordinates weigh mode n by w[n] = (1, sqrt 2, ..., sqrt 2):
+    # entry (n, i) scales by w[n] / (w[i] (2 if i = 0 else 1)), which is
+    # 1/sqrt 2 on the row block and on the column block of mode 0
+    a[0] /= SQRT2
+    a[:, :, 0] /= SQRT2
+    return a.reshape(a.shape[0] * n_x, -1)
 
 
 def advection_operator(m: SpectralField):
@@ -414,10 +464,7 @@ def advection_operator(m: SpectralField):
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
     c_t = np.ascontiguousarray(c.T)  # [k, x]
-    g = evaluate(m, m_t, m_x, mid)
-    if np.abs(g.imag).max() > 1e-12 * max(1.0, np.abs(g).max()):
-        raise ValueError("advection_operator expects a real field (Hermitian coefficients)")
-    g_t = np.ascontiguousarray(g.real.T)  # [x, t]
+    g_t = np.ascontiguousarray(_real_grid(m, m_t, m_x).T)  # [x, t]
 
     def apply(x: np.ndarray) -> np.ndarray:
         w_t = x.reshape(rows, n_x).T @ e.T  # [j, t]

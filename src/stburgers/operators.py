@@ -175,9 +175,17 @@ def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralFiel
 
 
 def T_prime_matrix(m: SpectralField, mu: float) -> np.ndarray:
-    """Dense matrix of T'(m) on flattened Dirichlet-sine coefficients."""
+    """Dense real matrix of T'(m) on packed (`fields.pack`) Dirichlet-sine
+    coefficients; m must be real."""
     a = advection_matrix(m)
-    a[np.diag_indices_from(a)] += LinearSymbol(mu).values(m.n_t, m.n_x).ravel()
+    # L multiplies mode n by lambda(n): on the packed pair (Re, Im) of a
+    # row n >= 1 that is [[Re lambda, -Im lambda], [Im lambda, Re lambda]]
+    lam = LinearSymbol(mu).values(m.n_t, m.n_x)[m.n_t :].ravel()  # n >= 0
+    a[np.diag_indices_from(a)] += np.concatenate([lam.real, lam.real[m.n_x :]])
+    re = np.arange(m.n_x, lam.size)
+    im = re + m.n_t * m.n_x
+    a[re, im] -= lam.imag[m.n_x :]
+    a[im, re] += lam.imag[m.n_x :]
     return a
 
 

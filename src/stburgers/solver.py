@@ -1,13 +1,15 @@
 """Newton / homotopy solution of the time-periodic Burgers problem T(u) = f.
 
-The linearized equations T'(m) w = r are solved in the preconditioned
-fixed-point form w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a
-compact perturbation, the regime where Krylov iterations converge mesh
-independently.  The linearization is built once per Newton step: small
-systems are solved directly with the dense matrix of T'(m), which
-`operators.T_prime_matrix` assembles in closed form; larger ones run
-GMRES on `fields.advection_operator(m)`, which holds m on the padded
-product grid, so each matvec is four products.
+The linearized equations T'(m) w = r are solved for a real w, on the N
+real coordinates that `fields.pack` gives its Hermitian coefficients, so
+every w is Hermitian by construction.  The linearization is built once
+per Newton step: small systems are solved directly with the real dense
+matrix of T'(m), which `operators.T_prime_matrix` assembles in closed
+form; larger ones run real GMRES on the preconditioned fixed-point form
+w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a compact
+perturbation, the regime where Krylov iterations converge mesh
+independently.  Its matvec is `fields.advection_operator(m)`, which
+holds m on the padded product grid, so each is four products.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import SolverError
-from .fields import SpectralField, advection_operator, zeros
+from .fields import SpectralField, advection_operator, pack, unpack, zeros
 from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
 from .operators import LinearSymbol, T_prime_matrix, apply_T, apply_T_prime, invert_L
 
@@ -73,32 +74,35 @@ def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
     return invert_L(f, cfg.mu)
 
 
-def _symmetrize(u: SpectralField) -> SpectralField:
-    c = u.coeffs
-    return u.with_coeffs(0.5 * (c + c[::-1].conj()))
-
-
 def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
-    """Preconditioned operator x -> x + L^{-1} (m w)_x on the flattened
-    coefficients x of w; the advection operator is built once here."""
+    """Preconditioned operator x -> x + pack(L^{-1} (m w)_x) on the flat
+    packed coordinates x of w = unpack(x); the advection operator is
+    built once here."""
     advect = advection_operator(m)
-    lam = LinearSymbol(cfg.mu).values(m.n_t, m.n_x).ravel()
-    n = lam.size
-    return LinearOperator(
-        (n, n), matvec=lambda x: x.ravel() + advect(x) / lam, dtype=complex
-    )
+    lam = LinearSymbol(cfg.mu).values(m.n_t, m.n_x)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(lam.shape)
+        return (x + pack(advect(unpack(x)).reshape(lam.shape) / lam)).ravel()
+
+    return matvec
 
 
 def solve_linearized(
     m: SpectralField, r: SpectralField, cfg: SolverConfig
 ) -> SpectralField:
-    """Solve T'(m) w = r to dual residual krylov_tol * dual_norm(r)."""
+    """Solve T'(m) w = r for a real w (Hermitian coefficients) to dual
+    residual krylov_tol * dual_norm(r); m must be real.
+
+    A non-Hermitian r is solved for its Hermitian part, as `pack` drops
+    the rest, and the dual residual is taken against r itself."""
     rn = dual_norm(r)
     if rn == 0.0:
         return zeros(r.n_t, r.n_x, r.basis)
     if r.coeffs.size > cfg.dense_threshold:
-        return _krylov_solve(m, r, rn, cfg)[0]
-    w = _symmetrize(_dense_solve(m, r, cfg))
+        return _krylov_solve(m, r, rn, cfg)
+    x = np.linalg.solve(T_prime_matrix(m, cfg.mu), pack(r.coeffs).ravel())
+    w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
     res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
     if res > 10.0 * _residual_target(m, w, rn, cfg):
         raise LinearSolveError(
@@ -108,24 +112,34 @@ def solve_linearized(
     return w
 
 
-def _dense_solve(m: SpectralField, r: SpectralField, cfg: SolverConfig) -> SpectralField:
-    x = np.linalg.solve(T_prime_matrix(m, cfg.mu), r.coeffs.ravel())
-    return r.with_coeffs(x.reshape(r.coeffs.shape))
-
-
 def _residual_target(m, w, rn, cfg) -> float:
     # relative target plus the roundoff floor of evaluating T'(m) w
     floor = 5e-15 * (1.0 + m.l2()) * (1.0 + w.l2())
     return max(cfg.krylov_tol * rn, floor)
 
 
+def gmres(matvec, rhs: np.ndarray, x0, rtol: float, restart: int, maxiter: int):
+    """scipy's restarted GMRES on the real operator `matvec`, returning
+    its (x, info).  scipy.sparse.linalg is imported on the first call,
+    not with the package: it is most of the package's import time.  A
+    module function, so a wrapper set on `solver.gmres` (as
+    bench/tracer.py does) sees every call."""
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
+    return scipy_gmres(
+        op, rhs, x0=x0, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter
+    )
+
+
 def _krylov_solve(
     m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
-) -> tuple[SpectralField, float]:
-    """GMRES on the preconditioned form; returns the symmetrized iterate
-    and its dual residual, which meets the target."""
-    op = _linearized_matvec(m, cfg)
-    rhs = invert_L(r, cfg.mu).coeffs.ravel()
+) -> SpectralField:
+    """Real GMRES on the packed preconditioned form; returns an iterate
+    whose dual residual meets the target."""
+    matvec = _linearized_matvec(m, cfg)
+    rhs = pack(invert_L(r, cfg.mu).coeffs).ravel()
     rtol = cfg.krylov_tol
     restart = min(cfg.max_krylov, rhs.size)
     x = None
@@ -133,19 +147,13 @@ def _krylov_solve(
         # gmres counts maxiter in restart cycles; at most max_krylov
         # inner iterations per call
         x, _info = gmres(
-            op,
-            rhs,
-            x0=x,
-            rtol=rtol,
-            atol=0.0,
+            matvec, rhs, x0=x, rtol=rtol, restart=restart,
             maxiter=cfg.max_krylov // restart,
-            restart=restart,
         )
-        w = r.with_coeffs(x.reshape(m.coeffs.shape))
-        ws = _symmetrize(w)
-        res = dual_norm(apply_T_prime(m, ws, cfg.mu) - r)
+        w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
+        res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
         if res <= _residual_target(m, w, rn, cfg):
-            return ws, res
+            return w
         rtol *= 1e-2
     raise LinearSolveError(f"GMRES did not converge (dual residual {res:.3e})")
 

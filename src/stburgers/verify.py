@@ -16,6 +16,7 @@ from . import fields as fd
 from . import norms as nm
 from . import operators as op
 from . import solver as sv
+from .errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,12 @@ def check_interpolation(cfg: VerifyConfig) -> list[InvariantResult]:
     return [_result(cfg, "interpolation_inequality", worst, "3 exponent triples")]
 
 
+def _failed(cfg, names, stage: str, error: Exception) -> list[InvariantResult]:
+    """A stage that raised fails the invariants it was to measure, and
+    only those: value inf, the error as detail."""
+    return [_result(cfg, name, np.inf, f"{stage}: {error}") for name in names]
+
+
 def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
     f = 0.8 * fd.random_field(cfg.seed + 1, cfg.solve_n_t, cfg.solve_n_x, 2.0)
     scfg = sv.SolverConfig(mu=cfg.mu)
@@ -190,19 +197,27 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
             f"smallest margin {margin:.3e} along the homotopy path",
         )
     )
-    uniq = ch.verify_uniqueness(f, scfg, n_starts=3, seed=cfg.seed)
-    results.append(
-        _result(
-            cfg,
-            "uniqueness_distance",
-            uniq.max_pairwise_l2,
-            f"S1 residual {uniq.max_s1_residual:.3e}",
+    try:
+        uniq = ch.verify_uniqueness(f, scfg, n_starts=3, seed=cfg.seed)
+    except SolverError as e:
+        results += _failed(cfg, ("uniqueness_distance",), "verify_uniqueness", e)
+    else:
+        results.append(
+            _result(
+                cfg,
+                "uniqueness_distance",
+                uniq.max_pairwise_l2,
+                f"S1 residual {uniq.max_s1_residual:.3e}",
+            )
         )
-    )
     # monodromy around the solved field
-    rho, eig = ch.monodromy_leading_pair(
-        report.u, cfg.mu, steps=cfg.monodromy_steps
-    )
+    try:
+        rho, eig = ch.monodromy_leading_pair(
+            report.u, cfg.mu, steps=cfg.monodromy_steps
+        )
+    except SolverError as e:
+        names = ("monodromy_eigenvalue", "monodromy_flatness")
+        return results + _failed(cfg, names, "monodromy_leading_pair", e)
     flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
     results.append(_result(cfg, "monodromy_eigenvalue", abs(rho - 1.0)))
     results.append(_result(cfg, "monodromy_flatness", flat))
@@ -212,6 +227,7 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
 def check_colehopf(cfg: VerifyConfig) -> list[InvariantResult]:
     worst_rt = 0.0
     worst_chain = 0.0
+    rt_detail = ""
     rng = np.random.default_rng(cfg.seed + 2)
     n_t, n_x = 4, 5
     for i in range(min(cfg.n_samples, 100)):
@@ -225,13 +241,20 @@ def check_colehopf(cfg: VerifyConfig) -> list[InvariantResult]:
         v = 0.5 * fd.random_field(s + 1, n_t, n_x, 2.5)
         k = float(rng.normal())
         worst_chain = max(worst_chain, ch.chain_rule_defect(W, v, k, cfg.mu))
+        if rt_detail:
+            continue
         e2 = ch.ColeHopfElement(kind=ch.Kind.S2, v=v, W=W, K=k)
-        e3 = ch.s2_to_s3(e2, cfg.mu)
+        try:
+            e3 = ch.s2_to_s3(e2, cfg.mu)
+        except ch.ProjectionAccuracyError as e:
+            # the round trip cannot start: it fails, the chain rule goes on
+            worst_rt, rt_detail = np.inf, f"s2_to_s3: {e}"
+            continue
         back = ch.s3_to_s2(e3, cfg.mu)
         wb = fd.truncate(back.W, W.n_t, W.n_x)
         worst_rt = max(worst_rt, (wb - W).l2() + abs(back.K - k))
     return [
-        _result(cfg, "colehopf_roundtrip", worst_rt),
+        _result(cfg, "colehopf_roundtrip", worst_rt, rt_detail),
         _result(cfg, "chain_rule_identity", worst_chain),
     ]
 

@@ -151,6 +151,27 @@ def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "stage, failed",
+    [
+        ("verify_uniqueness", ["uniqueness_distance"]),
+        ("monodromy_leading_pair", ["monodromy_eigenvalue", "monodromy_flatness"]),
+    ],
+)
+def test_verify_stage_failure_fails_its_invariants_only(tmp_path, capsys, monkeypatch, stage, failed):
+    def fail(*args, **kwargs):
+        raise SolverError("injected")
+
+    monkeypatch.setattr(ch, stage, fail)
+    assert run(tmp_path, "verify", verify_cfg(tmp_path)) == 3
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert len(doc["invariants"]) == 19
+    bad = [r for r in doc["invariants"] if not r["passed"]]
+    assert [r["name"] for r in bad] == failed
+    assert all(r["value"] == "inf" and r["detail"] == f"{stage}: injected" for r in bad)
+    capsys.readouterr()
+
+
 def test_verify_rejects_unknown_tolerance_name(tmp_path, capsys):
     cfg = verify_cfg(tmp_path, tolerances={"no_such_invariant": 1.0})
     assert run(tmp_path, "verify", cfg) == 1
@@ -350,6 +371,10 @@ def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys,
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"re":Infinity}]', "config.forcing.modes[0].re"),
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"im":NaN}]', "config.forcing.modes[0].im"),
         ("scale", None, "viscosity=NaN", "config.viscosity"),
+        # sweep rows are checked before any runs
+        ("sweep", "sweep_mu", 'n_t="x"', "config.n_t"),
+        ("sweep", "sweep_mu", 'sweep={"param":"mu","values":[1.0,-1]}', "config.mu"),
+        ("sweep", "sweep_mu", 'solver={"method":"x"}', "config.solver.method"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
@@ -361,6 +386,33 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert os.listdir(tmp_path) == []  # no report, no field dump
+
+
+def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
+    # at mu = 1e-4 the projected exponential of s2_to_s3 misses its
+    # values, a uniqueness start does not converge and the power
+    # iteration stalls: each fails its own invariants, the rest report
+    proc = run_cli(tmp_path, "verify", "mu=1e-4", "n_samples=2")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert "error" not in doc and doc["all_passed"] is False
+    results = {r["name"]: r for r in doc["invariants"]}
+    assert len(results) == 19
+    roundtrip = results["colehopf_roundtrip"]
+    assert roundtrip["value"] == "inf" and not roundtrip["passed"]
+    assert roundtrip["detail"].startswith("s2_to_s3: ")
+    assert sum(r["passed"] for r in results.values()) == 14
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.sparse.linalg is imported by the first GMRES solve only
+    code = "import sys, stburgers.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

@@ -15,6 +15,7 @@ from stburgers.fields import (
     cosine_to_sine_projection,
     dealiased_product,
     grid_quadrature,
+    pack,
     product_cosine,
     random_field,
     set_mode,
@@ -26,6 +27,7 @@ from stburgers.fields import (
     to_grid,
     to_spectral,
     truncate,
+    unpack,
     zeros,
 )
 
@@ -75,6 +77,40 @@ def test_hermitian_defect_zero_for_random_fields():
     for seed in range(5):
         u = random_field(seed, 6, 6, 1.5)
         assert u.hermitian_defect() == 0.0
+
+
+def test_pack_round_trip_and_isometry():
+    for seed, (n_t, n_x, basis) in enumerate(
+        [(0, 1, Basis.DIRICHLET_SINE), (1, 1, Basis.DIRICHLET_SINE),
+         (3, 5, Basis.DIRICHLET_SINE), (6, 2, Basis.NEUMANN_COSINE)]
+    ):
+        c = random_field(seed, n_t, n_x, 0.5, basis, amplitude=1e3).coeffs
+        x = pack(c)
+        assert x.dtype == float and x.shape == c.shape
+        assert abs(np.linalg.norm(x) - np.linalg.norm(c)) <= 1e-15 * np.linalg.norm(c)
+        back = unpack(x)
+        # sqrt(2) is irrational, so x * sqrt(2) / sqrt(2) can miss x by
+        # one unit in the last place; the structure is exact
+        np.testing.assert_array_max_ulp(back.real, c.real, maxulp=1)
+        np.testing.assert_array_max_ulp(back.imag, c.imag, maxulp=1)
+        assert (back[n_t] == c[n_t]).all()
+        assert SpectralField(back, n_t, n_x, basis).hermitian_defect() == 0.0
+        np.testing.assert_array_max_ulp(pack(back), x, maxulp=1)
+
+
+def test_pack_drops_the_anti_hermitian_part_and_is_the_adjoint_of_unpack():
+    rng = np.random.default_rng(5)
+    shape = (9, 3)  # n_t = 4, n_x = 3
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    herm = 0.5 * (c + c[::-1].conj())
+    assert np.abs(pack(c) - pack(herm)).max() <= 1e-15 * np.abs(c).max()
+    assert np.abs(pack(c - herm)).max() <= 1e-15 * np.abs(c).max()
+    # <pack(c), x> = Re <c, unpack(x)> for every real x
+    x = rng.standard_normal(shape)
+    assert unpack(x).shape == shape
+    lhs = np.vdot(pack(c), x)
+    rhs = np.vdot(c, unpack(x)).real
+    assert abs(lhs - rhs) <= 1e-14 * np.abs(c).sum() * np.abs(x).max()
 
 
 def test_to_grid_rejects_imaginary_residue():

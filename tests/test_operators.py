@@ -8,10 +8,15 @@ from stburgers.fields import (
     SpectralField,
     advection_matrix,
     advection_operator,
+    evaluate,
+    pack,
     product_cosine,
     random_field,
     set_mode,
     space_eval_matrix,
+    space_matrix,
+    time_matrix,
+    unpack,
     zeros,
 )
 from stburgers import solver
@@ -227,6 +232,43 @@ def column_jacobian(m, mu):
     return a
 
 
+def complex_advection_matrix(m):
+    """Closed-form complex matrix of w -> (m w)_x on all flattened
+    Dirichlet-sine coefficients: block Toeplitz in the time modes,
+
+        A[(n, k), (i, j)] = sum_t sum_x conj(E[t, n]) E[t, i] m[t, x]
+                            * S[x, j] (-k pi) C[x, k] / (m_t m_x)
+
+    on the padded product grid (see fields.advection_matrix)."""
+    rows, n_x = 2 * m.n_t + 1, m.n_x
+    m_t, m_x = 3 * m.n_t + 1, 3 * n_x + 2
+    mid = Basis.NEUMANN_COSINE
+    diffs = time_matrix(2 * m.n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
+    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
+    k = np.arange(1, n_x + 1)
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
+    d = (c[:, :, None] * s[:, None, :]).reshape(m_x, n_x * n_x)  # [x, (k, j)]
+    blocks = (diffs @ d).reshape(2 * rows - 1, n_x, n_x)  # [i - n, k, j]
+    a = np.empty((rows, n_x, rows, n_x), dtype=complex)  # [n, k, i, j]
+    for n in range(rows):
+        a[n] = blocks[rows - 1 - n : 2 * rows - 1 - n].transpose(1, 0, 2)
+    return a.reshape(rows * n_x, rows * n_x)
+
+
+def complex_T_prime_matrix(m, mu):
+    """The complex oracle of T_prime_matrix: T'(m) on all coefficients."""
+    a = complex_advection_matrix(m)
+    a[np.diag_indices_from(a)] += LinearSymbol(mu).values(m.n_t, m.n_x).ravel()
+    return a
+
+
+def packed(a, shape):
+    """Real matrix of x -> pack(a @ unpack(x)) for a complex matrix a on
+    flattened coefficient arrays of the given shape."""
+    cols = [unpack(e.reshape(shape)).ravel() for e in np.eye(a.shape[1])]
+    return np.stack([pack((a @ col).reshape(shape)).ravel() for col in cols], axis=1)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n_t=st.integers(1, 7),
@@ -238,9 +280,30 @@ def column_jacobian(m, mu):
 def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
     ref = column_jacobian(m, mu)
-    a = T_prime_matrix(m, mu)
+    a = complex_T_prime_matrix(m, mu)
     assert a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = packed(ref, m.coeffs.shape)
+    a = T_prime_matrix(m, mu)
+    assert a.dtype == float and a.shape == ref.shape
+    assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_t=st.integers(1, 10),
+    n_x=st.integers(1, 10),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+def test_real_dense_solve_matches_complex_oracle(n_t, n_x, mu, seed, amp):
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    r = random_field(seed + 1, n_t, n_x, 1.0).coeffs
+    ref = np.linalg.solve(complex_T_prime_matrix(m, mu), r.ravel()).reshape(r.shape)
+    ref = 0.5 * (ref + ref[::-1].conj())
+    w = unpack(np.linalg.solve(T_prime_matrix(m, mu), pack(r).ravel()).reshape(r.shape))
+    assert np.abs(w - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,27 +320,43 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     shape = m.coeffs.shape
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
     w = m.with_coeffs(x)
+    xr = pack(x)
     x = x.ravel()
     y = advection_operator(m)(x)
-    by_matrix = advection_matrix(m) @ x
-    by_product = d_x(product_cosine(m, w, n_t, n_x)).coeffs.ravel()
+    by_matrix = complex_advection_matrix(m) @ x
+    by_product = d_x(product_cosine(m, w, n_t, n_x)).coeffs
     # at n_x = 1, (m w)_x has no mode in the band (sin^2 holds cosine
     # modes 0 and 2 only), so the entries are compared with the size
     # pi |m| |x| of the product there
     scale = np.abs(by_product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(x)
     assert np.abs(y - by_matrix).max() <= 1e-13 * scale
-    assert np.abs(y - by_product).max() <= 1e-13 * scale
-    # the solver's preconditioned GMRES operator x + L^{-1} (m w)_x
-    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu)).matvec(x)
-    ref = x + invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs.ravel()
+    assert np.abs(y - by_product.ravel()).max() <= 1e-13 * scale
+    # the real matrix on packed coordinates: m is real, so (m w)_x maps
+    # the anti-Hermitian part of w to an anti-Hermitian array, which pack
+    # drops
+    by_real = advection_matrix(m) @ xr.ravel()
+    assert np.abs(by_real - pack(by_product).ravel()).max() <= 1e-13 * scale
+    # the solver's preconditioned real GMRES operator x + pack(L^{-1} (m w)_x)
+    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))(xr.ravel())
+    ref = (xr + pack(invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs)).ravel()
+    assert mv.dtype == float
     assert np.abs(mv - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_advection_operator_rejects_cosine_and_complex_fields():
     with pytest.raises(BasisMismatchError):
         advection_operator(zeros(2, 2, Basis.NEUMANN_COSINE))
+    complex_m = zeros(2, 2).with_coeffs(np.full((5, 2), 1j))
     with pytest.raises(ValueError, match="real field"):
-        advection_operator(zeros(2, 2).with_coeffs(np.full((5, 2), 1j)))
+        advection_operator(complex_m)
+    # the dense path, whose packing would drop the anti-Hermitian part
+    # of m without this check
+    with pytest.raises(ValueError, match="real field"):
+        advection_matrix(complex_m)
+    with pytest.raises(ValueError, match="real field"):
+        T_prime_matrix(complex_m, 0.5)
+    with pytest.raises(ValueError, match="real field"):
+        solver.solve_linearized(complex_m, random_field(1, 2, 2, 1.0), solver.SolverConfig(mu=0.5))
 
 
 def test_advection_matrix_rejects_cosine_fields():

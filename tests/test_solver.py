@@ -4,12 +4,13 @@ import pytest
 from stburgers import fields, operators, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, dual_norm
-from stburgers.operators import apply_T
+from stburgers.operators import apply_T, apply_T_prime
 from stburgers.solver import (
     SolverConfig,
     homotopy_solve,
     newton_solve,
     solve_linear,
+    solve_linearized,
 )
 
 
@@ -55,6 +56,19 @@ def test_dense_and_krylov_solves_agree():
     kry = newton_solve(f, None, SolverConfig(mu=mu, dense_threshold=0))
     assert dense.success and kry.success
     assert np.max(np.abs(dense.u.coeffs - kry.u.coeffs)) < 1e-8
+
+
+@pytest.mark.parametrize("dense_threshold", [10**6, 0], ids=["dense", "gmres"])
+def test_solve_linearized_returns_a_real_field(dense_threshold):
+    # a Newton residual, Hermitian only to rounding; the solve works on
+    # the real coordinates of the Hermitian half, so w is real exactly
+    mu = 0.3
+    f = 0.4 * random_field(3, 6, 5, 2.0)
+    m = random_field(4, 6, 5, 1.5)
+    r = apply_T(m, mu) - f
+    w = solve_linearized(m, r, SolverConfig(mu=mu, dense_threshold=dense_threshold))
+    assert w.hermitian_defect() == 0.0
+    assert dual_norm(apply_T_prime(m, w, mu) - r) <= 1e-11 * dual_norm(r)
 
 
 def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
