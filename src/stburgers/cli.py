@@ -37,6 +37,10 @@ from .errors import EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, ConfigError, SolverError,
 
 # how far the nodes of a grid file may lie from the grid it must be on
 NODE_TOL = 1e-9
+# the most bytes one array of a run may take (1 GiB); a truncation whose
+# largest array (`_largest_array`) needs more is a config error, raised
+# before anything of that size is allocated
+MAX_ARRAY_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +187,11 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
     return fd.GridField(vals, m_t, m_x, basis)
 
 
-def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
+def _solver_settings(cfg: dict) -> dict:
+    """The checked config.solver entries that SolverConfig takes, mu aside."""
     s = _get(cfg, "solver", dict, {})
     where = "config.solver"
-    kwargs = dict(mu=mu)
+    kwargs = {}
     for key in ("newton_tol", "krylov_tol"):
         if key in s:
             kwargs[key] = _positive(s, key, where=where)
@@ -198,10 +203,14 @@ def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
         kwargs["homotopy_steps"] = tuple(
             _check(v, float, f"{where}.homotopy_steps[{i}]") for i, v in enumerate(steps)
         )
+    return kwargs
+
+
+def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
     try:
-        return sv.SolverConfig(**kwargs)
+        return sv.SolverConfig(mu=mu, **_solver_settings(cfg))
     except ValueError as e:
-        raise ConfigError(f"{where}: {e}")
+        raise ConfigError(f"config.solver: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +351,39 @@ def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
     return value
 
 
+def _largest_array(n_t: int, n_x: int, settings: dict) -> tuple[str, int]:
+    """(name, bytes) of the largest array that a solve at truncation
+    (n_t, n_x) with these solver settings allocates: the real dense
+    matrix of T'(m) or the Krylov basis, whichever the solve uses, the
+    complex values of a product on its padded grid, or the complex time
+    matrix that analyses that grid."""
+    n = (2 * n_t + 1) * n_x
+    if n <= settings.get("dense_threshold", sv.SolverConfig.dense_threshold):
+        linear = ("dense matrix", 8 * n * n)
+    else:
+        krylov = min(settings.get("max_krylov", sv.SolverConfig.max_krylov), n)
+        linear = ("Krylov basis", 8 * (krylov + 1) * n)
+    grid = ("product grid", 16 * (4 * n_t + 1) * (4 * n_x + 2))
+    time = ("time matrix", 16 * (4 * n_t + 1) ** 2)
+    return max(linear, grid, time, key=lambda named: named[1])
+
+
+def _truncation(cfg: dict, settings: dict, keys=("n_t", "n_x"), default=...) -> tuple[int, int]:
+    """The truncation cfg[keys] of a solve with these solver settings,
+    checked against MAX_ARRAY_BYTES before any array of that size exists."""
+    n_t, n_x = (_count(cfg, key, default) for key in keys)
+    name, size = _largest_array(n_t, n_x, settings)
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"config.{keys[0]}/config.{keys[1]}: truncation ({n_t}, {n_x}) needs a {name} "
+            f"of {size / 2**30:.3g} GiB, over the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget"
+        )
+    return n_t, n_x
+
+
 def _common_problem(cfg: dict):
     mu = _positive(cfg, "mu")
-    n_t = _count(cfg, "n_t")
-    n_x = _count(cfg, "n_x")
+    n_t, n_x = _truncation(cfg, _solver_settings(cfg))
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     return mu, n_t, n_x, forcing
 
@@ -410,14 +448,17 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
 
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
+    # verify solves with the default solver settings
+    n_t, n_x = _truncation(cfg, {}, default=32)
+    solve_n_t, solve_n_x = _truncation(cfg, {}, ("solve_n_t", "solve_n_x"), 8)
     vcfg = vf.VerifyConfig(
         seed=_count(cfg, "seed", least=0),
         n_samples=_count(cfg, "n_samples", 100),
-        n_t=_count(cfg, "n_t", 32),
-        n_x=_count(cfg, "n_x", 32),
+        n_t=n_t,
+        n_x=n_x,
         mu=_positive(cfg, "mu", 0.5),
-        solve_n_t=_count(cfg, "solve_n_t", 8),
-        solve_n_x=_count(cfg, "solve_n_x", 8),
+        solve_n_t=solve_n_t,
+        solve_n_x=solve_n_x,
         monodromy_steps=_count(cfg, "monodromy_steps", 512),
         positivity_cases=_count(cfg, "positivity_cases", 20),
         tolerances=_get(cfg, "tolerances", dict, {}),
@@ -569,8 +610,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     viscosity = _get(cfg, "viscosity", float)
     if viscosity == 0.0:
         raise ConfigError("config.viscosity: must be nonzero")
-    n_t = _count(cfg, "n_t")
-    n_x = _count(cfg, "n_x")
+    n_t, n_x = _truncation(cfg, _solver_settings(cfg))
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)

@@ -439,41 +439,53 @@ def advection_matrix(m: SpectralField) -> np.ndarray:
     return a.reshape(a.shape[0] * n_x, -1)
 
 
+def _packed_time_layout(n_t: int, m_t: int) -> np.ndarray:
+    # E restricted to modes n >= 0, split as `pack` splits coefficients
+    e = time_matrix(n_t, m_t)[:, n_t:]
+    return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+
+
+# R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
+# -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
+# coordinates; R x are the values in time of unpack(x), and
+# R^T R = m_t I when m_t > 2 n_t
+packed_time_matrix = LayoutCache(_packed_time_layout)
+
+
 def advection_operator(m: SpectralField):
     """Matrix-free twin of advection_matrix(m): a function that maps the
-    flattened Dirichlet-sine coefficients x of w to those of (m w)_x.
+    flattened packed (`pack`) Dirichlet-sine coefficients x of a real w
+    to the packed coefficients of (m w)_x; m must be real.
 
     Everything that depends on m alone is formed here, once: the real
     values g of m on the padded grid of the product, and the midpoint
     cosine matrix C of modes 1..n_x scaled by the derivative factor
-    -k pi / (m_t m_x); E and the midpoint sine matrix S come from the
-    layout caches.  An apply is then four products, time first on
-    evaluation and space first on analysis,
+    -k pi / (m_t m_x); the packed time matrix R and the midpoint sine
+    matrix S come from the layout caches.  An apply is then four real
+    products,
 
-        (m w)_x = E^H ((C^T (g * (S (E W)^T)))^T),
+        (m w)_x = R^T ((g * (R X S^T)) C),
 
-    carried out on transposes so that each real matrix S, C^T multiplies
-    the complex operand as one real product on its float view."""
+    with X the packed coefficients as a (2 n_t + 1) x n_x array: R X S^T
+    are the values of w on the grid, and R^T / m_t is the analysis onto
+    packed coordinates, since R^T R = m_t I."""
     if m.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("advection_operator expects a Dirichlet-sine field")
     rows, n_x = 2 * m.n_t + 1, m.n_x
     m_t, m_x = _product_grid(m, m.n_t, n_x)
     mid = Basis.NEUMANN_COSINE
-    e = time_matrix(m.n_t, m_t)  # [t, i]
-    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)  # [x, j]
+    # contiguous transposes: at 32x32 an apply is 15% faster on them
+    r = packed_time_matrix(m.n_t, m_t)  # [t, i]
+    r_t = np.ascontiguousarray(r.T)
+    s_t = np.ascontiguousarray(space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE).T)  # [j, x]
     k = np.arange(1, n_x + 1)
-    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
-    c_t = np.ascontiguousarray(c.T)  # [k, x]
-    g_t = np.ascontiguousarray(_real_grid(m, m_t, m_x).T)  # [x, t]
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))  # [x, k]
+    g = _real_grid(m, m_t, m_x)  # [t, x]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        w_t = x.reshape(rows, n_x).T @ e.T  # [j, t]
-        p_t = (s @ w_t.view(float)).view(complex)  # [x, t]
-        p_t *= g_t
-        q_t = (c_t @ p_t.view(float)).view(complex)  # [k, t]
-        # E^H = E with its columns reversed (time mode n -> -n), so the
-        # analysis needs no conjugated copy of E
-        return (q_t @ e)[:, ::-1].T.ravel()
+        p = (r @ x.reshape(rows, n_x)) @ s_t
+        p *= g
+        return (r_t @ (p @ c)).ravel()
 
     return apply
 

@@ -5,15 +5,19 @@ real coordinates that `fields.pack` gives its Hermitian coefficients, so
 every w is Hermitian by construction.  The linearization is built once
 per Newton step: small systems are solved directly with the real dense
 matrix of T'(m), which `operators.T_prime_matrix` assembles in closed
-form; larger ones run real GMRES on the preconditioned fixed-point form
+form; larger ones run `gmres`, this module's restarted GMRES in real
+arithmetic, on the preconditioned fixed-point form
 w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a compact
 perturbation, the regime where Krylov iterations converge mesh
-independently.  Its matvec is `fields.advection_operator(m)`, which
-holds m on the padded product grid, so each is four products.
+independently.  Its matvec stays on packed coordinates: (m w)_x is
+`fields.advection_operator(m)`, four real products with m held on the
+padded product grid, and L^{-1} is a 2x2 rotation-scaling of each
+(Re, Im) pair.  The package needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,15 +79,23 @@ def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
 
 
 def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
-    """Preconditioned operator x -> x + pack(L^{-1} (m w)_x) on the flat
-    packed coordinates x of w = unpack(x); the advection operator is
-    built once here."""
+    """Preconditioned operator x -> x + L^{-1} (m w)_x on the flat packed
+    coordinates x of w = unpack(x); the advection operator is built once
+    here.  L^{-1} multiplies mode n by 1 / lambda(n) = a + i b, which on
+    the packed pair (Re, Im) of a row n >= 1 is the rotation-scaling
+    [[a, -b], [b, a]] and on the real row n = 0 the factor a."""
     advect = advection_operator(m)
-    lam = LinearSymbol(cfg.mu).values(m.n_t, m.n_x)
+    h = m.n_t + 1
+    inv = 1.0 / LinearSymbol(cfg.mu).values(m.n_t, m.n_x)[m.n_t :]  # n >= 0
+    a = np.concatenate([inv.real, inv.real[1:]])
+    b = inv.imag[1:]
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        x = x.reshape(lam.shape)
-        return (x + pack(advect(unpack(x)).reshape(lam.shape) / lam)).ravel()
+        y = advect(x).reshape(a.shape)
+        z = a * y
+        z[1:h] -= b * y[h:]
+        z[h:] += b * y[1:h]
+        return x + z.ravel()
 
     return matvec
 
@@ -119,18 +131,89 @@ def _residual_target(m, w, rn, cfg) -> float:
 
 
 def gmres(matvec, rhs: np.ndarray, x0, rtol: float, restart: int, maxiter: int):
-    """scipy's restarted GMRES on the real operator `matvec`, returning
-    its (x, info).  scipy.sparse.linalg is imported on the first call,
-    not with the package: it is most of the package's import time.  A
-    module function, so a wrapper set on `solver.gmres` (as
-    bench/tracer.py does) sees every call."""
-    from scipy.sparse.linalg import LinearOperator
-    from scipy.sparse.linalg import gmres as scipy_gmres
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) on the real operator `matvec`, from x0 (zero if None), for
+    |rhs - A x| <= rtol |rhs|.  It runs at most `maxiter` cycles of at
+    most `restart` inner iterations and returns (x, info), with info = 0
+    on convergence and info = maxiter otherwise.
 
-    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
-    return scipy_gmres(
-        op, rhs, x0=x0, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter
-    )
+    Arnoldi orthogonalizes each new vector by classical Gram-Schmidt
+    done twice, two products with the basis, and Givens rotations keep
+    the Hessenberg least-squares problem triangular, so every inner
+    iteration knows its residual norm without forming x.  The stopping
+    rule is scipy's: a cycle stops when that estimate reaches `ptol`,
+    then the true residual rhs - A x decides, and `ptol` is re-tuned
+    when the estimate and the true residual disagree.  A module function,
+    so a wrapper set on `solver.gmres` (as bench/tracer.py does) sees
+    every call."""
+    n = rhs.size
+    bnorm = np.linalg.norm(rhs)
+    if bnorm == 0.0:
+        return np.zeros(n), 0
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    atol = rtol * bnorm
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    r = rhs - matvec(x) if x.any() else rhs.copy()
+    rnorm = np.linalg.norm(r)
+    if rnorm < atol:
+        return x, 0
+    basis = np.empty((restart + 1, n))
+    tri = np.zeros((restart, restart))  # R of the rotated Hessenberg matrix
+    ptol = bnorm * min(1.0, rtol)
+    ptol_factor = 1.0
+    for _ in range(maxiter):
+        beta = np.linalg.norm(r)
+        basis[0] = r * (1.0 / beta)
+        g = [beta]  # rotated right-hand side beta e_1
+        rotations = []
+        for j in range(restart):
+            w = matvec(basis[j])
+            h0 = np.linalg.norm(w)
+            v = basis[: j + 1]
+            col = v @ w
+            w -= col @ v
+            again = v @ w
+            w -= again @ v
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0  # A maps the basis into its span
+            if not breakdown:
+                basis[j + 1] = w * (1.0 / h1)
+            col = (col + again).tolist() + [0.0 if breakdown else h1]
+            for k, (c, s) in enumerate(rotations):
+                col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+            d = math.hypot(col[j], col[j + 1])
+            rho = math.copysign(d, col[j])
+            c, s = (col[j] / rho, col[j + 1] / rho) if d else (1.0, 0.0)
+            rotations.append((c, s))
+            col[j] = rho
+            tri[: j + 1, j] = col[: j + 1]
+            g.append(-s * g[j])
+            g[j] *= c
+            presid = abs(g[j + 1])
+            if presid <= ptol or breakdown:
+                break
+        x += _back_substitute(tri[: j + 1, : j + 1], g[: j + 1]) @ basis[: j + 1]
+        r = rhs - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the estimate was optimistic: aim lower
+            ptol_factor = max(eps, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
+def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
+    """y with tri y = g for upper-triangular tri; a zero pivot, which
+    only a singular Hessenberg matrix gives, leaves its entry 0."""
+    y = np.zeros(len(g))
+    for k in range(len(g) - 1, -1, -1):
+        if tri[k, k] != 0.0:
+            y[k] = (g[k] - tri[k, k + 1 :] @ y[k + 1 :]) / tri[k, k]
+    return y
 
 
 def _krylov_solve(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,70 @@ def test_cli_import_leaves_scipy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gmres_path_solve_runs_without_scipy(tmp_path):
+    # scipy made unimportable before the CLI loads: a GMRES-path solve
+    # must neither import it nor need it
+    code = (
+        "import sys; sys.modules['scipy'] = None; from stburgers import cli; "
+        f"sys.exit(cli.main(['solve', '--config', {str(CONFIGS / 'solve.json')!r}, "
+        "'--override', 'solver.dense_threshold=0']))"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["success"] is True
+
+
+@pytest.mark.parametrize(
+    "command, config, override",
+    [
+        ("solve", "solve", "n_t=1000000"),
+        ("scale", "scale", "n_t=1000000"),
+        ("sweep", "sweep_mu", "n_t=1000000"),
+        ("colehopf", "colehopf", "n_t=1000000"),
+        ("verify", "verify", "n_t=1000000"),
+        ("verify", "verify", "solve_n_x=1000000"),
+    ],
+)
+def test_truncation_past_the_array_budget_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, config, override
+):
+    # the check runs before the forcing or anything else of that size
+    # is allocated: the whole command stays far below the budget
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", str(CONFIGS / f"{config}.json"), "--override", override])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2**22
+    key = "config.solve_n_t/config.solve_n_x" if "solve_n" in override else "config.n_t/config.n_x"
+    err = capsys.readouterr().err
+    assert key in err and "array budget" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_array_budget_follows_the_solver_path(capsys):
+    # at 100x100 the Krylov basis fits; the dense matrix of T'(m) and a
+    # basis of a million vectors do not
+    assert cli._largest_array(100, 100, {})[0] == "Krylov basis"
+    assert cli._largest_array(64, 64, {}) == ("Krylov basis", 8 * 501 * 129 * 64)
+    for override, name in (
+        ("solver.dense_threshold=1000000", "dense matrix"),
+        ("solver.max_krylov=1000000", "Krylov basis"),
+    ):
+        argv = ["solve", "--config", str(CONFIGS / "solve.json"), "--override", "n_t=100",
+                "--override", "n_x=100", "--override", override]
+        assert cli.main(argv) == 1
+        assert f"needs a {name} of" in capsys.readouterr().err
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

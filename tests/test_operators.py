@@ -10,6 +10,7 @@ from stburgers.fields import (
     advection_operator,
     evaluate,
     pack,
+    packed_time_matrix,
     product_cosine,
     random_field,
     set_mode,
@@ -316,31 +317,36 @@ def test_real_dense_solve_matches_complex_oracle(n_t, n_x, mu, seed, amp):
 )
 def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
-    rng = np.random.default_rng(seed)
-    shape = m.coeffs.shape
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # not Hermitian
-    w = m.with_coeffs(x)
-    xr = pack(x)
+    x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
+    w = m.with_coeffs(unpack(x))
     x = x.ravel()
     y = advection_operator(m)(x)
-    by_matrix = complex_advection_matrix(m) @ x
-    by_product = d_x(product_cosine(m, w, n_t, n_x)).coeffs
+    assert y.dtype == float and y.shape == x.shape
+    by_matrix = advection_matrix(m) @ x
+    by_product = pack(d_x(product_cosine(m, w, n_t, n_x)).coeffs).ravel()
     # at n_x = 1, (m w)_x has no mode in the band (sin^2 holds cosine
     # modes 0 and 2 only), so the entries are compared with the size
     # pi |m| |x| of the product there
     scale = np.abs(by_product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(x)
     assert np.abs(y - by_matrix).max() <= 1e-13 * scale
-    assert np.abs(y - by_product.ravel()).max() <= 1e-13 * scale
-    # the real matrix on packed coordinates: m is real, so (m w)_x maps
-    # the anti-Hermitian part of w to an anti-Hermitian array, which pack
-    # drops
-    by_real = advection_matrix(m) @ xr.ravel()
-    assert np.abs(by_real - pack(by_product).ravel()).max() <= 1e-13 * scale
+    assert np.abs(y - by_product).max() <= 1e-13 * scale
     # the solver's preconditioned real GMRES operator x + pack(L^{-1} (m w)_x)
-    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))(xr.ravel())
-    ref = (xr + pack(invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs)).ravel()
+    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))(x)
+    ref = x + pack(invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs).ravel()
     assert mv.dtype == float
     assert np.abs(mv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
+    for n_t, m_t in ((1, 4), (3, 7), (8, 25)):
+        r = packed_time_matrix(n_t, m_t)
+        assert r.shape == (m_t, 2 * n_t + 1)
+        assert np.abs(r.T @ r - m_t * np.eye(2 * n_t + 1)).max() <= 1e-13 * m_t
+        # R x are the values in time of the Hermitian array unpack(x)
+        x = np.random.default_rng(n_t).standard_normal(2 * n_t + 1)
+        values = time_matrix(n_t, m_t) @ unpack(x[:, None])[:, 0]
+        assert np.abs(values.imag).max() <= 1e-14 * np.abs(x).sum()
+        assert np.abs(r @ x - values.real).max() <= 1e-14 * np.abs(x).sum()
 
 
 def test_advection_operator_rejects_cosine_and_complex_fields():

@@ -106,6 +106,76 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     assert len(residuals) == 3
 
 
+class Counted:
+    """A matvec that counts its applies."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_gmres_zero_rhs_returns_zero():
+    x, info = solver.gmres(Counted(lambda v: 2.0 * v), np.zeros(7), None, 1e-12, 7, 1)
+    assert info == 0 and x.shape == (7,) and not x.any()
+
+
+def test_gmres_identity_breaks_down_after_one_inner_iteration():
+    # A b lies in span(b): Arnoldi breaks down at once, and the one
+    # inner iteration plus the cycle's true residual are the only applies
+    b = np.random.default_rng(0).standard_normal(40)
+    matvec = Counted(lambda v: v.copy())
+    x, info = solver.gmres(matvec, b, None, 1e-12, 40, 5)
+    assert info == 0
+    assert matvec.calls == 2
+    assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("restart, maxiter", [(30, 1), (6, 200)], ids=["full", "restarted"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gmres_matches_a_direct_solve(seed, restart, maxiter):
+    rng = np.random.default_rng(seed)
+    a = np.eye(30) + 0.4 * rng.standard_normal((30, 30)) / np.sqrt(30)
+    b = rng.standard_normal(30)
+    x0 = None if seed % 2 else rng.standard_normal(30)
+    x, info = solver.gmres(lambda v: a @ v, b, x0, 1e-12, restart, maxiter)
+    assert info == 0
+    assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+    ref = np.linalg.solve(a, b)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gmres_reports_nonconvergence():
+    # eigenvalues 1..50: two inner iterations cannot reach 1e-12
+    a = np.diag(np.arange(1.0, 51.0))
+    b = np.ones(50)
+    x, info = solver.gmres(lambda v: a @ v, b, None, 1e-12, 2, 1)
+    assert info != 0
+    assert np.linalg.norm(b - a @ x) < np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("seed, mu", [(1, 1.0), (2, 0.1), (3, 0.05)])
+def test_gmres_inner_iterations_match_scipy(seed, mu):
+    scipy_linalg = pytest.importorskip("scipy.sparse.linalg")
+    # the packed preconditioned operator of a Newton step, one cycle
+    # large enough for either solver to converge in it, so that inner
+    # iterations are applies minus the one true residual
+    m = 2.0 * random_field(seed, 8, 8, 1.5)
+    r = random_field(seed + 10, 8, 8, 1.0)
+    cfg = SolverConfig(mu=mu)
+    rhs = fields.pack(operators.invert_L(r, mu).coeffs).ravel()
+    ours = Counted(solver._linearized_matvec(m, cfg))
+    x, info = solver.gmres(ours, rhs, None, cfg.krylov_tol, rhs.size, 1)
+    theirs = Counted(solver._linearized_matvec(m, cfg))
+    op = scipy_linalg.LinearOperator((rhs.size, rhs.size), matvec=theirs, dtype=float)
+    y, yinfo = scipy_linalg.gmres(op, rhs, rtol=cfg.krylov_tol, atol=0.0, restart=rhs.size, maxiter=1)
+    assert info == yinfo == 0
+    assert abs(ours.calls - theirs.calls) <= 1, (ours.calls, theirs.calls)
+    assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+
+
 def test_spectral_convergence_in_truncation():
     # band-limited forcing, refined solution truncation: the nonlinearity
     # spreads energy across all modes, but the solution is analytic so the
