@@ -32,7 +32,6 @@ from .operators import (
     inner,
     invert_L,
     p_transform,
-    pairing,
 )
 from .norms import (
     ForcingDecomposition,

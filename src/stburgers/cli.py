@@ -512,7 +512,7 @@ def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
         row["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
         row["norms"] = _norm_block(result.u)
         if local.get("monodromy", False):
-            rho, eig = _stage("monodromy_leading_pair", ch.monodromy_leading_pair, result.u, mu)
+            rho, eig = ch.monodromy_leading_pair(result.u, mu)
             row["rho"] = rho
             row["eigfun_flatness"] = float(
                 np.abs(ch.profile_values(eig) - 1.0).max()
@@ -595,11 +595,14 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     e3 = _stage("s2_to_s3", ch.s2_to_s3, e2, mu)
     doc["K_s2"] = e2.K
     doc["K_s3"] = e3.K
-    rho, eig = _stage("monodromy_leading_pair", ch.monodromy_leading_pair, v, mu, steps=steps)
+    rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
     doc["rho"] = rho
     doc["eigfun_flatness"] = float(np.abs(ch.profile_values(eig) - 1.0).max())
+    tol = vf.DEFAULT_TOLERANCES
     doc["success"] = bool(
-        uniq.unique and abs(rho - 1.0) <= 1e-6 and doc["eigfun_flatness"] <= 1e-5
+        uniq.unique
+        and abs(rho - 1.0) <= tol["monodromy_eigenvalue"]
+        and doc["eigfun_flatness"] <= tol["monodromy_flatness"]
     )
     return EXIT_OK if doc["success"] else EXIT_SOLVER
 

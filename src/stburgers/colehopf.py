@@ -56,10 +56,6 @@ class StepCountError(StburgersError, ValueError):
     """Period-map step count too small: halving test drifted."""
 
 
-class PowerIterationError(SolverError):
-    """Power iteration on the period map did not converge."""
-
-
 class Kind(enum.Enum):
     S1 = "S1"
     S2 = "S2"
@@ -157,14 +153,6 @@ def _pointwise_map(
     return analyse(vals, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
-def s2_residual(W: SpectralField, v: SpectralField, k: float, mu: float) -> float:
-    """L2 norm of W_t - mu W_xx + (W_x)^2/2 + v W_x - K, zero on S2."""
-    res = _potential_residual(W, d_x(W), v, mu)
-    coeffs = res.coeffs.copy()
-    coeffs[res.n_t, 0] -= k
-    return res.with_coeffs(coeffs).l2()
-
-
 def chain_rule_defect(
     W: SpectralField, v: SpectralField, k: float, mu: float, pad: int = 4
 ) -> float:
@@ -205,20 +193,6 @@ def grid_min(u: SpectralField, pad: int = 4) -> float:
 
 def grid_max(u: SpectralField, pad: int = 4) -> float:
     return -grid_min(-1.0 * u, pad)
-
-
-def s3_residual(
-    phi: SpectralField, v: SpectralField, k: float, mu: float
-) -> SpectralField:
-    """Cosine-family residual of phi_t - mu phi_xx + v phi_x + K phi."""
-    phix = d_x(phi)  # Dirichlet-sine field
-    if phix.n_x != v.n_x or phix.n_t != v.n_t:
-        raise BasisMismatchError("phi and v truncations must match")
-    adv = product_cosine(v, phix, phi.n_t, 2 * phi.n_x)
-    out = adv.coeffs.copy()
-    lin = d_t(phi) - mu * d_xx(phi) + k * phi
-    out[:, : phi.n_x + 1] += lin.coeffs
-    return SpectralField(out, phi.n_t, 2 * phi.n_x, Basis.NEUMANN_COSINE)
 
 
 def s2_to_s3(
@@ -292,7 +266,8 @@ class PeriodMap:
     diffusion and the frozen-coefficient advection term, second order in
     1/steps and unconditionally stable.  The whole period is assembled
     once into `matrix`, the (n_x+1)x(n_x+1) monodromy matrix, so each
-    application (power iteration) is one matrix-vector product.
+    application is one matrix-vector product and the spectrum one dense
+    eigensolve.
     """
 
     def __init__(self, v: SpectralField, mu: float, steps: int, n_x: int | None = None):
@@ -318,17 +293,16 @@ class PeriodMap:
         # sum over nodes x of analysis[i, x] vgrid[k, x] grad[x, j]
         q = ((bc / m_x)[:, :, None] * grad[:, None, :]).reshape(m_x, n * n)
         dt = 1.0 / steps
-        times = np.arange(steps + 1) * dt
-        e = np.exp(
-            2j * np.pi * np.arange(-v.n_t, v.n_t + 1)[None, :] * times[:, None]
-        )
-        vgrid = ((e @ v.coeffs) @ bv.T).real  # (steps+1, m_x)
+        freqs = 2j * np.pi * np.arange(-v.n_t, v.n_t + 1)
         diff = np.diag(mu * -(m**2))
         eye = np.eye(n)
         self.matrix = eye
         for lo in range(0, steps, PERIOD_MAP_BLOCK):
             hi = min(lo + PERIOD_MAP_BLOCK, steps)
-            a = diff - (vgrid[lo : hi + 1] @ q).reshape(-1, n, n)
+            times = np.arange(lo, hi + 1) * dt
+            e = np.exp(freqs[None, :] * times[:, None])
+            vgrid = ((e @ v.coeffs) @ bv.T).real  # (hi-lo+1, m_x)
+            a = diff - (vgrid @ q).reshape(-1, n, n)
             props = np.linalg.solve(eye - 0.5 * dt * a[1:], eye + 0.5 * dt * a[:-1])
             self.matrix = _chain_product(props) @ self.matrix
 
@@ -392,39 +366,23 @@ def evolve_period_map(
 
 
 def monodromy_leading_pair(
-    v: SpectralField,
-    mu: float,
-    steps: int = 512,
-    power_iters: int = 200,
-    tol: float = 1e-9,
-    n_x: int | None = None,
+    v: SpectralField, mu: float, steps: int = 512, n_x: int | None = None
 ):
-    """Leading eigenpair of the period map by power iteration.
+    """Leading eigenpair of the period map from its dense spectrum.
 
-    Uniqueness of the time-periodic problem predicts eigenvalue one with
-    constant eigenfunction.  Returns (rho, cosine-coefficient profile
-    normalized to maximum one)."""
-    pmap = PeriodMap(v, mu, steps, n_x=n_x)
-    n = pmap.n_x + 1
-    psi = np.zeros(n)
-    psi[0] = 1.0
-    if n > 1:
-        psi[1] = 0.1  # symmetry-breaking perturbation
-    rho = 1.0
-    for _ in range(power_iters):
-        nxt = pmap.apply(psi)
-        norm_prev = float(np.linalg.norm(psi))
-        rho = float(nxt @ psi) / norm_prev ** 2
-        defect = float(np.linalg.norm(nxt - rho * psi)) / norm_prev
-        psi = nxt / float(np.linalg.norm(nxt))
-        if defect <= tol:
-            vals = profile_values(psi)
-            top = vals[np.argmax(np.abs(vals))]
-            return rho, psi / top
-    raise PowerIterationError(
-        f"power iteration did not converge within {power_iters} iterations "
-        f"(defect {defect:.3e})"
-    )
+    Uniqueness of the time-periodic problem predicts eigenvalue one,
+    simple and leading, with constant eigenfunction.  Constants are
+    conserved, so the first column of the map is e_0 exactly and LAPACK's
+    balancing isolates that eigenvalue: whenever the rest of the spectrum
+    lies inside the unit disc the pair is exactly (1.0, e_0).  Returns
+    (rho, cosine-coefficient profile normalized to maximum one); rho is
+    NaN when the eigenvalue of largest modulus is not real."""
+    vals, vecs = np.linalg.eig(PeriodMap(v, mu, steps, n_x=n_x).matrix)
+    k = int(np.argmax(np.abs(vals)))
+    rho = float(vals[k].real) if vals[k].imag == 0.0 else float("nan")
+    psi = vecs[:, k].real
+    prof = profile_values(psi)
+    return rho, psi / prof[np.argmax(np.abs(prof))]
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,6 @@ class GridField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def time_nodes(self) -> np.ndarray:
-        return np.arange(self.m_t) / self.m_t
-
-    @property
-    def space_nodes(self) -> np.ndarray:
-        return space_nodes(self.m_x, self.basis)
-
 
 def time_nodes(m_t: int) -> np.ndarray:
     return np.arange(m_t) / m_t

@@ -25,7 +25,7 @@ from .fields import (
     random_field,
     to_grid,
 )
-from .operators import d_x, half_derivative, pairing
+from .operators import d_x, half_derivative, inner
 
 
 class DegenerateSampleError(StburgersError, ValueError):
@@ -249,5 +249,5 @@ def energy_gap(f: SpectralField, u: SpectralField, mu: float) -> float:
     """Relative defect of the energy identity mu ||u_x||^2 = <f, u>."""
     _, wx = _diagonal_weights(u)
     ux2 = float((wx * np.abs(u.coeffs) ** 2).sum())
-    fu = pairing(f, u)
+    fu = inner(f, u)
     return abs(mu * ux2 - fu) / max(1.0, abs(fu))

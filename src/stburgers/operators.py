@@ -111,11 +111,6 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     return float(np.vdot(v.coeffs, u.coeffs).real)
 
 
-def pairing(f: SpectralField, u: SpectralField) -> float:
-    """Duality pairing <f, u>; dual objects act through the L2(Q) pairing."""
-    return inner(f, u)
-
-
 @dataclass(frozen=True)
 class LinearSymbol:
     """Diagonal symbol lambda(n, m) = 2 pi i n + mu (m pi)^2 of L."""

@@ -35,7 +35,6 @@ from stburgers.operators import (
     inner,
     invert_L,
     p_transform,
-    pairing,
 )
 from stburgers.solver import SolverConfig, newton_solve
 
@@ -62,7 +61,7 @@ def test_criterion_1_operator_identities():
             abs(inner(du, half_derivative_adjoint(hilbert(u))) + du2) / du2,
             abs(inner(u, hilbert(u))) / u.l2() ** 2,
             abs(inner(du, half_derivative_adjoint(u))) / du2,
-            abs(pairing(half_derivative(u), v) - pairing(u, half_derivative_adjoint(v)))
+            abs(inner(half_derivative(u), v) - inner(u, half_derivative_adjoint(v)))
             / (du.l2() * v.l2()),
         ]
         worst = max(worst, *errs)
@@ -133,7 +132,7 @@ def test_criterion_4_energy_identity(test_matrix):
     worst = 0.0
     for (mu, amp), cell in test_matrix.items():
         for rep in [cell["homotopy"]] + cell["starts"]:
-            p = pairing(cell["f"], rep.u)
+            p = inner(cell["f"], rep.u)
             gap = abs(mu * norm_report(rep.u).dx ** 2 - p) / max(1.0, abs(p))
             worst = max(worst, gap)
     _report(4, "energy identity", worst <= 1e-9, f"worst {worst:.2e} <= 1e-9")

@@ -98,15 +98,33 @@ def test_override_mechanism(tmp_path, capsys):
 
 def test_sweep_over_mu(tmp_path, capsys):
     csv = tmp_path / "rows.csv"
-    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]})
+    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]}, monodromy=True)
     cfg["outputs"]["field_csv_path"] = str(csv)
     assert run(tmp_path, "sweep", cfg) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert [r["value"] for r in doc["rows"]] == [1.0, 0.5]
     assert doc["all_succeeded"] is True
+    # the period map's constant pair is read off exactly
+    assert [(r["rho"], r["eigfun_flatness"]) for r in doc["rows"]] == [(1, 0)] * 2
     lines = csv.read_text().strip().split("\n")
     assert lines[0].startswith("value,success")
     assert len(lines) == 3
+    capsys.readouterr()
+
+
+def test_sweep_row_failure_is_a_solver_failure(tmp_path, capsys):
+    # one Newton iteration cannot reach the tolerance: every row fails on
+    # its own, the sweep still reports them all and exits 2
+    cfg = solve_cfg(
+        tmp_path,
+        sweep={"param": "mu", "values": [1.0, 0.5]},
+        solver={"method": "newton", "max_newton": 1},
+    )
+    assert run(tmp_path, "sweep", cfg) == 2
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["all_succeeded"] is False
+    assert [r["error"] for r in doc["rows"]] == ["no convergence after 1 Newton iterations"] * 2
+    assert not any(r["success"] for r in doc["rows"])
     capsys.readouterr()
 
 
@@ -156,7 +174,6 @@ def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
     "stage, failed",
     [
         ("verify_uniqueness", ["uniqueness_distance"]),
-        ("monodromy_leading_pair", ["monodromy_eigenvalue", "monodromy_flatness"]),
     ],
 )
 def test_verify_stage_failure_fails_its_invariants_only(tmp_path, capsys, monkeypatch, stage, failed):
@@ -323,7 +340,6 @@ def colehopf_cfg(tmp_path):
         ("verify_uniqueness", SolverError),
         ("lift_s1_to_s2", ch.NotInS1Error),
         ("s2_to_s3", ch.ProjectionAccuracyError),
-        ("monodromy_leading_pair", ch.PowerIterationError),
     ],
 )
 def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatch, stage, error):
@@ -335,20 +351,6 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
     doc = json.loads((tmp_path / "ch.json").read_text())
     assert doc["success"] is False
     assert doc["error"] == f"{stage}: injected"
-    capsys.readouterr()
-
-
-def test_sweep_row_power_iteration_failure_is_a_solver_failure(tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise ch.PowerIterationError("injected")
-
-    monkeypatch.setattr(ch, "monodromy_leading_pair", fail)
-    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]}, monodromy=True)
-    assert run(tmp_path, "sweep", cfg) == 2
-    doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["all_succeeded"] is False
-    assert [r["error"] for r in doc["rows"]] == ["monodromy_leading_pair: injected"] * 2
-    assert not any(r["success"] for r in doc["rows"])
     capsys.readouterr()
 
 
@@ -391,8 +393,10 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
 
 def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
     # at mu = 1e-4 the projected exponential of s2_to_s3 misses its
-    # values, a uniqueness start does not converge and the power
-    # iteration stalls: each fails its own invariants, the rest report
+    # values and a uniqueness start does not converge: each fails its own
+    # invariant, the rest report.  The period map itself is fine (its
+    # subdominant eigenvalue has modulus 0.986), so both monodromy
+    # invariants pass
     proc = run_cli(tmp_path, "verify", "mu=1e-4", "n_samples=2")
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
@@ -403,7 +407,9 @@ def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
     roundtrip = results["colehopf_roundtrip"]
     assert roundtrip["value"] == "inf" and not roundtrip["passed"]
     assert roundtrip["detail"].startswith("s2_to_s3: ")
-    assert sum(r["passed"] for r in results.values()) == 14
+    assert sum(r["passed"] for r in results.values()) == 16
+    for name in ("monodromy_eigenvalue", "monodromy_flatness"):
+        assert results[name]["passed"] and results[name]["value"] == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -551,7 +557,7 @@ def test_every_package_error_carries_an_exit_code():
         for obj in vars(mod).values()
         if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("stburgers.")
     }
-    assert len(errors) == 13  # 3 in stburgers.errors, 10 in the layers
+    assert len(errors) == 12  # 3 in stburgers.errors, 9 in the layers
     for cls in errors:
         assert issubclass(cls, StburgersError), cls
         assert cls.exit_code in (1, 2), cls

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stburgers.colehopf import (
     ColeHopfElement,
@@ -214,6 +216,69 @@ def test_monodromy_of_heat_flow():
     assert abs(rho - 1.0) < 1e-10
     vals = profile_values(psi)
     assert np.max(np.abs(vals - 1.0)) < 1e-9
+
+
+def test_monodromy_pair_is_exact_at_small_mu():
+    # the subdominant eigenvalue exp(-mu pi^2) is within 1e-3 of one, so
+    # an iterative eigensolver converges slowly; the pair is still exact
+    rho, psi = monodromy_leading_pair(zeros(2, 4), mu=1e-4, steps=64, n_x=8)
+    e0 = np.zeros(9)
+    e0[0] = 1.0
+    assert rho == 1.0
+    assert np.array_equal(psi, e0)
+
+
+def test_monodromy_pair_of_a_map_with_another_leading_eigenvalue():
+    # strong advection on coarse steps: the trapezoidal map picks up an
+    # eigenvalue of modulus above one, which the pair reports as it is
+    v = 200.0 * random_field(39, 3, 6, 1.0)
+    rho, psi = monodromy_leading_pair(v, mu=0.1, steps=8)
+    assert abs(rho - 2.2703) < 1e-4
+    assert abs(np.abs(profile_values(psi) - 1.0).max() - 0.774) < 1e-3
+    # here the eigenvalue of largest modulus is complex
+    rho, _ = monodromy_leading_pair(v, mu=0.1, steps=2)
+    assert np.isnan(rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_x=st.integers(0, 11),
+    v_n_t=st.integers(1, 3),
+    v_n_x=st.integers(1, 8),
+    amp=st.floats(0.0, 300.0),
+    mu=st.floats(0.01, 2.0),
+    steps=st.sampled_from([1, 2, 3, 4, 8, 16, 64, 65, 512]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_monodromy_pair_is_exact_when_one_leads(n_x, v_n_t, v_n_x, amp, mu, steps, seed):
+    v = amp * random_field(seed, v_n_t, v_n_x, 1.0)
+    m = PeriodMap(v, mu, steps, n_x=n_x).matrix
+    radius = np.abs(np.linalg.eigvals(m[1:, 1:])).max(initial=0.0)
+    # a second eigenvalue within the invariant's tolerance of one cannot
+    # be told apart from the constant's by rho alone
+    assume(abs(radius - 1.0) > 1e-6)
+    rho, psi = monodromy_leading_pair(v, mu, steps=steps, n_x=n_x)
+    if radius < 1.0:
+        e0 = np.zeros(n_x + 1)
+        e0[0] = 1.0
+        assert rho == 1.0
+        assert np.array_equal(psi, e0)
+    else:
+        assert np.isnan(rho) or abs(rho - 1.0) > 1e-6
+
+
+def test_period_map_memory_does_not_grow_with_steps():
+    v = 2.0 * random_field(3, 4, 6, 2.0)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            PeriodMap(v, 0.5, steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10_000) <= 1.5 * peak(512)
 
 
 def test_monodromy_around_solved_field(test_matrix):

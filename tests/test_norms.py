@@ -71,12 +71,12 @@ def test_dual_norm_single_mode():
 def test_dual_norm_is_suprising_pairing():
     # the maximizer of <f, u>/||u|| is u = W^{-1} f; verify the sup form
     from stburgers.norms import aniso_weight
-    from stburgers.operators import pairing
+    from stburgers.operators import inner
 
     f = random_field(1, 5, 5, 1.0)
     w = aniso_weight(f)
     u = f.with_coeffs(f.coeffs / w)
-    assert abs(pairing(f, u) / aniso_norm(u) - dual_norm(f)) < 1e-12
+    assert abs(inner(f, u) / aniso_norm(u) - dual_norm(f)) < 1e-12
 
 
 def test_decompose_forcing_reconstructs():
