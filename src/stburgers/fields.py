@@ -482,6 +482,32 @@ def advection_operator(m: SpectralField):
     return apply
 
 
+def mean_advection_block(m: SpectralField) -> np.ndarray:
+    """Real n_x x n_x matrix B0 of w -> (m_0 w)_x on the Dirichlet-sine
+    coefficients of one time mode, m_0 the time mean (row n = 0) of m;
+    m must be real.  It is the diagonal block B[0] of the block-Toeplitz
+    complex advection matrix (see advection_matrix), which maps every time
+    mode to itself, and the block advection_matrix(m)[:n_x, :n_x] of the
+    real mode n = 0.
+
+    With g0 the values of m_0 on the midpoint nodes of the padded product
+    grid, B0 = C^T (g0 * S), C the cosine matrix of modes 1..n_x scaled by
+    the derivative factor -k pi / m_x."""
+    if m.basis is not Basis.DIRICHLET_SINE:
+        raise BasisMismatchError("mean_advection_block expects a Dirichlet-sine field")
+    n_x = m.n_x
+    _, m_x = _product_grid(m, m.n_t, n_x)
+    mid = Basis.NEUMANN_COSINE
+    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)  # [x, j]
+    k = np.arange(1, n_x + 1)
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / m_x)  # [x, k]
+    mean = m.coeffs[m.n_t]
+    if np.abs(mean.imag).max() > 1e-12 * max(1.0, np.abs(mean).max()):
+        raise ValueError("mean_advection_block expects a real field (Hermitian coefficients)")
+    g0 = s @ mean.real
+    return c.T @ (g0[:, None] * s)
+
+
 def cosine_to_sine_projection(n_x_sine: int, n_x_cos: int) -> np.ndarray:
     """Matrix of L2(0,1) inner products <q_k, b_m>.
 

@@ -6,13 +6,17 @@ every w is Hermitian by construction.  The linearization is built once
 per Newton step: small systems are solved directly with the real dense
 matrix of T'(m), which `operators.T_prime_matrix` assembles in closed
 form; larger ones run `gmres`, this module's restarted GMRES in real
-arithmetic, on the preconditioned fixed-point form
-w + L^{-1}(m w)_x = L^{-1} r, which is identity plus a compact
-perturbation, the regime where Krylov iterations converge mesh
-independently.  Its matvec stays on packed coordinates: (m w)_x is
-`fields.advection_operator(m)`, four real products with m held on the
-padded product grid, and L^{-1} is a 2x2 rotation-scaling of each
-(Re, Im) pair.  The package needs numpy only.
+arithmetic, on the form preconditioned by the time-mean linearization
+P = L + (m_0 .)_x, m_0 the time mean of m:
+w + P^{-1}(m' w)_x = P^{-1} r, with m' = m - m_0 the time fluctuation.
+P is block diagonal over the time modes (the harmonic-balance
+preconditioner of Hall, Thomas & Clark, AIAA J. 40, 2002), so one
+n_x x n_x eigendecomposition per Newton step inverts it; what is left
+to GMRES is the advection by the fluctuation alone.  Its matvec stays
+on packed coordinates: (m' w)_x is `fields.advection_operator(m')`,
+four real products with m' held on the padded product grid.  A few
+rounds of refinement on the true residual carry the solve where P is
+ill-conditioned.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .fields import SpectralField, advection_operator, pack, unpack, zeros
+from .fields import SpectralField, advection_operator, mean_advection_block, pack, unpack, zeros
 from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
-from .operators import LinearSymbol, T_prime_matrix, apply_T, apply_T_prime, invert_L
+from .operators import T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
 class LinearSolveError(SolverError):
@@ -79,25 +83,43 @@ def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
 
 
 def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
-    """Preconditioned operator x -> x + L^{-1} (m w)_x on the flat packed
-    coordinates x of w = unpack(x); the advection operator is built once
-    here.  L^{-1} multiplies mode n by 1 / lambda(n) = a + i b, which on
-    the packed pair (Re, Im) of a row n >= 1 is the rotation-scaling
-    [[a, -b], [b, a]] and on the real row n = 0 the factor a."""
-    advect = advection_operator(m)
-    h = m.n_t + 1
-    inv = 1.0 / LinearSymbol(cfg.mu).values(m.n_t, m.n_x)[m.n_t :]  # n >= 0
-    a = np.concatenate([inv.real, inv.real[1:]])
-    b = inv.imag[1:]
+    """(matvec, precondition) of the GMRES form of T'(m) w = r on the flat
+    packed coordinates x of w = unpack(x).
+
+    T'(m) splits as P + A', with P = L + (m_0 .)_x, m_0 the time mean of
+    m, and A' the advection by the fluctuation m' = m - m_0.  P maps each
+    time mode n to itself by the n_x x n_x matrix 2 pi i n + B, with
+    B = mu K^2 + B0 real (`fields.mean_advection_block`); one
+    eigendecomposition B = V D V^-1 inverts every block as
+    V (2 pi i n + D)^-1 V^-1, applied to the packed (Re, Im) row pairs as
+    complex rows.  `precondition` is that P^-1 and
+    matvec(x) = x + P^-1 (m' w)_x; A' is applied as an advection by m'
+    rather than as A - A0, which would cancel.  An eigendecomposition
+    that fails raises LinearSolveError."""
+    n_t, n_x = m.n_t, m.n_x
+    h = n_t + 1
+    block = np.diag(cfg.mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
+    try:
+        d, v = np.linalg.eig(block)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"mean-advection preconditioner failed: {exc}") from exc
+    scale = 1.0 / (2j * np.pi * np.arange(h)[:, None] + d)  # [n, eigenvalue]
+    fluctuation = m.coeffs.copy()
+    fluctuation[n_t] = 0.0
+    advect = advection_operator(m.with_coeffs(fluctuation))
+
+    def precondition(x: np.ndarray) -> np.ndarray:
+        x = x.reshape(2 * n_t + 1, n_x)
+        z = x[:h].astype(complex)
+        z[1:] += 1j * x[h:]
+        z = ((z @ v_inv.T) * scale) @ v.T
+        return np.concatenate([z.real, z[1:].imag]).ravel()
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        y = advect(x).reshape(a.shape)
-        z = a * y
-        z[1:h] -= b * y[h:]
-        z[h:] += b * y[1:h]
-        return x + z.ravel()
+        return x + precondition(advect(x))
 
-    return matvec
+    return matvec, precondition
 
 
 def solve_linearized(
@@ -219,26 +241,31 @@ def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
 def _krylov_solve(
     m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
 ) -> SpectralField:
-    """Real GMRES on the packed preconditioned form; returns an iterate
-    whose dual residual meets the target."""
-    matvec = _linearized_matvec(m, cfg)
-    rhs = pack(invert_L(r, cfg.mu).coeffs).ravel()
-    rtol = cfg.krylov_tol
-    restart = min(cfg.max_krylov, rhs.size)
-    x = None
+    """Real GMRES on the preconditioned packed form, refined on the true
+    residual: each of at most 3 rounds solves for the correction from
+    the residual r - T'(m) w of the iterate so far.  P can be as
+    ill-conditioned as the steady advection-diffusion block, and a round
+    then leaves an error that the next removes (iterative refinement,
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+    Returns an iterate whose dual residual meets the target."""
+    matvec, precondition = _linearized_matvec(m, cfg)
+    restart = min(cfg.max_krylov, r.coeffs.size)
+    x = np.zeros(r.coeffs.size)
+    res = r
     for _ in range(3):
         # gmres counts maxiter in restart cycles; at most max_krylov
         # inner iterations per call
-        x, _info = gmres(
-            matvec, rhs, x0=x, rtol=rtol, restart=restart,
-            maxiter=cfg.max_krylov // restart,
+        dx, _info = gmres(
+            matvec, precondition(pack(res.coeffs)), x0=None, rtol=cfg.krylov_tol,
+            restart=restart, maxiter=cfg.max_krylov // restart,
         )
+        x += dx
         w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
-        res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
-        if res <= _residual_target(m, w, rn, cfg):
+        res = r - apply_T_prime(m, w, cfg.mu)
+        rd = dual_norm(res)
+        if rd <= _residual_target(m, w, rn, cfg):
             return w
-        rtol *= 1e-2
-    raise LinearSolveError(f"GMRES did not converge (dual residual {res:.3e})")
+    raise LinearSolveError(f"GMRES did not converge (dual residual {rd:.3e})")
 
 
 def _newton(

@@ -89,6 +89,28 @@ def test_s2_s3_round_trip_is_exact():
         assert abs(back.K - e2.K) < 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n_t=st.integers(1, 6),
+    n_x=st.integers(2, 7),
+    mu=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_s2_s3_round_trip_over_random_truncations(n_t, n_x, mu, seed):
+    # the fixed-size round trip above over random sizes; n_x = 1 and
+    # mu < 0.5 leave the exponential less resolved in the 3x truncation
+    # of phi, and there the trip back misses W by up to a few 1e-13
+    W = zero_mean_potential(seed, n_t, n_x)
+    v = 0.5 * random_field(seed + 1, n_t, n_x, 2.5)
+    k = float(np.random.default_rng(seed).uniform(-1.0, 1.0))
+    e3 = s2_to_s3(ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k), mu)
+    assert abs(grid_max(e3.phi) - 1.0) < 1e-12
+    assert grid_min(e3.phi) > 0.0
+    back = s3_to_s2(e3, mu)
+    assert (truncate(back.W, n_t, n_x) - W).l2() < 1e-12
+    assert abs(back.K - k) < 1e-14
+
+
 def test_s3_quotient_normalization():
     # scaling phi by a positive constant changes nothing after the trip
     # back: the mean normalization of W absorbs the factor

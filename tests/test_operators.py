@@ -9,6 +9,7 @@ from stburgers.fields import (
     advection_matrix,
     advection_operator,
     evaluate,
+    mean_advection_block,
     pack,
     packed_time_matrix,
     product_cosine,
@@ -330,11 +331,46 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     scale = np.abs(by_product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(x)
     assert np.abs(y - by_matrix).max() <= 1e-13 * scale
     assert np.abs(y - by_product).max() <= 1e-13 * scale
-    # the solver's preconditioned real GMRES operator x + pack(L^{-1} (m w)_x)
-    mv = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))(x)
-    ref = x + pack(invert_L(d_x(product_cosine(m, w, n_t, n_x)), mu).coeffs).ravel()
+    # the solver's preconditioned real GMRES operator x + P^{-1} pack((m' w)_x),
+    # P = L + (m_0 .)_x with m_0 the time mean of m and m' = m - m_0
+    matvec, precondition = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
+    mean = zeros(n_t, n_x).coeffs.copy()
+    mean[n_t] = m.coeffs[n_t]
+    m_0 = m.with_coeffs(mean)
+    mv = matvec(x)
+    ref = x + precondition(pack(d_x(product_cosine(m - m_0, w, n_t, n_x)).coeffs))
     assert mv.dtype == float
-    assert np.abs(mv - ref).max() <= 1e-13 * np.abs(ref).max()
+    # P^{-1} amplifies the roundoff of its argument, about eps (|P| + pi n_x |m|)
+    # times |w|, by at most |P_n^{-1}| on time mode n, and its eigenvector
+    # basis V by at most cond(V)
+    block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
+    inv_norm = max(
+        np.linalg.norm(np.linalg.inv(block + 2j * np.pi * n * np.eye(n_x)), 2)
+        for n in range(n_t + 1)
+    )
+    kappa = (
+        np.linalg.cond(np.linalg.eig(block)[1]) * inv_norm
+        * (np.linalg.norm(block, 2) + 2 * np.pi * n_t + np.pi * n_x * m.l2())
+    )
+    assert np.abs(mv - ref).max() <= 1e-14 * kappa * np.abs(ref).max()
+    back = precondition(pack((apply_L(w, mu) + d_x(product_cosine(m_0, w, n_t, n_x))).coeffs))
+    assert back.dtype == float
+    assert np.abs(back - x).max() <= 1e-14 * kappa * np.abs(x).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_t=st.integers(0, 10),
+    n_x=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+def test_mean_advection_block_is_the_mean_mode_of_the_matrix(n_t, n_x, seed, amp):
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    block = mean_advection_block(m)
+    assert block.shape == (n_x, n_x) and block.dtype == float
+    ref = advection_matrix(m)[:n_x, :n_x]
+    assert np.abs(block - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
@@ -363,6 +399,15 @@ def test_advection_operator_rejects_cosine_and_complex_fields():
         T_prime_matrix(complex_m, 0.5)
     with pytest.raises(ValueError, match="real field"):
         solver.solve_linearized(complex_m, random_field(1, 2, 2, 1.0), solver.SolverConfig(mu=0.5))
+    # the GMRES path, whose preconditioner reads the time mean of m
+    # alone: an imaginary mean is rejected too
+    complex_mean = zeros(2, 2).with_coeffs(np.pad(np.full((1, 2), 1j), ((2, 2), (0, 0))))
+    with pytest.raises(ValueError, match="real field"):
+        mean_advection_block(complex_mean)
+    gmres_cfg = solver.SolverConfig(mu=0.5, dense_threshold=0)
+    for m in (complex_m, complex_mean):
+        with pytest.raises(ValueError, match="real field"):
+            solver.solve_linearized(m, random_field(1, 2, 2, 1.0), gmres_cfg)
 
 
 def test_advection_matrix_rejects_cosine_fields():

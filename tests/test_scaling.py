@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stburgers.fields import (
     random_field,
@@ -10,7 +11,8 @@ from stburgers.fields import (
     time_nodes,
     zeros,
 )
-from stburgers.operators import apply_T
+from stburgers.norms import dual_norm
+from stburgers.operators import apply_S, apply_T, d_t, d_xx
 from stburgers.scaling import (
     PhysicalProblem,
     denormalize,
@@ -54,6 +56,45 @@ def test_negative_viscosity_flips_time():
     mu, fbar, flip = normalize(p)
     assert flip and abs(mu - 0.7) < 1e-15
     assert np.max(np.abs(fbar.coeffs - f.coeffs[::-1])) < 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_t=st.integers(1, 8),
+    n_x=st.integers(1, 8),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    period=st.floats(0.1, 10.0),
+    length=st.floats(0.1, 10.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_scaling_round_trip(n_t, n_x, mu, seed, period, length, sign):
+    # a physical field u, sampled on the unit box as u_hat(t, x) = u(tT, xL),
+    # and the forcing g = u_t - nu u_xx + u u_x it solves: normalize must
+    # give the problem that the scaled field ubar solves, and denormalize
+    # must map ubar back to the samples of u, for either sign of nu
+    nu = sign * mu * length**2 / period
+    u_hat = random_field(seed, n_t, n_x, 2.0)
+    g = (1.0 / period) * d_t(u_hat) - (nu / length**2) * d_xx(u_hat) + (1.0 / length) * apply_S(u_hat)
+    p = PhysicalProblem(period=period, length=length, viscosity=nu, forcing=g)
+    mu_bar, fbar, flip = normalize(p)
+    assert flip == (sign < 0)
+    assert abs(mu_bar - mu) <= 1e-15 * mu
+    ratio = period / length
+    u_bar = ratio * u_hat
+    if flip:  # ubar(t, x) = -(T / L) u_hat(-t, x)
+        u_bar = -1.0 * time_reverse(u_bar)
+    # roundoff relative to the three parts of T(ubar), which may cancel
+    parts = (ratio * d_t(u_hat), mu * ratio * d_xx(u_hat), ratio**2 * apply_S(u_hat))
+    assert dual_norm(apply_T(u_bar, mu_bar) - fbar) <= 1e-13 * sum(map(dual_norm, parts))
+    m_t, m_x = 2 * n_t + 3, n_x + 2
+    out = denormalize(u_bar, p, m_t, m_x)
+    assert np.abs(out.times - period * time_nodes(m_t)).max() <= 1e-15 * period
+    assert np.abs(out.positions - length * space_nodes(m_x, u_hat.basis)).max() <= 1e-15 * length
+    e = time_eval_matrix(n_t, m_t)
+    b = space_eval_matrix(n_x, space_nodes(m_x, u_hat.basis), u_hat.basis)
+    expect = ((e @ u_hat.coeffs) @ b.T).real
+    assert np.abs(out.values - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_denormalize_returns_scaled_samples():

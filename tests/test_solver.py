@@ -73,10 +73,10 @@ def test_solve_linearized_returns_a_real_field(dense_threshold):
 
 def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     # a strongly advected linearization that GMRES cannot solve in a few
-    # iterations: each of the three GMRES calls may spend at most
-    # max_krylov inner iterations plus its two residual evaluations
-    # b - A x (operator applies both), the solver checks the dual residual
-    # of each call's iterate once, and the Newton solve then reports the
+    # iterations: each of the three GMRES calls (refinement rounds) starts
+    # from zero and may spend at most max_krylov inner iterations plus its
+    # one true residual b - A x, the solver checks the dual residual of
+    # each round's iterate once, and the Newton solve then reports the
     # failure instead of raising
     applies, residuals = [], []
 
@@ -102,7 +102,7 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     assert not rep.success
     assert "GMRES did not converge" in rep.message
     assert rep.u is u0
-    assert 0 < len(applies) <= 3 * (cfg.max_krylov + 2)
+    assert 0 < len(applies) <= 3 * (cfg.max_krylov + 1)
     assert len(residuals) == 3
 
 
@@ -165,15 +165,43 @@ def test_gmres_inner_iterations_match_scipy(seed, mu):
     m = 2.0 * random_field(seed, 8, 8, 1.5)
     r = random_field(seed + 10, 8, 8, 1.0)
     cfg = SolverConfig(mu=mu)
-    rhs = fields.pack(operators.invert_L(r, mu).coeffs).ravel()
-    ours = Counted(solver._linearized_matvec(m, cfg))
+    matvec, precondition = solver._linearized_matvec(m, cfg)
+    rhs = precondition(fields.pack(r.coeffs))
+    ours = Counted(matvec)
     x, info = solver.gmres(ours, rhs, None, cfg.krylov_tol, rhs.size, 1)
-    theirs = Counted(solver._linearized_matvec(m, cfg))
+    theirs = Counted(matvec)
     op = scipy_linalg.LinearOperator((rhs.size, rhs.size), matvec=theirs, dtype=float)
     y, yinfo = scipy_linalg.gmres(op, rhs, rtol=cfg.krylov_tol, atol=0.0, restart=rhs.size, maxiter=1)
     assert info == yinfo == 0
     assert abs(ours.calls - theirs.calls) <= 1, (ours.calls, theirs.calls)
     assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+
+
+def test_refinement_carries_a_high_peclet_gmres_solve(base_forcing):
+    # mu = 0.02, amplitude 2.5: the time-mean preconditioner is as
+    # ill-conditioned as the steady advection-diffusion block here, and a
+    # single GMRES round stalls above the residual target; the refinement
+    # rounds on the true residual must give the dense path's solve
+    f = 2.5 * truncate(base_forcing, 12, 12)
+    dense = homotopy_solve(f, SolverConfig(mu=0.02, max_newton=60, dense_threshold=10**6))
+    kry = homotopy_solve(f, SolverConfig(mu=0.02, max_newton=60, dense_threshold=0))
+    assert dense.success and kry.success
+    assert kry.newton_iters == dense.newton_iters
+    assert len(kry.lambda_path) == len(dense.lambda_path)
+    assert np.abs(kry.u.coeffs - dense.u.coeffs).max() <= 1e-10
+
+
+def test_failed_preconditioner_eigensolve_fails_the_newton_step(monkeypatch):
+    def broken_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(solver.np.linalg, "eig", broken_eig)
+    f = 0.4 * random_field(3, 6, 6, 2.0)
+    u0 = random_field(4, 6, 6, 1.0)
+    rep = newton_solve(f, u0, SolverConfig(mu=0.3, dense_threshold=0))
+    assert not rep.success
+    assert rep.newton_iters == 0 and rep.u is u0
+    assert "preconditioner" in rep.message and "did not converge" in rep.message
 
 
 def test_spectral_convergence_in_truncation():
