@@ -48,15 +48,21 @@ class SolverConfig:
     homotopy_steps: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
     krylov_tol: float = 1e-12
     max_krylov: int = 500
-    dense_threshold: int = 2000
+    # above this many unknowns GMRES beats the dense LU (summed homotopy
+    # times: dense up to N = 396, GMRES from N = 406, 14x14)
+    dense_threshold: int = 400
     max_damping: int = 40
     max_recoveries: int = 6
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.max_krylov < 1:
-            raise ValueError("max_krylov must be at least 1")
+        for key, least in (
+            ("max_newton", 1), ("max_krylov", 1), ("max_damping", 1),
+            ("dense_threshold", 0), ("max_recoveries", 0),
+        ):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}")
         steps = tuple(float(s) for s in self.homotopy_steps)
         if not steps or steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])

@@ -204,6 +204,49 @@ def test_failed_preconditioner_eigensolve_fails_the_newton_step(monkeypatch):
     assert "preconditioner" in rep.message and "did not converge" in rep.message
 
 
+@pytest.mark.parametrize("n, path", [(8, "dense"), (12, "dense"), (14, "gmres"), (16, "gmres")])
+def test_default_config_routes_the_linearized_solve_by_size(monkeypatch, n, path):
+    # verify's 8x8 solves and the 12x12 configs stay on the dense LU; the
+    # 16x16 Tier-1 fixture and configs/solve.json go to GMRES
+    calls = {"dense": 0, "gmres": 0}
+    dense_solve, krylov_solve = np.linalg.solve, solver._krylov_solve
+
+    def counted_dense(*args):
+        calls["dense"] += 1
+        return dense_solve(*args)
+
+    def counted_krylov(*args):
+        calls["gmres"] += 1
+        return krylov_solve(*args)
+
+    monkeypatch.setattr(solver.np.linalg, "solve", counted_dense)
+    monkeypatch.setattr(solver, "_krylov_solve", counted_krylov)
+    m = 0.5 * random_field(1, n, n, 2.0)
+    r = random_field(2, n, n, 2.0)
+    solve_linearized(m, r, SolverConfig(mu=1.0))
+    assert calls == {"dense": int(path == "dense"), "gmres": int(path == "gmres")}
+
+
+def test_default_path_matches_dense_on_the_hardest_fixture_cell(test_matrix):
+    # the fixture's 16x16 solves take GMRES by default; on its hardest
+    # cell the dense path must take the same Newton iterations and lambda
+    # steps to the same solution, for the homotopy and for the Newton
+    # solve from the linear solve (22 iterations)
+    mu, amp = 0.05, 2.5
+    cell = test_matrix[(mu, amp)]
+    f = cell["f"]
+    cfg = SolverConfig(mu=mu, max_newton=60, dense_threshold=10**6)
+    pairs = [
+        (homotopy_solve(f, cfg), cell["homotopy"]),
+        (newton_solve(f, solve_linear(f, cfg), cfg), cell["starts"][1]),
+    ]
+    for dense, default in pairs:
+        assert dense.success and default.success
+        assert dense.newton_iters == default.newton_iters
+        assert len(dense.lambda_path) == len(default.lambda_path)
+        assert np.abs(dense.u.coeffs - default.u.coeffs).max() <= 1e-10
+
+
 def test_spectral_convergence_in_truncation():
     # band-limited forcing, refined solution truncation: the nonlinearity
     # spreads energy across all modes, but the solution is analytic so the
@@ -257,6 +300,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=1.0, homotopy_steps=(0.1, 1.0))
     with pytest.raises(ValueError):
-        SolverConfig(mu=1.0, max_krylov=0)
-    with pytest.raises(ValueError):
         newton_solve(random_field(2, 4, 4, 2.0))
+
+
+@pytest.mark.parametrize(
+    "key, least",
+    [("max_newton", 1), ("max_krylov", 1), ("max_damping", 1), ("dense_threshold", 0), ("max_recoveries", 0)],
+)
+def test_config_rejects_counts_below_their_least_value(key, least):
+    # the bounds the CLI checks on config.solver; max_damping = 0 would
+    # otherwise mark every Newton step as stalled
+    with pytest.raises(ValueError, match=f"{key} must be at least {least}"):
+        SolverConfig(mu=1.0, **{key: least - 1})
+    assert getattr(SolverConfig(mu=1.0, **{key: least}), key) == least
