@@ -18,7 +18,6 @@ from .fields import (
     zeros,
 )
 from .operators import (
-    LinearSymbol,
     apply_L,
     apply_S,
     apply_T,
@@ -31,6 +30,7 @@ from .operators import (
     hilbert,
     inner,
     invert_L,
+    linear_symbol,
     p_transform,
 )
 from .norms import (
@@ -43,7 +43,6 @@ from .norms import (
     energy_gap,
     gn_probe,
     gn_ratio,
-    interpolation_check,
     interpolation_slack,
     l4_norm,
     norm_report,
@@ -66,7 +65,6 @@ from .colehopf import (
     PeriodMap,
     antiderivative_x,
     chain_rule_defect,
-    evolve_period_map,
     lift_s1_to_s2,
     monodromy_leading_pair,
     project_s2_to_s1,

@@ -18,7 +18,9 @@ far with `success: false` and the `error`, and exits with the error's
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -188,16 +190,17 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
 
 
 def _solver_settings(cfg: dict) -> dict:
-    """The checked config.solver entries that SolverConfig takes, mu aside."""
+    """The type-checked config.solver entries that SolverConfig takes, mu
+    aside; SolverConfig checks their ranges."""
     s = _get(cfg, "solver", dict, {})
     where = "config.solver"
     kwargs = {}
-    for key in ("newton_tol", "krylov_tol"):
+    for key, kind in (
+        ("newton_tol", float), ("krylov_tol", float), ("max_newton", int),
+        ("max_krylov", int), ("dense_threshold", int), ("max_damping", int),
+    ):
         if key in s:
-            kwargs[key] = _positive(s, key, where=where)
-    for key, least in (("max_newton", 1), ("max_krylov", 1), ("dense_threshold", 0), ("max_damping", 1)):
-        if key in s:
-            kwargs[key] = _count(s, key, where=where, least=least)
+            kwargs[key] = _get(s, key, kind, where=where)
     if "homotopy_steps" in s:
         steps = _get(s, "homotopy_steps", list, where=where)
         kwargs["homotopy_steps"] = tuple(
@@ -207,10 +210,12 @@ def _solver_settings(cfg: dict) -> dict:
 
 
 def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
+    """The SolverConfig of config.solver; each of its range errors begins
+    with the name of the setting at fault."""
     try:
         return sv.SolverConfig(mu=mu, **_solver_settings(cfg))
     except ValueError as e:
-        raise ConfigError(f"config.solver: {e}")
+        raise ConfigError(f"config.solver.{e}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +261,22 @@ def _fmt(x: float) -> str:
     return text
 
 
+def _write_output(path: str, key: str, lines) -> None:
+    """Write the text `lines` to `path`; a failure is a config error that
+    names config.outputs.<key>."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as e:
+        raise ConfigError(f"config.outputs.{key}: cannot write {path!r}: {e.strerror}")
+
+
 def write_report(path: str | None, doc: dict) -> str:
     out: list[str] = []
     _emit_json(doc, out)
     text = "".join(out) + "\n"
     if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        _write_output(path, "report_path", [text])
     return text
 
 
@@ -276,14 +290,12 @@ def report_header(command: str) -> dict:
 
 def write_field_csv(path: str, times, xs, values) -> None:
     """Write values[i, j] at (times[i], xs[j]) as a `t,x,u` dump."""
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,x,u\n")
-            for i, t in enumerate(times):
-                for j, x in enumerate(xs):
-                    fh.write(f"{t:.17g},{x:.17g},{values[i, j]:.17g}\n")
-    except OSError as e:
-        raise ConfigError(f"config.outputs.field_csv_path: cannot write {path!r}: {e.strerror}")
+    rows = (
+        f"{t:.17g},{x:.17g},{values[i, j]:.17g}\n"
+        for i, t in enumerate(times)
+        for j, x in enumerate(xs)
+    )
+    _write_output(path, "field_csv_path", itertools.chain(["t,x,u\n"], rows))
 
 
 def read_field_csv(path: str):
@@ -307,17 +319,6 @@ def read_field_csv(path: str):
         raise ValueError("rows do not form a full tensor grid")
     vals = data[:, 2].reshape(len(times), len(xs))
     return times, xs, vals
-
-
-def _norm_block(u: "fd.SpectralField") -> dict:
-    rep = nm.norm_report(u)
-    return {
-        "l2": rep.l2,
-        "l4": rep.l4,
-        "half_dt": rep.half_dt,
-        "dx": rep.dx,
-        "aniso": rep.aniso,
-    }
 
 
 def _workers() -> int:
@@ -437,7 +438,7 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     doc["residual_dual"] = result.residual_dual
     doc["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
     doc["lambda_path"] = [list(map(float, row)) for row in result.lambda_path]
-    doc["norms"] = _norm_block(result.u)
+    doc["norms"] = dataclasses.asdict(nm.norm_report(result.u))
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
@@ -510,7 +511,7 @@ def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
         row["newton_iterations"] = result.newton_iters
         row["residual_dual"] = result.residual_dual
         row["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
-        row["norms"] = _norm_block(result.u)
+        row["norms"] = dataclasses.asdict(nm.norm_report(result.u))
         if local.get("monodromy", False):
             rho, eig = ch.monodromy_leading_pair(result.u, mu)
             row["rho"] = rho
@@ -543,20 +544,19 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
     if csv_path:
-        cols = ["value", "success", "newton_iterations", "residual_dual", "l2", "aniso"]
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in rows:
-                norms = r.get("norms", {})
-                cells = [
-                    _fmt(float(r["value"])),
-                    "1" if r["success"] else "0",
-                    str(r.get("newton_iterations", "")),
-                    _fmt(r["residual_dual"]) if "residual_dual" in r else "",
-                    _fmt(norms["l2"]) if norms else "",
-                    _fmt(norms["aniso"]) if norms else "",
-                ]
-                fh.write(",".join(cells) + "\n")
+        lines = ["value,success,newton_iterations,residual_dual,l2,aniso\n"]
+        for r in rows:
+            norms = r.get("norms", {})
+            cells = [
+                _fmt(float(r["value"])),
+                "1" if r["success"] else "0",
+                str(r.get("newton_iterations", "")),
+                _fmt(r["residual_dual"]) if "residual_dual" in r else "",
+                _fmt(norms["l2"]) if norms else "",
+                _fmt(norms["aniso"]) if norms else "",
+            ]
+            lines.append(",".join(cells) + "\n")
+        _write_output(csv_path, "field_csv_path", lines)
     return EXIT_OK if doc["all_succeeded"] else EXIT_SOLVER
 
 
@@ -625,7 +625,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     result = _run_solve(local, f, scfg)
     doc["success"] = bool(result.success)
     doc["residual_dual"] = result.residual_dual
-    doc["norms_normalized"] = _norm_block(result.u)
+    doc["norms_normalized"] = dataclasses.asdict(nm.norm_report(result.u))
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
@@ -666,15 +666,19 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.override)
         report_path = _outputs(cfg)[0]
         doc = report_header(args.command)
-        code = COMMANDS[args.command](cfg, doc)
+        try:
+            code = COMMANDS[args.command](cfg, doc)
+        except ConfigError:
+            raise
+        except StburgersError as e:
+            doc["success"] = False
+            doc["error"] = str(e)
+            code = e.exit_code
+        text = write_report(report_path, doc)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return e.exit_code
-    except StburgersError as e:
-        doc["success"] = False
-        doc["error"] = str(e)
-        code = e.exit_code
-    print(write_report(report_path, doc), end="")
+    print(text, end="")
     return code
 
 

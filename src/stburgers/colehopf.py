@@ -52,10 +52,6 @@ class NonpositivePhiError(StburgersError, ValueError):
     """S3 representative is not strictly positive on the grid."""
 
 
-class StepCountError(StburgersError, ValueError):
-    """Period-map step count too small: halving test drifted."""
-
-
 class Kind(enum.Enum):
     S1 = "S1"
     S2 = "S2"
@@ -337,32 +333,6 @@ def profile_from_function(fn, n_x: int, m_x: int | None = None) -> np.ndarray:
         m_x = 4 * (n_x + 1)
     b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
     return (b.T @ fn(space_nodes(m_x, Basis.NEUMANN_COSINE))) / m_x
-
-
-def evolve_period_map(
-    v: SpectralField,
-    psi0: np.ndarray,
-    mu: float,
-    steps: int,
-    check_steps: bool = True,
-    drift_tol: float = 1e-4,
-) -> np.ndarray:
-    """Evolve a Neumann profile through one period of advection-diffusion.
-
-    With check_steps the evolution is repeated at half the step count and
-    a drift above drift_tol (relative, sup over modes) raises
-    StepCountError."""
-    out = PeriodMap(v, mu, steps, n_x=len(np.asarray(psi0)) - 1).apply(psi0)
-    if check_steps and steps >= 2:
-        half = PeriodMap(v, mu, steps // 2, n_x=len(np.asarray(psi0)) - 1).apply(psi0)
-        scale = max(1.0, float(np.abs(out).max()))
-        drift = float(np.abs(out - half).max()) / scale
-        if drift > drift_tol:
-            raise StepCountError(
-                f"halving test drifted by {drift:.3e} (> {drift_tol:g}); "
-                "increase the step count"
-            )
-    return out
 
 
 def monodromy_leading_pair(

@@ -277,8 +277,7 @@ def set_mode(
 
 def to_grid(u: SpectralField, m_t: int, m_x: int) -> GridField:
     """Pointwise evaluation of the truncated series on the collocation grid."""
-    min_mx = u.n_x if u.basis is Basis.DIRICHLET_SINE else u.n_x + 1
-    if m_t < 2 * u.n_t + 1 or m_x < min_mx:
+    if m_t < 2 * u.n_t + 1 or m_x < space_columns(u.n_x, u.basis):
         raise ResolutionError(
             f"grid {m_t}x{m_x} too small for truncation ({u.n_t}, {u.n_x})"
         )
@@ -296,8 +295,7 @@ def to_spectral(g: GridField, n_t: int, n_x: int, basis: Basis | None = None) ->
         basis = g.basis
     if basis is not g.basis:
         raise BasisMismatchError("grid node family does not match requested basis")
-    min_mx = n_x if basis is Basis.DIRICHLET_SINE else n_x + 1
-    if g.m_t < 2 * n_t + 1 or g.m_x < min_mx:
+    if g.m_t < 2 * n_t + 1 or g.m_x < space_columns(n_x, basis):
         raise ResolutionError(
             f"grid {g.m_t}x{g.m_x} too small for truncation ({n_t}, {n_x})"
         )

@@ -1,8 +1,10 @@
 """Operator calculus on spectral fields.
 
 Fractional time derivatives and the Hilbert transform are diagonal
-Fourier multipliers in the time modes; spatial derivatives act modally
-between the sine and cosine families.  The Burgers splitting
+Fourier multipliers in the time modes, each with a symbol
+sigma(-n) = conj(sigma(n)) so a real field stays real; spatial
+derivatives act modally between the sine and cosine families.  The
+Burgers splitting
 
     L u = u_t - mu u_xx        (diagonal symbol 2*pi*i*n + mu*(m*pi)^2)
     S(u) = u u_x = (u^2)_x / 2
@@ -13,9 +15,6 @@ through the L2(Q) pairing in the same orthonormal modal coordinates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,61 +27,28 @@ from .fields import (
 )
 
 
-def sgn(n):
-    return np.sign(n)
-
-
-@dataclass(frozen=True)
-class TimeMultiplier:
-    """Diagonal multiplier sigma(n) acting on the time modes.
-
-    sigma(-n) = conj(sigma(n)) so reality is preserved."""
-
-    name: str
-    symbol: Callable[[np.ndarray], np.ndarray]
-
-    def factors(self, n_t: int) -> np.ndarray:
-        n = np.arange(-n_t, n_t + 1)
-        s = np.asarray(self.symbol(n), dtype=complex)
-        defect = np.abs(s[::-1].conj() - s).max()
-        if defect > 1e-14 * max(1.0, np.abs(s).max()):
-            raise ValueError(f"multiplier {self.name} does not preserve reality")
-        return s
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        return u.with_coeffs(u.coeffs * self.factors(u.n_t)[:, None])
-
-
-def fractional_multiplier(s: float) -> TimeMultiplier:
-    """Multiplier of the order-s time derivative: |2 pi n|^s e^{i sgn(n) s pi/2}."""
-    def symbol(n):
-        return (2 * np.pi * np.abs(n)) ** s * np.exp(1j * sgn(n) * s * np.pi / 2)
-
-    return TimeMultiplier(f"D^{s}", symbol)
-
-
-HALF_DERIVATIVE = fractional_multiplier(0.5)
-HALF_DERIVATIVE_ADJOINT = TimeMultiplier(
-    "D^0.5_*", lambda n: np.conj(HALF_DERIVATIVE.symbol(n))
-)
-HILBERT = TimeMultiplier("H", lambda n: -1j * sgn(n) + 0.0j)
-TIME_DERIVATIVE = TimeMultiplier("d_t", lambda n: 2j * np.pi * n)
+def _half_derivative_symbol(n: np.ndarray) -> np.ndarray:
+    return (2 * np.pi * np.abs(n)) ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
 
 
 def half_derivative(u: SpectralField) -> SpectralField:
-    return HALF_DERIVATIVE.apply(u)
+    """D^{1/2}: time mode n times |2 pi n|^{1/2} e^{i sgn(n) pi/4}."""
+    return u.with_coeffs(u.coeffs * _half_derivative_symbol(u.time_modes[:, None]))
 
 
 def half_derivative_adjoint(u: SpectralField) -> SpectralField:
-    return HALF_DERIVATIVE_ADJOINT.apply(u)
+    """The L2 adjoint of D^{1/2}: the conjugate symbol."""
+    return u.with_coeffs(u.coeffs * np.conj(_half_derivative_symbol(u.time_modes[:, None])))
 
 
 def hilbert(u: SpectralField) -> SpectralField:
-    return HILBERT.apply(u)
+    """H: time mode n times -i sgn(n)."""
+    return u.with_coeffs(u.coeffs * (-1j * np.sign(u.time_modes[:, None]) + 0.0j))
 
 
 def d_t(u: SpectralField) -> SpectralField:
-    return TIME_DERIVATIVE.apply(u)
+    """Time derivative: time mode n times 2 pi i n."""
+    return u.with_coeffs(u.coeffs * (2j * np.pi * u.time_modes[:, None]))
 
 
 def d_x(u: SpectralField) -> SpectralField:
@@ -111,26 +77,20 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     return float(np.vdot(v.coeffs, u.coeffs).real)
 
 
-@dataclass(frozen=True)
-class LinearSymbol:
-    """Diagonal symbol lambda(n, m) = 2 pi i n + mu (m pi)^2 of L."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-    def values(self, n_t: int, n_x: int) -> np.ndarray:
-        n = np.arange(-n_t, n_t + 1)[:, None]
-        m = np.arange(1, n_x + 1)[None, :]
-        return 2j * np.pi * n + self.mu * (m * np.pi) ** 2
+def linear_symbol(n_t: int, n_x: int, mu: float) -> np.ndarray:
+    """Diagonal symbol lambda(n, m) = 2 pi i n + mu (m pi)^2 of L on the
+    truncation (n_t, n_x)."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    n = np.arange(-n_t, n_t + 1)[:, None]
+    m = np.arange(1, n_x + 1)[None, :]
+    return 2j * np.pi * n + mu * (m * np.pi) ** 2
 
 
 def apply_L(u: SpectralField, mu: float) -> SpectralField:
     if u.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("L acts on Dirichlet-sine fields")
-    lam = LinearSymbol(mu).values(u.n_t, u.n_x)
+    lam = linear_symbol(u.n_t, u.n_x, mu)
     return u.with_coeffs(u.coeffs * lam)
 
 
@@ -138,7 +98,7 @@ def invert_L(f: SpectralField, mu: float) -> SpectralField:
     """Exact diagonal inverse; the symbol never vanishes for m >= 1."""
     if f.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("L acts on Dirichlet-sine fields")
-    lam = LinearSymbol(mu).values(f.n_t, f.n_x)
+    lam = linear_symbol(f.n_t, f.n_x, mu)
     return f.with_coeffs(f.coeffs / lam)
 
 
@@ -175,7 +135,7 @@ def T_prime_matrix(m: SpectralField, mu: float) -> np.ndarray:
     a = advection_matrix(m)
     # L multiplies mode n by lambda(n): on the packed pair (Re, Im) of a
     # row n >= 1 that is [[Re lambda, -Im lambda], [Im lambda, Re lambda]]
-    lam = LinearSymbol(mu).values(m.n_t, m.n_x)[m.n_t :].ravel()  # n >= 0
+    lam = linear_symbol(m.n_t, m.n_x, mu)[m.n_t :].ravel()  # n >= 0
     a[np.diag_indices_from(a)] += np.concatenate([lam.real, lam.real[m.n_x :]])
     re = np.arange(m.n_x, lam.size)
     im = re + m.n_t * m.n_x

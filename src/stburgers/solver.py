@@ -55,14 +55,15 @@ class SolverConfig:
     max_recoveries: int = 6
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        for key in ("mu", "newton_tol", "krylov_tol"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         for key, least in (
             ("max_newton", 1), ("max_krylov", 1), ("max_damping", 1),
             ("dense_threshold", 0), ("max_recoveries", 0),
         ):
             if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}")
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         steps = tuple(float(s) for s in self.homotopy_steps)
         if not steps or steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])

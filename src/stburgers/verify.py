@@ -183,20 +183,24 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
     f = 0.8 * fd.random_field(cfg.seed + 1, cfg.solve_n_t, cfg.solve_n_x, 2.0)
     scfg = sv.SolverConfig(mu=cfg.mu)
     c_gn = nm.gn_probe([cfg.seed + 3], 25, n_t=16, n_x=16)
-    report = sv.homotopy_solve(f, scfg, c_gn=c_gn)
-    gap = nm.energy_gap(f, report.u, cfg.mu)
-    results = [
-        _result(cfg, "energy_identity", gap, f"residual {report.residual_dual:.3e}")
-    ]
-    margin = report.apriori_margin
-    results.append(
-        _result(
-            cfg,
-            "apriori_bound",
-            max(0.0, -margin),
-            f"smallest margin {margin:.3e} along the homotopy path",
-        )
-    )
+    try:
+        report = sv.homotopy_solve(f, scfg, c_gn=c_gn)
+    except SolverError as e:
+        report, failure = None, e
+    if report is None:
+        results = _failed(cfg, ("energy_identity", "apriori_bound"), "homotopy_solve", failure)
+    else:
+        gap = nm.energy_gap(f, report.u, cfg.mu)
+        margin = report.apriori_margin
+        results = [
+            _result(cfg, "energy_identity", gap, f"residual {report.residual_dual:.3e}"),
+            _result(
+                cfg,
+                "apriori_bound",
+                max(0.0, -margin),
+                f"smallest margin {margin:.3e} along the homotopy path",
+            ),
+        ]
     try:
         uniq = ch.verify_uniqueness(f, scfg, n_starts=3, seed=cfg.seed)
     except SolverError as e:
@@ -210,6 +214,11 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
                 f"S1 residual {uniq.max_s1_residual:.3e}",
             )
         )
+    if report is None:
+        results += _failed(
+            cfg, ("monodromy_eigenvalue", "monodromy_flatness"), "homotopy_solve", failure
+        )
+        return results
     # monodromy around the solved field
     rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, steps=cfg.monodromy_steps)
     flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
@@ -263,7 +272,7 @@ def check_positivity(cfg: VerifyConfig) -> list[InvariantResult]:
         s = int(seq.generate_state(1)[0])
         mu = (1.0, 0.1)[i % 2]
         v = 2.0 * fd.random_field(s, 4, 6, 2.0)
-        out = ch.evolve_period_map(v, psi0, mu, 512, check_steps=False)
+        out = ch.PeriodMap(v, mu, 512, n_x=len(psi0) - 1).apply(psi0)
         worst = max(worst, -float(ch.profile_values(out).min()))
     return [
         _result(

@@ -12,9 +12,9 @@ from stburgers import cli
 from stburgers.colehopf import (
     ColeHopfElement,
     Kind,
+    PeriodMap,
     antiderivative_x,
     chain_rule_defect,
-    evolve_period_map,
     lift_s1_to_s2,
     monodromy_leading_pair,
     profile_values,
@@ -206,7 +206,7 @@ def test_criterion_8_positivity_and_monodromy(test_matrix):
     for i in range(50):
         mu = (1.0, 0.1)[i % 2]
         v = 2.5 * random_field(i, 4, 8, 2.0)  # sup norm below 5
-        out = evolve_period_map(v, psi0[:9], mu, 512, check_steps=False)
+        out = PeriodMap(v, mu, 512, n_x=8).apply(psi0[:9])
         floor = min(floor, float(profile_values(out).min()))
     worst_rho = 0.0
     worst_flat = 0.0

@@ -10,6 +10,7 @@ import pytest
 
 from stburgers import cli
 from stburgers import colehopf as ch
+from stburgers import solver
 from stburgers.errors import SolverError
 from stburgers.fields import Basis, GridField, to_spectral, zeros
 from stburgers.solver import SolverConfig, newton_solve
@@ -174,13 +175,18 @@ def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
     "stage, failed",
     [
         ("verify_uniqueness", ["uniqueness_distance"]),
+        (
+            "homotopy_solve",
+            ["energy_identity", "apriori_bound", "monodromy_eigenvalue", "monodromy_flatness"],
+        ),
     ],
 )
 def test_verify_stage_failure_fails_its_invariants_only(tmp_path, capsys, monkeypatch, stage, failed):
     def fail(*args, **kwargs):
         raise SolverError("injected")
 
-    monkeypatch.setattr(ch, stage, fail)
+    module = {"verify_uniqueness": ch, "homotopy_solve": solver}[stage]
+    monkeypatch.setattr(module, stage, fail)
     assert run(tmp_path, "verify", verify_cfg(tmp_path)) == 3
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert len(doc["invariants"]) == 19
@@ -357,10 +363,11 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "command, config, override, key",
     [
-        ("solve", None, "solver.homotopy_steps=[]", "config.solver: homotopy_steps"),
+        ("solve", None, "solver.homotopy_steps=[]", "config.solver.homotopy_steps"),
         ("solve", None, 'solver.homotopy_steps=["a"]', "config.solver.homotopy_steps[0]"),
         ("solve", None, "solver.max_newton=0", "config.solver.max_newton"),
         ("solve", None, "solver.newton_tol=-1", "config.solver.newton_tol"),
+        ("solve", None, "solver.krylov_tol=0", "config.solver.krylov_tol"),
         ("solve", None, "solver.max_damping=0", "config.solver.max_damping"),
         ("verify", None, 'tolerances={"energy_identity":"x"}', "config.tolerances.energy_identity"),
         ("verify", None, "seed=-1", "config.seed"),
@@ -389,6 +396,28 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert os.listdir(tmp_path) == []  # no report, no field dump
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("solve", "zero", "report_path"),
+        ("solve", "zero", "field_csv_path"),
+        ("sweep", "sweep_mu", "field_csv_path"),  # the sweep rows CSV
+    ],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, command, config, key):
+    # a dangling link in a writable directory passes the up-front check
+    # on the outputs; the write itself fails
+    (tmp_path / "out").symlink_to(tmp_path / "gone" / "out")
+    overrides = [f"outputs.{key}=out"]
+    if command == "sweep":
+        overrides.append('sweep={"param":"mu","values":[1.0]}')
+    proc = run_cli(tmp_path, command, *overrides, config=config)
+    assert proc.returncode == 1
+    assert f"config.outputs.{key}: cannot write" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
@@ -557,7 +586,7 @@ def test_every_package_error_carries_an_exit_code():
         for obj in vars(mod).values()
         if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("stburgers.")
     }
-    assert len(errors) == 12  # 3 in stburgers.errors, 9 in the layers
+    assert len(errors) == 11  # 3 in stburgers.errors, 8 in the layers
     for cls in errors:
         assert issubclass(cls, StburgersError), cls
         assert cls.exit_code in (1, 2), cls

@@ -11,10 +11,8 @@ from stburgers.colehopf import (
     NotInS1Error,
     PERIOD_MAP_BLOCK,
     PeriodMap,
-    StepCountError,
     antiderivative_x,
     chain_rule_defect,
-    evolve_period_map,
     grid_max,
     grid_min,
     lift_s1_to_s2,
@@ -152,7 +150,7 @@ def test_period_map_heat_decay_oracle():
     psi0[0] = 1.0
     psi0[1] = 1.0
     psi0[2] = 0.5
-    out = evolve_period_map(v, psi0, mu, 2048, check_steps=False)
+    out = PeriodMap(v, mu, 2048, n_x=4).apply(psi0)
     exact = psi0 * np.exp(-mu * (np.arange(5) * np.pi) ** 2)
     assert np.max(np.abs(out - exact)) < 1e-7
 
@@ -213,15 +211,6 @@ def test_period_map_matches_step_oracle(n_x, v_n_t, v_n_x, mu, steps, seed):
     e0 = np.zeros(n_x + 1)
     e0[0] = 1.0
     assert np.array_equal(pmap.matrix[:, 0], e0)  # constants are fixed points
-
-
-def test_step_count_check_fires_on_coarse_grids():
-    v = 5.0 * random_field(8, 4, 6, 1.5)
-    psi0 = profile_from_function(lambda x: 1.0 + 0.5 * np.cos(np.pi * x), 8)
-    with pytest.raises(StepCountError):
-        evolve_period_map(v, psi0, 0.01, 4)
-    # the same evolution passes its halving check when resolved
-    evolve_period_map(v, psi0, 0.01, 2048)
 
 
 def test_profile_projection_round_trip():

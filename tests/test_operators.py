@@ -23,9 +23,6 @@ from stburgers.fields import (
 )
 from stburgers import solver
 from stburgers.operators import (
-    HALF_DERIVATIVE,
-    HILBERT,
-    LinearSymbol,
     T_prime_matrix,
     apply_L,
     apply_S,
@@ -39,23 +36,45 @@ from stburgers.operators import (
     hilbert,
     inner,
     invert_L,
+    linear_symbol,
     p_transform,
 )
 
 
+def symbol_at(op, n, n_t=4):
+    """The symbol of a time multiplier at mode n, read off the image of
+    the single-mode field with coefficient 1 at (|n|, m = 1)."""
+    u = set_mode(zeros(n_t, 1), abs(n), 1, 1.0)
+    return op(u).coeffs[n_t + n, 0]
+
+
 def test_half_derivative_symbol_values():
     # (2 pi |n|)^{1/2} e^{i sgn(n) pi/4}
-    val = HALF_DERIVATIVE.symbol(np.array([1]))[0]
+    val = symbol_at(half_derivative, 1)
     assert abs(val - np.sqrt(2 * np.pi) * np.exp(1j * np.pi / 4)) < 1e-15
-    val = HALF_DERIVATIVE.symbol(np.array([-4]))[0]
+    val = symbol_at(half_derivative, -4)
     assert abs(val - np.sqrt(8 * np.pi) * np.exp(-1j * np.pi / 4)) < 1e-15
-    assert HALF_DERIVATIVE.symbol(np.array([0]))[0] == 0.0
+    assert symbol_at(half_derivative, 0) == 0.0
 
 
 def test_hilbert_symbol():
-    assert HILBERT.symbol(np.array([3]))[0] == -1j
-    assert HILBERT.symbol(np.array([-2]))[0] == 1j
-    assert HILBERT.symbol(np.array([0]))[0] == 0.0
+    assert symbol_at(hilbert, 3) == -1j
+    assert symbol_at(hilbert, -2) == 1j
+    assert symbol_at(hilbert, 0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 16),
+    n_x=st.integers(1, 16),
+    basis=st.sampled_from(list(Basis)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_time_multipliers_keep_real_fields_real(n_t, n_x, basis, seed):
+    u = random_field(seed, n_t, n_x, 1.0, basis=basis)
+    for op in (half_derivative, half_derivative_adjoint, hilbert, d_t):
+        out = op(u)
+        assert out.hermitian_defect() <= 1e-14 * max(1.0, np.abs(out.coeffs).max()), op
 
 
 def test_half_derivative_composes_to_time_derivative():
@@ -146,10 +165,12 @@ def test_dxx_is_dx_squared():
 
 
 def test_linear_symbol_values():
-    sym = LinearSymbol(0.3).values(2, 3)
+    sym = linear_symbol(2, 3, 0.3)
     assert sym.shape == (5, 3)
     assert abs(sym[3, 1] - (2j * np.pi + 0.3 * (2 * np.pi) ** 2)) < 1e-13
     assert abs(sym[2, 0] - 0.3 * np.pi**2) < 1e-14
+    with pytest.raises(ValueError, match="mu must be positive"):
+        linear_symbol(2, 3, 0.0)
 
 
 def test_invert_l_roundtrip():
@@ -260,7 +281,7 @@ def complex_advection_matrix(m):
 def complex_T_prime_matrix(m, mu):
     """The complex oracle of T_prime_matrix: T'(m) on all coefficients."""
     a = complex_advection_matrix(m)
-    a[np.diag_indices_from(a)] += LinearSymbol(mu).values(m.n_t, m.n_x).ravel()
+    a[np.diag_indices_from(a)] += linear_symbol(m.n_t, m.n_x, mu).ravel()
     return a
 
 

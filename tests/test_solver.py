@@ -303,6 +303,14 @@ def test_config_validation():
         newton_solve(random_field(2, 4, 4, 2.0))
 
 
+@pytest.mark.parametrize("key", ["newton_tol", "krylov_tol"])
+def test_config_rejects_nonpositive_tolerances(key):
+    # a tolerance of zero or below can never be met
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            SolverConfig(mu=1.0, **{key: value})
+
+
 @pytest.mark.parametrize(
     "key, least",
     [("max_newton", 1), ("max_krylov", 1), ("max_damping", 1), ("dense_threshold", 0), ("max_recoveries", 0)],
