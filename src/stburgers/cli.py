@@ -43,6 +43,10 @@ NODE_TOL = 1e-9
 # largest array (`_largest_array`) needs more is a config error, raised
 # before anything of that size is allocated
 MAX_ARRAY_BYTES = 2**30
+# the keys that config.solver and config.outputs take; any other is a
+# config error
+SOLVER_KEYS = ("method", "newton_tol", "max_newton")
+OUTPUT_KEYS = ("report_path", "field_csv_path", "grid_m_t", "grid_m_x")
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +193,27 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
     return fd.GridField(vals, m_t, m_x, basis)
 
 
-def _solver_settings(cfg: dict) -> dict:
-    """The type-checked config.solver entries that SolverConfig takes, mu
-    aside; SolverConfig checks their ranges."""
-    s = _get(cfg, "solver", dict, {})
-    where = "config.solver"
-    kwargs = {}
-    for key, kind in (
-        ("newton_tol", float), ("krylov_tol", float), ("max_newton", int),
-        ("max_krylov", int), ("dense_threshold", int), ("max_damping", int),
-    ):
-        if key in s:
-            kwargs[key] = _get(s, key, kind, where=where)
-    if "homotopy_steps" in s:
-        steps = _get(s, "homotopy_steps", list, where=where)
-        kwargs["homotopy_steps"] = tuple(
-            _check(v, float, f"{where}.homotopy_steps[{i}]") for i, v in enumerate(steps)
-        )
-    return kwargs
+def _section(cfg: dict, name: str, keys) -> dict:
+    """The mapping cfg[name], empty if absent; a key outside `keys` is a
+    config error."""
+    section = _get(cfg, name, dict, {})
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"config.{name}.{key}: unknown key (takes {', '.join(keys)})")
+    return section
 
 
 def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
     """The SolverConfig of config.solver; each of its range errors begins
     with the name of the setting at fault."""
+    s = _section(cfg, "solver", SOLVER_KEYS)
+    settings = {
+        key: _get(s, key, kind, where="config.solver")
+        for key, kind in (("newton_tol", float), ("max_newton", int))
+        if key in s
+    }
     try:
-        return sv.SolverConfig(mu=mu, **_solver_settings(cfg))
+        return sv.SolverConfig(mu=mu, **settings)
     except ValueError as e:
         raise ConfigError(f"config.solver.{e}")
 
@@ -352,28 +352,27 @@ def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
     return value
 
 
-def _largest_array(n_t: int, n_x: int, settings: dict) -> tuple[str, int]:
+def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     """(name, bytes) of the largest array that a solve at truncation
-    (n_t, n_x) with these solver settings allocates: the real dense
-    matrix of T'(m) or the Krylov basis, whichever the solve uses, the
-    complex values of a product on its padded grid, or the complex time
-    matrix that analyses that grid."""
+    (n_t, n_x) allocates: the real dense matrix of T'(m) or the Krylov
+    basis, whichever the solve uses, the complex values of a product on
+    its padded grid, or the complex time matrix that analyses that grid."""
     n = (2 * n_t + 1) * n_x
-    if n <= settings.get("dense_threshold", sv.SolverConfig.dense_threshold):
+    if n <= sv.DENSE_MAX_UNKNOWNS:
         linear = ("dense matrix", 8 * n * n)
     else:
-        krylov = min(settings.get("max_krylov", sv.SolverConfig.max_krylov), n)
-        linear = ("Krylov basis", 8 * (krylov + 1) * n)
+        linear = ("Krylov basis", 8 * (min(sv.MAX_KRYLOV, n) + 1) * n)
     grid = ("product grid", 16 * (4 * n_t + 1) * (4 * n_x + 2))
     time = ("time matrix", 16 * (4 * n_t + 1) ** 2)
     return max(linear, grid, time, key=lambda named: named[1])
 
 
-def _truncation(cfg: dict, settings: dict, keys=("n_t", "n_x"), default=...) -> tuple[int, int]:
-    """The truncation cfg[keys] of a solve with these solver settings,
-    checked against MAX_ARRAY_BYTES before any array of that size exists."""
-    n_t, n_x = (_count(cfg, key, default) for key in keys)
-    name, size = _largest_array(n_t, n_x, settings)
+def _truncation(cfg: dict, keys=("n_t", "n_x"), defaults=None) -> tuple[int, int]:
+    """The truncation cfg[keys] of a solve, each key required unless
+    `defaults` has it as an attribute, checked against MAX_ARRAY_BYTES
+    before any array of that size exists."""
+    n_t, n_x = (_count(cfg, key, getattr(defaults, key, ...)) for key in keys)
+    name, size = _largest_array(n_t, n_x)
     if size > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"config.{keys[0]}/config.{keys[1]}: truncation ({n_t}, {n_x}) needs a {name} "
@@ -384,13 +383,13 @@ def _truncation(cfg: dict, settings: dict, keys=("n_t", "n_x"), default=...) -> 
 
 def _common_problem(cfg: dict):
     mu = _positive(cfg, "mu")
-    n_t, n_x = _truncation(cfg, _solver_settings(cfg))
+    n_t, n_x = _truncation(cfg)
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     return mu, n_t, n_x, forcing
 
 
 def _solve_method(cfg: dict) -> str:
-    method = _get(_get(cfg, "solver", dict, {}), "method", str, "homotopy", "config.solver")
+    method = _get(_section(cfg, "solver", SOLVER_KEYS), "method", str, "homotopy", "config.solver")
     if method not in ("newton", "homotopy"):
         raise ConfigError(f"config.solver.method: unknown method {method!r}")
     return method
@@ -403,12 +402,15 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
 
 
 def _outputs(cfg: dict):
-    o = _get(cfg, "outputs", dict, {})
+    o = _section(cfg, "outputs", OUTPUT_KEYS)
     paths = []
     for key in ("report_path", "field_csv_path"):
         path = _get(o, key, str, None, where="config.outputs")
-        folder = os.path.dirname(path or "") or "."
-        if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        # the directory of the file a link leads to, so that a dangling
+        # link into a missing directory fails here, before any solve
+        if path and (
+            os.path.isdir(path) or not os.access(os.path.dirname(os.path.realpath(path)), os.W_OK)
+        ):
             raise ConfigError(
                 f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
             )
@@ -449,19 +451,21 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
 
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
-    # verify solves with the default solver settings
-    n_t, n_x = _truncation(cfg, {}, default=32)
-    solve_n_t, solve_n_x = _truncation(cfg, {}, ("solve_n_t", "solve_n_x"), 8)
+    # verify solves with the default solver settings; every key but the
+    # seed defaults to its VerifyConfig value
+    defaults = vf.VerifyConfig
+    n_t, n_x = _truncation(cfg, defaults=defaults)
+    solve_n_t, solve_n_x = _truncation(cfg, ("solve_n_t", "solve_n_x"), defaults)
     vcfg = vf.VerifyConfig(
         seed=_count(cfg, "seed", least=0),
-        n_samples=_count(cfg, "n_samples", 100),
+        n_samples=_count(cfg, "n_samples", defaults.n_samples),
         n_t=n_t,
         n_x=n_x,
-        mu=_positive(cfg, "mu", 0.5),
+        mu=_positive(cfg, "mu", defaults.mu),
         solve_n_t=solve_n_t,
         solve_n_x=solve_n_x,
-        monodromy_steps=_count(cfg, "monodromy_steps", 512),
-        positivity_cases=_count(cfg, "positivity_cases", 20),
+        monodromy_steps=_count(cfg, "monodromy_steps", defaults.monodromy_steps),
+        positivity_cases=_count(cfg, "positivity_cases", defaults.positivity_cases),
         tolerances=_get(cfg, "tolerances", dict, {}),
     )
     for name in vcfg.tolerances:
@@ -613,7 +617,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     viscosity = _get(cfg, "viscosity", float)
     if viscosity == 0.0:
         raise ConfigError("config.viscosity: must be nonzero")
-    n_t, n_x = _truncation(cfg, _solver_settings(cfg))
+    n_t, n_x = _truncation(cfg)
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)

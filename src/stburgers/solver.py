@@ -5,8 +5,8 @@ real coordinates that `fields.pack` gives its Hermitian coefficients, so
 every w is Hermitian by construction.  The linearization is built once
 per Newton step: small systems are solved directly with the real dense
 matrix of T'(m), which `operators.T_prime_matrix` assembles in closed
-form; larger ones run `gmres`, this module's restarted GMRES in real
-arithmetic, on the form preconditioned by the time-mean linearization
+form; larger ones run `gmres`, one cycle of GMRES in real arithmetic
+from zero, on the form preconditioned by the time-mean linearization
 P = L + (m_0 .)_x, m_0 the time mean of m:
 w + P^{-1}(m' w)_x = P^{-1} r, with m' = m - m_0 the time fluctuation.
 P is block diagonal over the time modes (the harmonic-balance
@@ -15,8 +15,8 @@ n_x x n_x eigendecomposition per Newton step inverts it; what is left
 to GMRES is the advection by the fluctuation alone.  Its matvec stays
 on packed coordinates: (m' w)_x is `fields.advection_operator(m')`,
 four real products with m' held on the padded product grid.  A few
-rounds of refinement on the true residual carry the solve where P is
-ill-conditioned.  The package needs numpy only.
+rounds of refinement on the true residual, each a fresh cycle, carry the
+solve where P is ill-conditioned.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import SpectralField, advection_operator, mean_advection_block, pack, unpack, zeros
-from .norms import aniso_norm, apriori_bound, dual_norm, energy_gap
+from .norms import aniso_norm, apriori_bound, dual_norm
 from .operators import T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
@@ -40,36 +40,34 @@ class ContinuationError(SolverError):
     """Homotopy continuation failed at a specific lambda step."""
 
 
+# relative dual residual that each linearized solve must reach
+KRYLOV_TOL = 1e-12
+# inner iterations of one GMRES cycle, the dimension of its Krylov basis
+MAX_KRYLOV = 500
+# up to this many unknowns the dense LU beats GMRES (summed homotopy
+# times: dense up to N = 396, GMRES from N = 406, 14x14)
+DENSE_MAX_UNKNOWNS = 400
+# step halvings of one damped Newton step, and contractions toward zero
+# after a stalled one
+MAX_DAMPING = 40
+MAX_RECOVERIES = 6
+# the homotopy's lambda steps, and the midpoints it may insert
+HOMOTOPY_STEPS = (0.0, 0.25, 0.5, 0.75, 1.0)
+MAX_BISECTIONS = 12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     mu: float
     newton_tol: float = 1e-10
     max_newton: int = 30
-    homotopy_steps: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    krylov_tol: float = 1e-12
-    max_krylov: int = 500
-    # above this many unknowns GMRES beats the dense LU (summed homotopy
-    # times: dense up to N = 396, GMRES from N = 406, 14x14)
-    dense_threshold: int = 400
-    max_damping: int = 40
-    max_recoveries: int = 6
 
     def __post_init__(self):
-        for key in ("mu", "newton_tol", "krylov_tol"):
+        for key in ("mu", "newton_tol"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        for key, least in (
-            ("max_newton", 1), ("max_krylov", 1), ("max_damping", 1),
-            ("dense_threshold", 0), ("max_recoveries", 0),
-        ):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        steps = tuple(float(s) for s in self.homotopy_steps)
-        if not steps or steps[0] != 0.0 or steps[-1] != 1.0 or any(
-            b <= a for a, b in zip(steps, steps[1:])
-        ):
-            raise ValueError("homotopy_steps must increase strictly from 0 to 1")
-        object.__setattr__(self, "homotopy_steps", steps)
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
 
 
 @dataclass
@@ -78,7 +76,6 @@ class SolveReport:
     residual_dual: float
     newton_iters: int
     lambda_path: list = field(default_factory=list)
-    energy_gap: float = 0.0
     apriori_margin: float | None = None
     success: bool = True
     message: str = ""
@@ -133,106 +130,86 @@ def solve_linearized(
     m: SpectralField, r: SpectralField, cfg: SolverConfig
 ) -> SpectralField:
     """Solve T'(m) w = r for a real w (Hermitian coefficients) to dual
-    residual krylov_tol * dual_norm(r); m must be real.
+    residual KRYLOV_TOL * dual_norm(r); m must be real.
 
     A non-Hermitian r is solved for its Hermitian part, as `pack` drops
     the rest, and the dual residual is taken against r itself."""
     rn = dual_norm(r)
     if rn == 0.0:
         return zeros(r.n_t, r.n_x, r.basis)
-    if r.coeffs.size > cfg.dense_threshold:
+    if r.coeffs.size > DENSE_MAX_UNKNOWNS:
         return _krylov_solve(m, r, rn, cfg)
     x = np.linalg.solve(T_prime_matrix(m, cfg.mu), pack(r.coeffs).ravel())
     w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
     res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
-    if res > 10.0 * _residual_target(m, w, rn, cfg):
+    if res > 10.0 * _residual_target(m, w, rn):
         raise LinearSolveError(
             f"linearized solve stalled at dual residual {res:.3e} "
-            f"(target {cfg.krylov_tol * rn:.3e})"
+            f"(target {KRYLOV_TOL * rn:.3e})"
         )
     return w
 
 
-def _residual_target(m, w, rn, cfg) -> float:
+def _residual_target(m, w, rn) -> float:
     # relative target plus the roundoff floor of evaluating T'(m) w
     floor = 5e-15 * (1.0 + m.l2()) * (1.0 + w.l2())
-    return max(cfg.krylov_tol * rn, floor)
+    return max(KRYLOV_TOL * rn, floor)
 
 
-def gmres(matvec, rhs: np.ndarray, x0, rtol: float, restart: int, maxiter: int):
-    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-    1986) on the real operator `matvec`, from x0 (zero if None), for
-    |rhs - A x| <= rtol |rhs|.  It runs at most `maxiter` cycles of at
-    most `restart` inner iterations and returns (x, info), with info = 0
-    on convergence and info = maxiter otherwise.
+def gmres(matvec, rhs: np.ndarray, rtol: float, restart: int):
+    """One cycle of GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) from zero on the real operator `matvec`, for
+    |rhs - A x| <= rtol |rhs|, of at most `restart` inner iterations.
+    Returns (x, info): info is 0 if the true residual rhs - A x meets the
+    target and 1 otherwise.  A caller that wants more restarts the cycle
+    on its own residual, as `_krylov_solve` does.
 
     Arnoldi orthogonalizes each new vector by classical Gram-Schmidt
     done twice, two products with the basis, and Givens rotations keep
     the Hessenberg least-squares problem triangular, so every inner
-    iteration knows its residual norm without forming x.  The stopping
-    rule is scipy's: a cycle stops when that estimate reaches `ptol`,
-    then the true residual rhs - A x decides, and `ptol` is re-tuned
-    when the estimate and the true residual disagree.  A module function,
-    so a wrapper set on `solver.gmres` (as bench/tracer.py does) sees
-    every call."""
+    iteration knows its residual norm without forming x; the cycle stops
+    when that estimate meets the target.  A module function, so a
+    wrapper set on `solver.gmres` (as bench/tracer.py does) sees every
+    call."""
     n = rhs.size
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), 0
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     atol = rtol * bnorm
     eps = np.finfo(float).eps
     restart = min(restart, n)
-    r = rhs - matvec(x) if x.any() else rhs.copy()
-    rnorm = np.linalg.norm(r)
-    if rnorm < atol:
-        return x, 0
     basis = np.empty((restart + 1, n))
     tri = np.zeros((restart, restart))  # R of the rotated Hessenberg matrix
-    ptol = bnorm * min(1.0, rtol)
-    ptol_factor = 1.0
-    for _ in range(maxiter):
-        beta = np.linalg.norm(r)
-        basis[0] = r * (1.0 / beta)
-        g = [beta]  # rotated right-hand side beta e_1
-        rotations = []
-        for j in range(restart):
-            w = matvec(basis[j])
-            h0 = np.linalg.norm(w)
-            v = basis[: j + 1]
-            col = v @ w
-            w -= col @ v
-            again = v @ w
-            w -= again @ v
-            h1 = np.linalg.norm(w)
-            breakdown = h1 <= eps * h0  # A maps the basis into its span
-            if not breakdown:
-                basis[j + 1] = w * (1.0 / h1)
-            col = (col + again).tolist() + [0.0 if breakdown else h1]
-            for k, (c, s) in enumerate(rotations):
-                col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
-            d = math.hypot(col[j], col[j + 1])
-            rho = math.copysign(d, col[j])
-            c, s = (col[j] / rho, col[j + 1] / rho) if d else (1.0, 0.0)
-            rotations.append((c, s))
-            col[j] = rho
-            tri[: j + 1, j] = col[: j + 1]
-            g.append(-s * g[j])
-            g[j] *= c
-            presid = abs(g[j + 1])
-            if presid <= ptol or breakdown:
-                break
-        x += _back_substitute(tri[: j + 1, : j + 1], g[: j + 1]) @ basis[: j + 1]
-        r = rhs - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
+    basis[0] = rhs * (1.0 / bnorm)
+    g = [bnorm]  # rotated right-hand side |rhs| e_1
+    rotations = []
+    for j in range(restart):
+        w = matvec(basis[j])
+        h0 = np.linalg.norm(w)
+        v = basis[: j + 1]
+        col = v @ w
+        w -= col @ v
+        again = v @ w
+        w -= again @ v
+        h1 = np.linalg.norm(w)
+        breakdown = h1 <= eps * h0  # A maps the basis into its span
+        if not breakdown:
+            basis[j + 1] = w * (1.0 / h1)
+        col = (col + again).tolist() + [0.0 if breakdown else h1]
+        for k, (c, s) in enumerate(rotations):
+            col[k], col[k + 1] = c * col[k] + s * col[k + 1], c * col[k + 1] - s * col[k]
+        d = math.hypot(col[j], col[j + 1])
+        rho = math.copysign(d, col[j])
+        c, s = (col[j] / rho, col[j + 1] / rho) if d else (1.0, 0.0)
+        rotations.append((c, s))
+        col[j] = rho
+        tri[: j + 1, j] = col[: j + 1]
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= atol or breakdown:
             break
-        if presid <= ptol:  # the estimate was optimistic: aim lower
-            ptol_factor = max(eps, 0.25 * ptol_factor)
-        else:
-            ptol_factor = min(1.0, 1.5 * ptol_factor)
-        ptol = presid * min(ptol_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
+    x = _back_substitute(tri[: j + 1, : j + 1], g[: j + 1]) @ basis[: j + 1]
+    return x, int(np.linalg.norm(rhs - matvec(x)) > atol)
 
 
 def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
@@ -249,28 +226,23 @@ def _krylov_solve(
     m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
 ) -> SpectralField:
     """Real GMRES on the preconditioned packed form, refined on the true
-    residual: each of at most 3 rounds solves for the correction from
+    residual: each of at most 3 rounds, one GMRES cycle of at most
+    MAX_KRYLOV inner iterations, solves for the correction from
     the residual r - T'(m) w of the iterate so far.  P can be as
     ill-conditioned as the steady advection-diffusion block, and a round
     then leaves an error that the next removes (iterative refinement,
     Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
     Returns an iterate whose dual residual meets the target."""
     matvec, precondition = _linearized_matvec(m, cfg)
-    restart = min(cfg.max_krylov, r.coeffs.size)
     x = np.zeros(r.coeffs.size)
     res = r
     for _ in range(3):
-        # gmres counts maxiter in restart cycles; at most max_krylov
-        # inner iterations per call
-        dx, _info = gmres(
-            matvec, precondition(pack(res.coeffs)), x0=None, rtol=cfg.krylov_tol,
-            restart=restart, maxiter=cfg.max_krylov // restart,
-        )
+        dx, _info = gmres(matvec, precondition(pack(res.coeffs)), KRYLOV_TOL, MAX_KRYLOV)
         x += dx
         w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
         res = r - apply_T_prime(m, w, cfg.mu)
         rd = dual_norm(res)
-        if rd <= _residual_target(m, w, rn, cfg):
+        if rd <= _residual_target(m, w, rn):
             return w
     raise LinearSolveError(f"GMRES did not converge (dual residual {rd:.3e})")
 
@@ -285,10 +257,10 @@ def _newton(
     res = apply_T(u, cfg.mu, lam) - f
     rd = dual_norm(res)
     history = [(lam, rd)]
-    recoveries = cfg.max_recoveries
+    recoveries = MAX_RECOVERIES
     for it in range(1, cfg.max_newton + 1):
         if rd <= cfg.newton_tol:
-            return _finalize(f, u, cfg, rd, it - 1, history)
+            return SolveReport(u=u, residual_dual=rd, newton_iters=it - 1, lambda_path=history)
         try:
             # T'(u) for the homotopy operator L + lam*S has advection
             # field lam*u
@@ -301,7 +273,7 @@ def _newton(
             )
         step = 1.0
         stalled = True
-        for _ in range(cfg.max_damping):
+        for _ in range(MAX_DAMPING):
             u_try = u - step * w
             res_try = apply_T(u_try, cfg.mu, lam) - f
             rd_try = dual_norm(res_try)
@@ -330,7 +302,7 @@ def _newton(
         u, res, rd = u_try, res_try, rd_try
         history.append((lam, rd))
     if rd <= cfg.newton_tol:
-        return _finalize(f, u, cfg, rd, cfg.max_newton, history)
+        return SolveReport(u=u, residual_dual=rd, newton_iters=cfg.max_newton, lambda_path=history)
     return SolveReport(
         u=u, residual_dual=rd, newton_iters=cfg.max_newton,
         lambda_path=history, success=False,
@@ -338,40 +310,23 @@ def _newton(
     )
 
 
-def _finalize(f, u, cfg, rd, iters, history) -> SolveReport:
-    return SolveReport(
-        u=u,
-        residual_dual=rd,
-        newton_iters=iters,
-        lambda_path=history,
-        energy_gap=energy_gap(f, u, cfg.mu),
-        success=True,
-    )
-
-
 def newton_solve(
     f: SpectralField,
     u0: SpectralField | None = None,
     cfg: SolverConfig | None = None,
-    c_gn: float | None = None,
 ) -> SolveReport:
     """Damped Newton iteration on T(u) = f from the given start."""
     if cfg is None:
         raise ValueError("a SolverConfig is required")
     if u0 is None:
         u0 = zeros(f.n_t, f.n_x, f.basis)
-    report = _newton(f, u0, cfg, lam=1.0)
-    if report.success and c_gn is not None:
-        bound = apriori_bound(f, cfg.mu, c_gn)
-        report.apriori_margin = bound - aniso_norm(report.u)
-    return report
+    return _newton(f, u0, cfg, lam=1.0)
 
 
 def homotopy_solve(
     f: SpectralField,
     cfg: SolverConfig,
     c_gn: float | None = None,
-    max_bisections: int = 12,
 ) -> SolveReport:
     """Continuation in lambda from the linear solve to the Burgers solve.
 
@@ -383,7 +338,7 @@ def homotopy_solve(
     path = []
     u = solve_linear(f, cfg)
     path.append((0.0, dual_norm(apply_T(u, cfg.mu, 0.0) - f), aniso_norm(u)))
-    pending = list(cfg.homotopy_steps[1:])
+    pending = list(HOMOTOPY_STEPS[1:])
     prev_lam = 0.0
     bisections = 0
     last = None
@@ -391,7 +346,7 @@ def homotopy_solve(
         lam = pending[0]
         report = _newton(f, u, cfg, lam=lam)
         if not report.success:
-            if bisections >= max_bisections or lam - prev_lam < 1e-6:
+            if bisections >= MAX_BISECTIONS or lam - prev_lam < 1e-6:
                 raise ContinuationError(
                     f"continuation failed at lambda = {lam:.6g}: {report.message}"
                 )
@@ -406,5 +361,4 @@ def homotopy_solve(
     last.lambda_path = [(lam, rd) for lam, rd, _ in path]
     if bound is not None:
         last.apriori_margin = min(bound - nrm for _, _, nrm in path)
-    last.energy_gap = energy_gap(f, u, cfg.mu)
     return last

@@ -364,7 +364,7 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
     "command, config, override, key",
     [
         ("solve", None, "solver.homotopy_steps=[]", "config.solver.homotopy_steps"),
-        ("solve", None, 'solver.homotopy_steps=["a"]', "config.solver.homotopy_steps[0]"),
+        ("solve", None, 'solver.homotopy_steps=["a"]', "config.solver.homotopy_steps"),
         ("solve", None, "solver.max_newton=0", "config.solver.max_newton"),
         ("solve", None, "solver.newton_tol=-1", "config.solver.newton_tol"),
         ("solve", None, "solver.krylov_tol=0", "config.solver.krylov_tol"),
@@ -385,6 +385,12 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("sweep", "sweep_mu", 'n_t="x"', "config.n_t"),
         ("sweep", "sweep_mu", 'sweep={"param":"mu","values":[1.0,-1]}', "config.mu"),
         ("sweep", "sweep_mu", 'solver={"method":"x"}', "config.solver.method"),
+        # keys that no command takes, misspelt or retired
+        ("solve", None, "solver.newton_tl=5", "config.solver.newton_tl"),
+        ("solve", None, "outputs.report_pth=x.json", "config.outputs.report_pth"),
+        ("sweep", "sweep_mu", "solver.dense_threshold=0", "config.solver.dense_threshold"),
+        ("colehopf", None, "solver.max_krylov=4", "config.solver.max_krylov"),
+        ("verify", None, "outputs.field_csv=f.csv", "config.outputs.field_csv"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
@@ -407,8 +413,7 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
     ],
 )
 def test_unwritable_output_is_a_config_error(tmp_path, command, config, key):
-    # a dangling link in a writable directory passes the up-front check
-    # on the outputs; the write itself fails
+    # a dangling link in a writable directory, into a missing one
     (tmp_path / "out").symlink_to(tmp_path / "gone" / "out")
     overrides = [f"outputs.{key}=out"]
     if command == "sweep":
@@ -418,6 +423,57 @@ def test_unwritable_output_is_a_config_error(tmp_path, command, config, key):
     assert f"config.outputs.{key}: cannot write" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_dangling_report_link_fails_before_any_sweep_row(tmp_path, monkeypatch, capsys):
+    # the link's own directory is writable but the one it leads to is
+    # missing: the check on the outputs must fail before the rows run,
+    # not the report write after them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.json").symlink_to(tmp_path / "gone" / "report.json")
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    monkeypatch.setattr(solver, "homotopy_solve", no_solve)
+    argv = ["sweep", "--config", str(CONFIGS / "sweep_mu.json"),
+            "--override", "outputs.report_path=report.json"]
+    assert cli.main(argv) == 1
+    assert "config.outputs.report_path: cannot write" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "sweep_rows.csv").exists()
+
+
+def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # the worker pool is the one multi-threaded path, and the reason the
+    # transform cache has a lock: two workers build it from cold at once
+    runs = []
+    for workers in ("2", "1"):
+        monkeypatch.setenv("STBURGERS_WORKERS", workers)
+        out = tmp_path / workers
+        out.mkdir()
+        proc = run_cli(out, "sweep", config="sweep_mu")
+        assert proc.returncode == 0, proc.stderr
+        report = (out / "sweep_report.json").read_text()
+        assert proc.stdout == report
+        runs.append(([line for line in report.split("\n") if '"timestamp"' not in line],
+                     (out / "sweep_rows.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_verify_defaults_are_verify_config_defaults(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def suite(vcfg):
+        seen.append(vcfg)
+        return []
+
+    monkeypatch.setattr(cli.vf, "run_suite", suite)
+    assert run(tmp_path, "verify", {"seed": 0}) == 0
+    assert seen == [cli.vf.VerifyConfig(seed=0)]
+    capsys.readouterr()
 
 
 def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
@@ -442,7 +498,7 @@ def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.sparse.linalg is imported by the first GMRES solve only
+    # the package needs numpy only; scipy is in the test extra alone
     code = "import sys, stburgers.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -455,9 +511,9 @@ def test_gmres_path_solve_runs_without_scipy(tmp_path):
     # scipy made unimportable before the CLI loads: a GMRES-path solve
     # must neither import it nor need it
     code = (
-        "import sys; sys.modules['scipy'] = None; from stburgers import cli; "
-        f"sys.exit(cli.main(['solve', '--config', {str(CONFIGS / 'solve.json')!r}, "
-        "'--override', 'solver.dense_threshold=0']))"
+        "import sys; sys.modules['scipy'] = None; from stburgers import cli, solver; "
+        "solver.DENSE_MAX_UNKNOWNS = 0; "
+        f"sys.exit(cli.main(['solve', '--config', {str(CONFIGS / 'solve.json')!r}]))"
     )
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -500,18 +556,17 @@ def test_truncation_past_the_array_budget_is_a_config_error(
     assert os.listdir(tmp_path) == []
 
 
-def test_array_budget_follows_the_solver_path(capsys):
+def test_array_budget_follows_the_solver_path(monkeypatch, capsys):
     # at 100x100 the Krylov basis fits; the dense matrix of T'(m) and a
     # basis of a million vectors do not
-    assert cli._largest_array(100, 100, {})[0] == "Krylov basis"
-    assert cli._largest_array(64, 64, {}) == ("Krylov basis", 8 * 501 * 129 * 64)
-    for override, name in (
-        ("solver.dense_threshold=1000000", "dense matrix"),
-        ("solver.max_krylov=1000000", "Krylov basis"),
-    ):
-        argv = ["solve", "--config", str(CONFIGS / "solve.json"), "--override", "n_t=100",
-                "--override", "n_x=100", "--override", override]
-        assert cli.main(argv) == 1
+    assert cli._largest_array(100, 100)[0] == "Krylov basis"
+    assert cli._largest_array(64, 64) == ("Krylov basis", 8 * 501 * 129 * 64)
+    for constant, name in (("DENSE_MAX_UNKNOWNS", "dense matrix"), ("MAX_KRYLOV", "Krylov basis")):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, constant, 10**6)
+            argv = ["solve", "--config", str(CONFIGS / "solve.json"), "--override", "n_t=100",
+                    "--override", "n_x=100"]
+            assert cli.main(argv) == 1
         assert f"needs a {name} of" in capsys.readouterr().err
 
 

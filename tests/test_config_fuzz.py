@@ -15,16 +15,7 @@ MISSING = object()
 MUTATIONS = [MISSING, None, True, "x", -1, 0, math.nan, [], {}]
 
 MODE = {"n": 1, "m": 1, "re": 0.2, "im": -0.1}
-SOLVER = {
-    "method": "homotopy",
-    "homotopy_steps": [0.0, 0.5, 1.0],
-    "newton_tol": 1e-10,
-    "max_newton": 10,
-    "krylov_tol": 1e-12,
-    "max_krylov": 40,
-    "dense_threshold": 2000,
-    "max_damping": 10,
-}
+SOLVER = {"method": "homotopy", "newton_tol": 1e-10, "max_newton": 10}
 OUTPUTS = {"report_path": "report.json", "field_csv_path": "field.csv", "grid_m_t": 7, "grid_m_x": 5}
 PROBLEM = {"mu": 1.0, "n_t": 2, "n_x": 2, "forcing": {"modes": [MODE]}, "solver": SOLVER}
 

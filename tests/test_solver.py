@@ -49,32 +49,41 @@ def test_newton_quadratic_tail():
     assert slopes and max(slopes) > 1.8
 
 
-def test_dense_and_krylov_solves_agree():
+def forced_path(monkeypatch, path):
+    """Send every linearized solve down `path`, "dense" or "gmres"."""
+    monkeypatch.setattr(solver, "DENSE_MAX_UNKNOWNS", 10**6 if path == "dense" else 0)
+
+
+def test_dense_and_krylov_solves_agree(monkeypatch):
     mu = 0.3
     f = 0.4 * random_field(3, 6, 6, 2.0)
-    dense = newton_solve(f, None, SolverConfig(mu=mu, dense_threshold=10**6))
-    kry = newton_solve(f, None, SolverConfig(mu=mu, dense_threshold=0))
+    reports = []
+    for path in ("dense", "gmres"):
+        forced_path(monkeypatch, path)
+        reports.append(newton_solve(f, None, SolverConfig(mu=mu)))
+    dense, kry = reports
     assert dense.success and kry.success
     assert np.max(np.abs(dense.u.coeffs - kry.u.coeffs)) < 1e-8
 
 
-@pytest.mark.parametrize("dense_threshold", [10**6, 0], ids=["dense", "gmres"])
-def test_solve_linearized_returns_a_real_field(dense_threshold):
+@pytest.mark.parametrize("path", ["dense", "gmres"])
+def test_solve_linearized_returns_a_real_field(monkeypatch, path):
     # a Newton residual, Hermitian only to rounding; the solve works on
     # the real coordinates of the Hermitian half, so w is real exactly
     mu = 0.3
     f = 0.4 * random_field(3, 6, 5, 2.0)
     m = random_field(4, 6, 5, 1.5)
     r = apply_T(m, mu) - f
-    w = solve_linearized(m, r, SolverConfig(mu=mu, dense_threshold=dense_threshold))
+    forced_path(monkeypatch, path)
+    w = solve_linearized(m, r, SolverConfig(mu=mu))
     assert w.hermitian_defect() == 0.0
     assert dual_norm(apply_T_prime(m, w, mu) - r) <= 1e-11 * dual_norm(r)
 
 
 def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     # a strongly advected linearization that GMRES cannot solve in a few
-    # iterations: each of the three GMRES calls (refinement rounds) starts
-    # from zero and may spend at most max_krylov inner iterations plus its
+    # iterations: each of the three GMRES cycles (refinement rounds) starts
+    # from zero and may spend at most MAX_KRYLOV inner iterations plus its
     # one true residual b - A x, the solver checks the dual residual of
     # each round's iterate once, and the Newton solve then reports the
     # failure instead of raising
@@ -97,12 +106,14 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     monkeypatch.setattr(solver, "apply_T_prime", counting_residual)
     f = 2.0 * random_field(3, 6, 6, 2.0)
     u0 = 2.0 * random_field(4, 6, 6, 1.0)
-    cfg = SolverConfig(mu=0.05, max_krylov=4, dense_threshold=0)
-    rep = newton_solve(f, u0, cfg)
+    krylov = 4
+    monkeypatch.setattr(solver, "MAX_KRYLOV", krylov)
+    forced_path(monkeypatch, "gmres")
+    rep = newton_solve(f, u0, SolverConfig(mu=0.05))
     assert not rep.success
     assert "GMRES did not converge" in rep.message
     assert rep.u is u0
-    assert 0 < len(applies) <= 3 * (cfg.max_krylov + 1)
+    assert 0 < len(applies) <= 3 * (krylov + 1)
     assert len(residuals) == 3
 
 
@@ -118,7 +129,7 @@ class Counted:
 
 
 def test_gmres_zero_rhs_returns_zero():
-    x, info = solver.gmres(Counted(lambda v: 2.0 * v), np.zeros(7), None, 1e-12, 7, 1)
+    x, info = solver.gmres(Counted(lambda v: 2.0 * v), np.zeros(7), 1e-12, 7)
     assert info == 0 and x.shape == (7,) and not x.any()
 
 
@@ -127,22 +138,29 @@ def test_gmres_identity_breaks_down_after_one_inner_iteration():
     # inner iteration plus the cycle's true residual are the only applies
     b = np.random.default_rng(0).standard_normal(40)
     matvec = Counted(lambda v: v.copy())
-    x, info = solver.gmres(matvec, b, None, 1e-12, 40, 5)
+    x, info = solver.gmres(matvec, b, 1e-12, 40)
     assert info == 0
     assert matvec.calls == 2
     assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("restart, maxiter", [(30, 1), (6, 200)], ids=["full", "restarted"])
+@pytest.mark.parametrize("restart", [30, 6], ids=["full", "restarted"])
 @pytest.mark.parametrize("seed", range(4))
-def test_gmres_matches_a_direct_solve(seed, restart, maxiter):
+def test_gmres_matches_a_direct_solve(seed, restart):
+    # "full": one cycle of the system's dimension; "restarted": cycles of
+    # 6 inner iterations, each from zero on the residual of the sum of
+    # the ones before, the restart that the refinement rounds of
+    # `_krylov_solve` make
     rng = np.random.default_rng(seed)
     a = np.eye(30) + 0.4 * rng.standard_normal((30, 30)) / np.sqrt(30)
     b = rng.standard_normal(30)
-    x0 = None if seed % 2 else rng.standard_normal(30)
-    x, info = solver.gmres(lambda v: a @ v, b, x0, 1e-12, restart, maxiter)
-    assert info == 0
-    assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+    x, cycles = np.zeros(30), []
+    while np.linalg.norm(b - a @ x) > 1e-12 * np.linalg.norm(b):
+        assert len(cycles) < 200
+        dx, info = solver.gmres(lambda v: a @ v, b - a @ x, 1e-12, restart)
+        x += dx
+        cycles.append(info)
+    assert cycles == [0] if restart == 30 else len(cycles) > 1
     ref = np.linalg.solve(a, b)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -151,7 +169,7 @@ def test_gmres_reports_nonconvergence():
     # eigenvalues 1..50: two inner iterations cannot reach 1e-12
     a = np.diag(np.arange(1.0, 51.0))
     b = np.ones(50)
-    x, info = solver.gmres(lambda v: a @ v, b, None, 1e-12, 2, 1)
+    x, info = solver.gmres(lambda v: a @ v, b, 1e-12, 2)
     assert info != 0
     assert np.linalg.norm(b - a @ x) < np.linalg.norm(b)
 
@@ -168,23 +186,26 @@ def test_gmres_inner_iterations_match_scipy(seed, mu):
     matvec, precondition = solver._linearized_matvec(m, cfg)
     rhs = precondition(fields.pack(r.coeffs))
     ours = Counted(matvec)
-    x, info = solver.gmres(ours, rhs, None, cfg.krylov_tol, rhs.size, 1)
+    x, info = solver.gmres(ours, rhs, solver.KRYLOV_TOL, rhs.size)
     theirs = Counted(matvec)
     op = scipy_linalg.LinearOperator((rhs.size, rhs.size), matvec=theirs, dtype=float)
-    y, yinfo = scipy_linalg.gmres(op, rhs, rtol=cfg.krylov_tol, atol=0.0, restart=rhs.size, maxiter=1)
+    y, yinfo = scipy_linalg.gmres(op, rhs, rtol=solver.KRYLOV_TOL, atol=0.0, restart=rhs.size, maxiter=1)
     assert info == yinfo == 0
     assert abs(ours.calls - theirs.calls) <= 1, (ours.calls, theirs.calls)
     assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
 
 
-def test_refinement_carries_a_high_peclet_gmres_solve(base_forcing):
+def test_refinement_carries_a_high_peclet_gmres_solve(monkeypatch, base_forcing):
     # mu = 0.02, amplitude 2.5: the time-mean preconditioner is as
     # ill-conditioned as the steady advection-diffusion block here, and a
     # single GMRES round stalls above the residual target; the refinement
     # rounds on the true residual must give the dense path's solve
     f = 2.5 * truncate(base_forcing, 12, 12)
-    dense = homotopy_solve(f, SolverConfig(mu=0.02, max_newton=60, dense_threshold=10**6))
-    kry = homotopy_solve(f, SolverConfig(mu=0.02, max_newton=60, dense_threshold=0))
+    reports = []
+    for path in ("dense", "gmres"):
+        forced_path(monkeypatch, path)
+        reports.append(homotopy_solve(f, SolverConfig(mu=0.02, max_newton=60)))
+    dense, kry = reports
     assert dense.success and kry.success
     assert kry.newton_iters == dense.newton_iters
     assert len(kry.lambda_path) == len(dense.lambda_path)
@@ -198,7 +219,8 @@ def test_failed_preconditioner_eigensolve_fails_the_newton_step(monkeypatch):
     monkeypatch.setattr(solver.np.linalg, "eig", broken_eig)
     f = 0.4 * random_field(3, 6, 6, 2.0)
     u0 = random_field(4, 6, 6, 1.0)
-    rep = newton_solve(f, u0, SolverConfig(mu=0.3, dense_threshold=0))
+    forced_path(monkeypatch, "gmres")
+    rep = newton_solve(f, u0, SolverConfig(mu=0.3))
     assert not rep.success
     assert rep.newton_iters == 0 and rep.u is u0
     assert "preconditioner" in rep.message and "did not converge" in rep.message
@@ -227,7 +249,7 @@ def test_default_config_routes_the_linearized_solve_by_size(monkeypatch, n, path
     assert calls == {"dense": int(path == "dense"), "gmres": int(path == "gmres")}
 
 
-def test_default_path_matches_dense_on_the_hardest_fixture_cell(test_matrix):
+def test_default_path_matches_dense_on_the_hardest_fixture_cell(monkeypatch, test_matrix):
     # the fixture's 16x16 solves take GMRES by default; on its hardest
     # cell the dense path must take the same Newton iterations and lambda
     # steps to the same solution, for the homotopy and for the Newton
@@ -235,7 +257,8 @@ def test_default_path_matches_dense_on_the_hardest_fixture_cell(test_matrix):
     mu, amp = 0.05, 2.5
     cell = test_matrix[(mu, amp)]
     f = cell["f"]
-    cfg = SolverConfig(mu=mu, max_newton=60, dense_threshold=10**6)
+    cfg = SolverConfig(mu=mu, max_newton=60)
+    forced_path(monkeypatch, "dense")
     pairs = [
         (homotopy_solve(f, cfg), cell["homotopy"]),
         (newton_solve(f, solve_linear(f, cfg), cfg), cell["starts"][1]),
@@ -296,14 +319,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mu=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(mu=1.0, homotopy_steps=(0.0, 0.5, 0.4, 1.0))
-    with pytest.raises(ValueError):
-        SolverConfig(mu=1.0, homotopy_steps=(0.1, 1.0))
-    with pytest.raises(ValueError):
         newton_solve(random_field(2, 4, 4, 2.0))
 
 
-@pytest.mark.parametrize("key", ["newton_tol", "krylov_tol"])
+@pytest.mark.parametrize("key", ["newton_tol"])
 def test_config_rejects_nonpositive_tolerances(key):
     # a tolerance of zero or below can never be met
     for value in (0.0, -1.0):
@@ -311,13 +330,10 @@ def test_config_rejects_nonpositive_tolerances(key):
             SolverConfig(mu=1.0, **{key: value})
 
 
-@pytest.mark.parametrize(
-    "key, least",
-    [("max_newton", 1), ("max_krylov", 1), ("max_damping", 1), ("dense_threshold", 0), ("max_recoveries", 0)],
-)
+@pytest.mark.parametrize("key, least", [("max_newton", 1)])
 def test_config_rejects_counts_below_their_least_value(key, least):
-    # the bounds the CLI checks on config.solver; max_damping = 0 would
-    # otherwise mark every Newton step as stalled
+    # the bound the CLI checks on config.solver; max_newton = 0 would
+    # otherwise fail every solve that does not start converged
     with pytest.raises(ValueError, match=f"{key} must be at least {least}"):
         SolverConfig(mu=1.0, **{key: least - 1})
     assert getattr(SolverConfig(mu=1.0, **{key: least}), key) == least
