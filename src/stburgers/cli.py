@@ -355,14 +355,15 @@ def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
 def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     """(name, bytes) of the largest array that a solve at truncation
     (n_t, n_x) allocates: the real dense matrix of T'(m) or the Krylov
-    basis, whichever the solve uses, the complex values of a product on
-    its padded grid, or the complex time matrix that analyses that grid."""
+    basis, whichever the solve uses, the real values of a product on its
+    padded grid, or the complex time matrix that its packed one is built
+    from."""
     n = (2 * n_t + 1) * n_x
     if n <= sv.DENSE_MAX_UNKNOWNS:
         linear = ("dense matrix", 8 * n * n)
     else:
         linear = ("Krylov basis", 8 * (min(sv.MAX_KRYLOV, n) + 1) * n)
-    grid = ("product grid", 16 * (4 * n_t + 1) * (4 * n_x + 2))
+    grid = ("product grid", 8 * (4 * n_t + 1) * (4 * n_x + 2))
     time = ("time matrix", 16 * (4 * n_t + 1) ** 2)
     return max(linear, grid, time, key=lambda named: named[1])
 
@@ -446,13 +447,14 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     if csv_path:
         m_t, m_x = m_t or 4 * (n_t + 1), m_x or 4 * (n_x + 1)
         xs = fd.space_nodes(m_x, result.u.basis)
-        write_field_csv(csv_path, fd.time_nodes(m_t), xs, fd.evaluate(result.u, m_t, m_x).real)
+        write_field_csv(csv_path, fd.time_nodes(m_t), xs, fd.evaluate(result.u, m_t, m_x))
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
-    # verify solves with the default solver settings; every key but the
-    # seed defaults to its VerifyConfig value
+    # every key but the seed defaults to its VerifyConfig value
+    if "solver" in cfg:
+        raise ConfigError("config.solver: not read (verify solves with the default settings)")
     defaults = vf.VerifyConfig
     n_t, n_x = _truncation(cfg, defaults=defaults)
     solve_n_t, solve_n_x = _truncation(cfg, ("solve_n_t", "solve_n_x"), defaults)
@@ -567,6 +569,8 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
 def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
+        if "solver" in cfg:
+            raise ConfigError("config.solver: not read (a run on a phi_file solves nothing)")
         path = _get(cfg, "phi_file", str)
         mu = _positive(cfg, "mu")
         g = _read_grid(path, fd.Basis.NEUMANN_COSINE, "config.phi_file")

@@ -145,7 +145,7 @@ def _pointwise_map(
     caller monitors the equation residual of the projection."""
     m_t = pad * (2 * n_t_out + 1)
     m_x = pad * (n_x_out + 1)
-    vals = fn(evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE).real)
+    vals = fn(evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE))
     return analyse(vals, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
@@ -170,7 +170,7 @@ def chain_rule_defect(
     m_x = 2 * (n_x_p + 2)
 
     def ev(u):
-        return evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE).real
+        return evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
 
     w = d_x(W)
     vg = ev(v)
@@ -184,7 +184,7 @@ def chain_rule_defect(
 def grid_min(u: SpectralField, pad: int = 4) -> float:
     m_t = max(pad * (2 * u.n_t + 1), 8)
     m_x = max(pad * (u.n_x + 1), 8)
-    return float(evaluate(u, m_t, m_x).real.min())
+    return float(evaluate(u, m_t, m_x).min())
 
 
 def grid_max(u: SpectralField, pad: int = 4) -> float:
@@ -215,8 +215,8 @@ def s2_to_s3(
     m_t = 4 * (2 * phi.n_t + 1)
     m_x = 4 * (phi.n_x + 2)
     mid = Basis.NEUMANN_COSINE  # midpoint nodes
-    exact = np.exp(-evaluate(W, m_t, m_x, mid).real / (2.0 * mu)) / top
-    defect = float(np.abs(evaluate(phi, m_t, m_x, mid).real - exact).max())
+    exact = np.exp(-evaluate(W, m_t, m_x, mid) / (2.0 * mu)) / top
+    defect = float(np.abs(evaluate(phi, m_t, m_x, mid) - exact).max())
     if defect > resid_tol:
         raise ProjectionAccuracyError(
             f"projected exponential misses its pointwise values by {defect:.3e} "

@@ -211,34 +211,35 @@ def _space_layout(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
     return space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
 
 
-# E for the time layout (n_t, m_t); B for the space layout (n_x, m_x,
-# node family, basis), that is, `basis` evaluated on the m_x nodes of the
-# grid that belongs to `nodes`.  The builders look the eval functions up
-# at call time, so a wrapper set on the module attribute (as
-# bench/tracer.py does) sees every cache miss.
+# E for the time layout (n_t, m_t), read by advection_matrix alone; B for
+# the space layout (n_x, m_x, node family, basis), that is, `basis`
+# evaluated on the m_x nodes of the grid that belongs to `nodes`.  The
+# builders look the eval functions up at call time, so a wrapper set on
+# the module attribute (as bench/tracer.py does) sees every cache miss.
 time_matrix = LayoutCache(lambda n_t, m_t: time_eval_matrix(n_t, m_t))
 space_matrix = LayoutCache(_space_layout)
 
 
 def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
-    """Complex values (E @ c) @ B.T of u on the m_t x m_x grid of the
-    node family `nodes` (by default the family of u's own basis)."""
-    e = time_matrix(u.n_t, m_t)
+    """Real values (R @ pack(c)) @ B.T of u on the m_t x m_x grid of the
+    node family `nodes` (by default the family of u's own basis); like
+    `pack`, it drops an anti-Hermitian part of the coefficients c."""
+    r = packed_time_matrix(u.n_t, m_t)
     b = space_matrix(u.n_x, m_x, u.basis if nodes is None else nodes, u.basis)
-    return (e @ u.coeffs) @ b.T
+    return (r @ pack(u.coeffs)) @ b.T
 
 
 def analyse(values: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:
-    """Discrete analysis of grid values on the node family of `basis`;
-    the exact inverse of `evaluate` on band-limited fields."""
+    """Exactly Hermitian analysis unpack(R^T (values B)) / (m_t w) of real
+    grid values on the node family of `basis`; the exact inverse of
+    `evaluate` on band-limited fields."""
     m_t, m_x = values.shape
-    e = time_matrix(n_t, m_t)
+    r = packed_time_matrix(n_t, m_t)
     b = space_matrix(n_x, m_x, basis, basis)
     # discrete orthogonality weight: sum_i b_j(x_i)^2 = m_x+1 on sine
     # nodes and m_x on midpoint cosine nodes, for every basis function
     w = (m_x + 1) if basis is Basis.DIRICHLET_SINE else m_x
-    coeffs = (e.conj().T @ values @ b) / (m_t * w)
-    return SpectralField(coeffs, n_t, n_x, basis)
+    return SpectralField(unpack(r.T @ (values @ b) / (m_t * w)), n_t, n_x, basis)
 
 
 def zeros(n_t: int, n_x: int, basis: Basis = Basis.DIRICHLET_SINE) -> SpectralField:
@@ -281,12 +282,8 @@ def to_grid(u: SpectralField, m_t: int, m_x: int) -> GridField:
         raise ResolutionError(
             f"grid {m_t}x{m_x} too small for truncation ({u.n_t}, {u.n_x})"
         )
-    vals = evaluate(u, m_t, m_x)
-    scale = max(1.0, np.abs(vals).max())
-    imag = np.abs(vals.imag).max()
-    if imag > 1e-12 * scale:
-        raise ValueError(f"grid evaluation has imaginary residue {imag:.3e}")
-    return GridField(vals.real, m_t, m_x, u.basis)
+    _require_real(u, "to_grid")
+    return GridField(evaluate(u, m_t, m_x), m_t, m_x, u.basis)
 
 
 def to_spectral(g: GridField, n_t: int, n_x: int, basis: Basis | None = None) -> SpectralField:
@@ -341,10 +338,9 @@ def product_cosine(
     if n_x_out is None:
         n_x_out = 2 * u.n_x
     m_t, m_x = _product_grid(u, n_t_out, n_x_out)
-    # stays complex-bilinear so linearized solves may pass non-Hermitian
-    # intermediates through; real inputs give real products automatically
+    # real values on the grid; evaluate drops an anti-Hermitian part
     gu = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
-    gv = evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
+    gv = gu if v is u else evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
     return analyse(gu * gv, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
@@ -370,12 +366,11 @@ def unpack(x: np.ndarray) -> np.ndarray:
     return np.concatenate([upper[:0:-1].conj(), upper])
 
 
-def _real_grid(m: SpectralField, m_t: int, m_x: int) -> np.ndarray:
-    """Values of m on the m_t x m_x midpoint grid, which must be real."""
-    g = evaluate(m, m_t, m_x, Basis.NEUMANN_COSINE)
-    if np.abs(g.imag).max() > 1e-12 * max(1.0, np.abs(g).max()):
-        raise ValueError("advection operator expects a real field (Hermitian coefficients)")
-    return g.real
+def _require_real(u: SpectralField, what: str) -> None:
+    """Raise unless u is real: Hermitian coefficients to a relative 1e-12."""
+    defect = u.hermitian_defect()
+    if defect > 1e-12 * max(1.0, np.abs(u.coeffs).max()):
+        raise ValueError(f"{what} expects a real field (Hermitian coefficients): {defect:.3e}")
 
 
 def advection_matrix(m: SpectralField) -> np.ndarray:
@@ -400,10 +395,11 @@ def advection_matrix(m: SpectralField) -> np.ndarray:
     real matrix; no complex matrix is built."""
     if m.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("advection_matrix expects a Dirichlet-sine field")
+    _require_real(m, "advection_matrix")
     n_t, n_x = m.n_t, m.n_x
     m_t, m_x = _product_grid(m, n_t, n_x)
     mid = Basis.NEUMANN_COSINE
-    diffs = time_matrix(2 * n_t, m_t).T @ _real_grid(m, m_t, m_x)  # [i - n, x]
+    diffs = time_matrix(2 * n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
@@ -431,14 +427,14 @@ def advection_matrix(m: SpectralField) -> np.ndarray:
 
 def _packed_time_layout(n_t: int, m_t: int) -> np.ndarray:
     # E restricted to modes n >= 0, split as `pack` splits coefficients
-    e = time_matrix(n_t, m_t)[:, n_t:]
+    e = time_eval_matrix(n_t, m_t)[:, n_t:]
     return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
 
 
 # R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
 # -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
-# coordinates; R x are the values in time of unpack(x), and
-# R^T R = m_t I when m_t > 2 n_t
+# coordinates; R x are the values in time of unpack(x), unpack(R^T g)
+# is E^H g for real g, and R^T R = m_t I when m_t > 2 n_t
 packed_time_matrix = LayoutCache(_packed_time_layout)
 
 
@@ -461,6 +457,7 @@ def advection_operator(m: SpectralField):
     packed coordinates, since R^T R = m_t I."""
     if m.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("advection_operator expects a Dirichlet-sine field")
+    _require_real(m, "advection_operator")
     rows, n_x = 2 * m.n_t + 1, m.n_x
     m_t, m_x = _product_grid(m, m.n_t, n_x)
     mid = Basis.NEUMANN_COSINE
@@ -470,7 +467,7 @@ def advection_operator(m: SpectralField):
     s_t = np.ascontiguousarray(space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE).T)  # [j, x]
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))  # [x, k]
-    g = _real_grid(m, m_t, m_x)  # [t, x]
+    g = evaluate(m, m_t, m_x, mid)  # [t, x]
 
     def apply(x: np.ndarray) -> np.ndarray:
         p = (r @ x.reshape(rows, n_x)) @ s_t
@@ -499,10 +496,8 @@ def mean_advection_block(m: SpectralField) -> np.ndarray:
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)  # [x, j]
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / m_x)  # [x, k]
-    mean = m.coeffs[m.n_t]
-    if np.abs(mean.imag).max() > 1e-12 * max(1.0, np.abs(mean).max()):
-        raise ValueError("mean_advection_block expects a real field (Hermitian coefficients)")
-    g0 = s @ mean.real
+    _require_real(m, "mean_advection_block")
+    g0 = s @ m.coeffs[m.n_t].real
     return c.T @ (g0[:, None] * s)
 
 

@@ -87,5 +87,5 @@ def denormalize(
         m_x = u_bar.n_x + 1
     tbar = time_nodes(m_t)
     xbar = space_nodes(m_x, u_bar.basis)
-    vals = (p.length / p.period) * evaluate(u_bar, m_t, m_x).real
+    vals = (p.length / p.period) * evaluate(u_bar, m_t, m_x)
     return PhysicalField(times=p.period * tbar, positions=p.length * xbar, values=vals)

@@ -391,6 +391,11 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("sweep", "sweep_mu", "solver.dense_threshold=0", "config.solver.dense_threshold"),
         ("colehopf", None, "solver.max_krylov=4", "config.solver.max_krylov"),
         ("verify", None, "outputs.field_csv=f.csv", "config.outputs.field_csv"),
+        # runs that never read a solver section: verify solves with the
+        # defaults, and a phi_file run solves nothing
+        ("verify", None, "solver.newton_tl=5", "config.solver"),
+        ("verify", None, "solver.newton_tol=1e-8", "config.solver"),
+        ("colehopf", None, "phi_file=phi.csv", "config.solver"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):

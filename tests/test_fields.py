@@ -3,8 +3,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stburgers.fields import (
+    SQRT2,
     TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
@@ -12,13 +14,18 @@ from stburgers.fields import (
     LayoutCache,
     ResolutionError,
     SpectralField,
+    advection_matrix,
+    analyse,
     cosine_to_sine_projection,
     dealiased_product,
+    evaluate,
     grid_quadrature,
     pack,
+    packed_time_matrix,
     product_cosine,
     random_field,
     set_mode,
+    space_columns,
     space_eval_matrix,
     space_matrix,
     space_nodes,
@@ -111,6 +118,52 @@ def test_pack_drops_the_anti_hermitian_part_and_is_the_adjoint_of_unpack():
     lhs = np.vdot(pack(c), x)
     rhs = np.vdot(c, unpack(x)).real
     assert abs(lhs - rhs) <= 1e-14 * np.abs(c).sum() * np.abs(x).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 40),
+    n_x=st.integers(1, 40),
+    basis=st.sampled_from(list(Basis)),
+    nodes=st.sampled_from(list(Basis)),
+    hermitian=st.booleans(),
+    extra_t=st.integers(-1, 40),
+    extra_x=st.integers(-1, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_evaluate_matches_the_complex_formula(n_t, n_x, basis, nodes, hermitian, extra_t, extra_x, seed):
+    # the oracle is the complex transform ((E @ c) @ B.T).real, the values
+    # of the Hermitian part of c, which evaluate computes in real arithmetic
+    rows, cols = 2 * n_t + 1, space_columns(n_x, basis)
+    m_t, m_x = max(1, rows + extra_t), max(1, cols + extra_x)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if hermitian:
+        c = 0.5 * (c + c[::-1].conj())
+    e = time_eval_matrix(n_t, m_t)
+    b = space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
+    ref = ((e @ c) @ b.T).real
+    got = evaluate(SpectralField(c, n_t, n_x, basis), m_t, m_x, nodes)
+    assert got.dtype == float and got.shape == (m_t, m_x)
+    assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), np.abs(c).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 40),
+    n_x=st.integers(1, 40),
+    basis=st.sampled_from(list(Basis)),
+    extra_t=st.integers(0, 40),
+    extra_x=st.integers(0, 40),
+    decay=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_analyse_inverts_evaluate(n_t, n_x, basis, extra_t, extra_x, decay, seed):
+    u = random_field(seed, n_t, n_x, decay, basis)
+    m_t, m_x = 2 * n_t + 1 + extra_t, space_columns(n_x, basis) + extra_x
+    back = analyse(evaluate(u, m_t, m_x), n_t, n_x, basis)
+    assert back.hermitian_defect() == 0.0
+    assert np.abs(back.coeffs - u.coeffs).max() <= 1e-13 * np.abs(u.coeffs).max()
 
 
 def test_to_grid_rejects_imaginary_residue():
@@ -235,9 +288,14 @@ def test_cached_matrices_equal_the_eval_matrices():
     to_spectral(to_grid(u, 16, 12), 5, 4)
     dealiased_product(u, u)
     to_grid(product_cosine(u, u), 24, 20)
-    assert time_matrix.entries() and space_matrix.entries()
+    advection_matrix(u)
+    assert time_matrix.entries() and packed_time_matrix.entries() and space_matrix.entries()
     for (n_t, m_t), e in time_matrix.entries():
         assert np.array_equal(e, time_eval_matrix(n_t, m_t))
+    for (n_t, m_t), r in packed_time_matrix.entries():
+        e = time_eval_matrix(n_t, m_t)[:, n_t + 1 :]
+        packed = np.concatenate([np.ones((m_t, 1)), SQRT2 * e.real, -SQRT2 * e.imag], axis=1)
+        assert np.array_equal(r, packed)
     for (n_x, m_x, nodes, basis), b in space_matrix.entries():
         assert np.array_equal(b, space_eval_matrix(n_x, space_nodes(m_x, nodes), basis))
 
