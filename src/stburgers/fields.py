@@ -24,8 +24,9 @@ from .errors import StburgersError
 
 SQRT2 = np.sqrt(2.0)
 # layouts each transform cache holds before it evicts the least recently
-# used one; the verify suite with the Cole-Hopf chain at the configs/
-# sizes uses 17 time and 33 space layouts (1.3 MB in all)
+# used one; configs/verify.json (its Cole-Hopf chain included) uses 10
+# time and 24 space layouts (0.31 MB in all), and with configs/colehopf.json
+# run in the same process 14 and 31 (0.54 MB)
 TRANSFORM_CACHE_SIZE = 64
 
 
@@ -211,13 +212,25 @@ def _space_layout(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
     return space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
 
 
-# E for the time layout (n_t, m_t), read by advection_matrix alone; B for
-# the space layout (n_x, m_x, node family, basis), that is, `basis`
-# evaluated on the m_x nodes of the grid that belongs to `nodes`.  The
-# builders look the eval functions up at call time, so a wrapper set on
-# the module attribute (as bench/tracer.py does) sees every cache miss.
-time_matrix = LayoutCache(lambda n_t, m_t: time_eval_matrix(n_t, m_t))
+# B for the space layout (n_x, m_x, node family, basis), that is,
+# `basis` evaluated on the m_x nodes of the grid that belongs to `nodes`.
+# Its builder looks space_eval_matrix up at call time, as the packed time
+# layout below does time_eval_matrix, so a wrapper set on the module
+# attribute (as bench/tracer.py does) sees every cache miss.
 space_matrix = LayoutCache(_space_layout)
+
+
+def _packed_time_layout(n_t: int, m_t: int) -> np.ndarray:
+    # E restricted to modes n >= 0, split as `pack` splits coefficients
+    e = time_eval_matrix(n_t, m_t)[:, n_t:]
+    return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+
+
+# R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
+# -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
+# coordinates; R x are the values in time of unpack(x), unpack(R^T g)
+# is E^H g for real g, and R^T R = m_t I when m_t > 2 n_t
+packed_time_matrix = LayoutCache(_packed_time_layout)
 
 
 def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
@@ -264,6 +277,8 @@ def set_mode(
 ) -> SpectralField:
     """Return a copy with mode (n, m) set to `value` and (-n, m) to its
     conjugate.  For n = 0 a real value is required."""
+    if abs(n) > field.n_t:
+        raise ValueError(f"time mode {n} not representable at truncation n_t = {field.n_t}")
     if n == 0 and abs(complex(value).imag) > 0:
         raise ValueError("n = 0 coefficients must be real")
     cols = field.space_modes
@@ -373,101 +388,63 @@ def _require_real(u: SpectralField, what: str) -> None:
         raise ValueError(f"{what} expects a real field (Hermitian coefficients): {defect:.3e}")
 
 
-def advection_matrix(m: SpectralField) -> np.ndarray:
-    """Real matrix of the linear map w -> (m w)_x, the x-derivative of
-    product_cosine(m, w, n_t, n_x), on the packed (`pack`) Dirichlet-sine
-    coefficients of m's truncation; m must be real.
+def _advection_factors(m: SpectralField, what: str):
+    """The factors (R, S, C, g) of the linear map w -> (m w)_x, the
+    x-derivative of product_cosine(m, w, n_t, n_x), on the packed (`pack`)
+    Dirichlet-sine coefficients of m's truncation; m must be real.
 
-    On the padded grid of that product, with g = m on the grid, E the
-    time matrix and S, C the sine and cosine matrices on midpoint nodes,
-    the complex matrix on all coefficients is block Toeplitz,
-
-        A[(n, k), (i, j)] = B[i - n][k, j]
-                          = sum_t sum_x conj(E[t, n]) E[t, i] g[t, x]
-                            * S[x, j] (-k pi) C[x, k] / (m_t m_x),
-
-    so the sum over t is one product for the 4 n_t + 1 differences and
-    the sum over x one more.  For real g, B[-d] = conj(B[d]), and on a
-    Hermitian w = a + i b the rows n >= 0 of (m w)_x are the sum over
-    i >= 0 of (P[n, i] a[i] + i M[n, i] b[i]) / (2 if i = 0 else 1), with
-    the Toeplitz and Hankel slices P, M = B[i - n] +- B[-i - n].  Their
-    real and imaginary parts, scaled by the packing weights, fill the
-    real matrix; no complex matrix is built."""
+    On the padded grid of that product, R is the packed time matrix
+    [t, i], S the midpoint sine matrix [x, j], C the midpoint cosine
+    matrix of modes 1..n_x scaled by the derivative factor
+    -k pi / (m_t m_x) [x, k], and g the real values of m [t, x]."""
     if m.basis is not Basis.DIRICHLET_SINE:
-        raise BasisMismatchError("advection_matrix expects a Dirichlet-sine field")
-    _require_real(m, "advection_matrix")
-    n_t, n_x = m.n_t, m.n_x
-    m_t, m_x = _product_grid(m, n_t, n_x)
+        raise BasisMismatchError(f"{what} expects a Dirichlet-sine field")
+    _require_real(m, what)
+    n_x = m.n_x
+    m_t, m_x = _product_grid(m, m.n_t, n_x)
     mid = Basis.NEUMANN_COSINE
-    diffs = time_matrix(2 * n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
+    r = packed_time_matrix(m.n_t, m_t)
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
-    d = (c[:, :, None] * s[:, None, :]).reshape(m_x, n_x * n_x)  # [x, (k, j)]
-    blocks = (diffs @ d).reshape(4 * n_t + 1, n_x, n_x)  # [i - n + 2 n_t, k, j]
-    h = n_t + 1
-    a = np.empty((2 * n_t + 1, n_x, 2 * n_t + 1, n_x))  # [row, k, col, j]
-    for n in range(h):
-        toeplitz = blocks[2 * n_t - n : 3 * n_t - n + 1]  # B[i - n], i = 0..n_t
-        hankel = blocks[n_t - n : 2 * n_t - n + 1][::-1]  # B[-i - n]
-        p = (toeplitz + hankel).transpose(1, 0, 2)  # [k, i, j]
-        q = (toeplitz[1:] - hankel[1:]).transpose(1, 0, 2)
-        a[n, :, :h] = p.real
-        a[n, :, h:] = -q.imag
-        if n:
-            a[n_t + n, :, :h] = p.imag
-            a[n_t + n, :, h:] = q.real
-    # packed coordinates weigh mode n by w[n] = (1, sqrt 2, ..., sqrt 2):
-    # entry (n, i) scales by w[n] / (w[i] (2 if i = 0 else 1)), which is
-    # 1/sqrt 2 on the row block and on the column block of mode 0
-    a[0] /= SQRT2
-    a[:, :, 0] /= SQRT2
-    return a.reshape(a.shape[0] * n_x, -1)
+    return r, s, c, evaluate(m, m_t, m_x, mid)
 
 
-def _packed_time_layout(n_t: int, m_t: int) -> np.ndarray:
-    # E restricted to modes n >= 0, split as `pack` splits coefficients
-    e = time_eval_matrix(n_t, m_t)[:, n_t:]
-    return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+def advection_matrix(m: SpectralField) -> np.ndarray:
+    """Real matrix of advection_operator(m)'s map w -> (m w)_x on packed
+    Dirichlet-sine coefficients, contracted from the same factors:
 
+        A[(n, k), (i, j)] = sum_t R[t, n] R[t, i] h[t, k, j],
+        h[t, k, j] = sum_x C[x, k] g[t, x] S[x, j],
 
-# R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
-# -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
-# coordinates; R x are the values in time of unpack(x), unpack(R^T g)
-# is E^H g for real g, and R^T R = m_t I when m_t > 2 n_t
-packed_time_matrix = LayoutCache(_packed_time_layout)
+    with the sum over x taken first.  The largest temporary is then the
+    product [t, k, i, j] that R^T contracts, m_t / (2 n_t + 1) < 1.5
+    times the size of the matrix; no complex array is formed."""
+    r, s, c, g = _advection_factors(m, "advection_matrix")
+    h = c.T @ (g[:, :, None] * s)  # [t, k, j]
+    # [t, k, i, j], so R^T brings out the rows (n, k) and columns (i, j)
+    a = r.T @ (h[:, :, None, :] * r[:, None, :, None]).reshape(len(r), -1)
+    return a.reshape(r.shape[1] * m.n_x, -1)
 
 
 def advection_operator(m: SpectralField):
-    """Matrix-free twin of advection_matrix(m): a function that maps the
+    """Matrix-free form of advection_matrix(m): a function that maps the
     flattened packed (`pack`) Dirichlet-sine coefficients x of a real w
     to the packed coefficients of (m w)_x; m must be real.
 
-    Everything that depends on m alone is formed here, once: the real
-    values g of m on the padded grid of the product, and the midpoint
-    cosine matrix C of modes 1..n_x scaled by the derivative factor
-    -k pi / (m_t m_x); the packed time matrix R and the midpoint sine
-    matrix S come from the layout caches.  An apply is then four real
-    products,
+    The factors R, S, C and g (`_advection_factors`) depend on m alone
+    and are formed here, once; an apply is then four real products,
 
         (m w)_x = R^T ((g * (R X S^T)) C),
 
     with X the packed coefficients as a (2 n_t + 1) x n_x array: R X S^T
     are the values of w on the grid, and R^T / m_t is the analysis onto
     packed coordinates, since R^T R = m_t I."""
-    if m.basis is not Basis.DIRICHLET_SINE:
-        raise BasisMismatchError("advection_operator expects a Dirichlet-sine field")
-    _require_real(m, "advection_operator")
+    r, s, c, g = _advection_factors(m, "advection_operator")
     rows, n_x = 2 * m.n_t + 1, m.n_x
-    m_t, m_x = _product_grid(m, m.n_t, n_x)
-    mid = Basis.NEUMANN_COSINE
     # contiguous transposes: at 32x32 an apply is 15% faster on them
-    r = packed_time_matrix(m.n_t, m_t)  # [t, i]
     r_t = np.ascontiguousarray(r.T)
-    s_t = np.ascontiguousarray(space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE).T)  # [j, x]
-    k = np.arange(1, n_x + 1)
-    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))  # [x, k]
-    g = evaluate(m, m_t, m_x, mid)  # [t, x]
+    s_t = np.ascontiguousarray(s.T)
 
     def apply(x: np.ndarray) -> np.ndarray:
         p = (r @ x.reshape(rows, n_x)) @ s_t
@@ -480,10 +457,9 @@ def advection_operator(m: SpectralField):
 def mean_advection_block(m: SpectralField) -> np.ndarray:
     """Real n_x x n_x matrix B0 of w -> (m_0 w)_x on the Dirichlet-sine
     coefficients of one time mode, m_0 the time mean (row n = 0) of m;
-    m must be real.  It is the diagonal block B[0] of the block-Toeplitz
-    complex advection matrix (see advection_matrix), which maps every time
-    mode to itself, and the block advection_matrix(m)[:n_x, :n_x] of the
-    real mode n = 0.
+    m must be real.  Advection by m_0 maps every time mode to itself, and
+    B0 is its block on each; it equals advection_matrix(m)[:n_x, :n_x],
+    the block of the real mode n = 0.
 
     With g0 the values of m_0 on the midpoint nodes of the padded product
     grid, B0 = C^T (g0 * S), C the cosine matrix of modes 1..n_x scaled by

@@ -4,8 +4,9 @@ The linearized equations T'(m) w = r are solved for a real w, on the N
 real coordinates that `fields.pack` gives its Hermitian coefficients, so
 every w is Hermitian by construction.  The linearization is built once
 per Newton step: small systems are solved directly with the real dense
-matrix of T'(m), which `operators.T_prime_matrix` assembles in closed
-form; larger ones run `gmres`, one cycle of GMRES in real arithmetic
+matrix of T'(m), which `operators.T_prime_matrix` builds from the same
+factors as the GMRES matvec (`fields.advection_matrix`); larger ones
+run `gmres`, one cycle of GMRES in real arithmetic
 from zero, on the form preconditioned by the time-mean linearization
 P = L + (m_0 .)_x, m_0 the time mean of m:
 w + P^{-1}(m' w)_x = P^{-1} r, with m' = m - m_0 the time fluctuation.

@@ -30,7 +30,6 @@ from stburgers.fields import (
     space_matrix,
     space_nodes,
     time_eval_matrix,
-    time_matrix,
     to_grid,
     to_spectral,
     truncate,
@@ -189,6 +188,14 @@ def test_set_mode_rejects_complex_mean():
         set_mode(u, 0, 1, 1j)
 
 
+def test_set_mode_rejects_time_modes_outside_the_truncation():
+    u = zeros(2, 3)
+    for n in (3, -3):
+        with pytest.raises(ValueError, match=f"time mode {n} .*n_t = 2"):
+            set_mode(u, n, 1, 0.5)
+    assert set_mode(u, -2, 1, 0.5).coeffs[0, 0] == 0.5
+
+
 def test_field_arithmetic():
     u = random_field(5, 3, 3, 1.0)
     v = random_field(6, 3, 3, 1.0)
@@ -283,41 +290,43 @@ def test_random_field_decay_envelope():
     assert high < low
 
 
+def packed_time_oracle(n_t, m_t):
+    """The packed time matrix [1, sqrt 2 Re E, -sqrt 2 Im E] of modes n >= 1."""
+    e = time_eval_matrix(n_t, m_t)[:, n_t + 1 :]
+    return np.concatenate([np.ones((m_t, 1)), SQRT2 * e.real, -SQRT2 * e.imag], axis=1)
+
+
 def test_cached_matrices_equal_the_eval_matrices():
     u = random_field(30, 5, 4, 2.0)
     to_spectral(to_grid(u, 16, 12), 5, 4)
     dealiased_product(u, u)
     to_grid(product_cosine(u, u), 24, 20)
     advection_matrix(u)
-    assert time_matrix.entries() and packed_time_matrix.entries() and space_matrix.entries()
-    for (n_t, m_t), e in time_matrix.entries():
-        assert np.array_equal(e, time_eval_matrix(n_t, m_t))
+    assert packed_time_matrix.entries() and space_matrix.entries()
     for (n_t, m_t), r in packed_time_matrix.entries():
-        e = time_eval_matrix(n_t, m_t)[:, n_t + 1 :]
-        packed = np.concatenate([np.ones((m_t, 1)), SQRT2 * e.real, -SQRT2 * e.imag], axis=1)
-        assert np.array_equal(r, packed)
+        assert np.array_equal(r, packed_time_oracle(n_t, m_t))
     for (n_x, m_x, nodes, basis), b in space_matrix.entries():
         assert np.array_equal(b, space_eval_matrix(n_x, space_nodes(m_x, nodes), basis))
 
 
 def test_cached_matrices_are_read_only():
-    e = time_matrix(3, 9)
+    r = packed_time_matrix(3, 9)
     b = space_matrix(3, 9, Basis.NEUMANN_COSINE, Basis.DIRICHLET_SINE)
-    for mat in (e, b):
+    for mat in (r, b):
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
-    assert time_matrix(3, 9) is e
+    assert packed_time_matrix(3, 9) is r
 
 
 def test_layout_cache_size_is_bounded():
     for m_t in range(3, 3 + TRANSFORM_CACHE_SIZE + 10):
-        time_matrix(1, m_t)
-    layouts = [key for key, _ in time_matrix.entries()]
+        packed_time_matrix(1, m_t)
+    layouts = [key for key, _ in packed_time_matrix.entries()]
     assert len(layouts) == TRANSFORM_CACHE_SIZE
     # least recently used layouts go first
     assert layouts[-1] == (1, 2 + TRANSFORM_CACHE_SIZE + 10)
     assert (1, 3) not in layouts
-    assert np.array_equal(time_matrix(1, 3), time_eval_matrix(1, 3))
+    assert np.array_equal(packed_time_matrix(1, 3), packed_time_oracle(1, 3))
 
 
 def test_layout_cache_is_shared_between_threads():

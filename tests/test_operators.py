@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from stburgers.fields import (
     set_mode,
     space_eval_matrix,
     space_matrix,
-    time_matrix,
+    time_eval_matrix,
     unpack,
     zeros,
 )
@@ -277,11 +279,13 @@ def complex_advection_matrix(m):
         A[(n, k), (i, j)] = sum_t sum_x conj(E[t, n]) E[t, i] m[t, x]
                             * S[x, j] (-k pi) C[x, k] / (m_t m_x)
 
-    on the padded product grid (see fields.advection_matrix)."""
+    on the padded product grid, E the complex time matrix
+    (`time_eval_matrix`); the sum over t is one product for the
+    4 n_t + 1 differences i - n."""
     rows, n_x = 2 * m.n_t + 1, m.n_x
     m_t, m_x = 3 * m.n_t + 1, 3 * n_x + 2
     mid = Basis.NEUMANN_COSINE
-    diffs = time_matrix(2 * m.n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
+    diffs = time_eval_matrix(2 * m.n_t, m_t).T @ evaluate(m, m_t, m_x, mid)  # [i - n, x]
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
@@ -394,6 +398,56 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     assert np.abs(back - x).max() <= 1e-14 * kappa * np.abs(x).max()
 
 
+# truncations of N = (2 n_t + 1) n_x <= 400 unknowns at the two extremes
+# of the aspect ratio: long time axes over one or two space modes, and
+# long space axes over one to three time modes
+ELONGATED = st.one_of(
+    st.integers(1, 2).flatmap(
+        lambda n_x: st.tuples(st.integers(1, (400 // n_x - 1) // 2), st.just(n_x))
+    ),
+    st.integers(1, 3).flatmap(
+        lambda n_t: st.tuples(st.just(n_t), st.integers(1, 400 // (2 * n_t + 1)))
+    ),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=ELONGATED, seed=st.integers(0, 2**31 - 1), amp=st.floats(0.1, 5.0))
+def test_advection_matrix_matches_operator_and_product_when_elongated(shape, seed, amp):
+    n_t, n_x = shape
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    a = advection_matrix(m)
+    n = (2 * n_t + 1) * n_x
+    assert a.dtype == float and a.shape == (n, n) and n <= 400
+    apply = advection_operator(m)
+    columns = np.stack([apply(e) for e in np.eye(n)], axis=1)
+    x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
+    w = m.with_coeffs(unpack(x))
+    x = x.ravel()
+    by_product = pack(d_x(product_cosine(m, w, n_t, n_x)).coeffs).ravel()
+    # the n_x = 1 scale of test_advection_operator_matches_matrix_and_product:
+    # pi |m| |x|, with |x| = 1 for the unit columns
+    if n_x > 1:
+        scale, column_scale = np.abs(by_product).max(), np.abs(columns).max()
+    else:
+        scale, column_scale = np.pi * m.l2() * np.linalg.norm(x), np.pi * m.l2()
+    assert np.abs(a - columns).max() <= 1e-13 * column_scale
+    assert np.abs(a @ x - by_product).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_t, n_x", [(1, 133), (3, 57), (14, 14), (199, 1)])
+def test_t_prime_matrix_peak_memory_is_a_few_matrices(n_t, n_x):
+    m = random_field(n_t + n_x, n_t, n_x, 1.5)
+    T_prime_matrix(m, 0.1)  # fills the layout caches
+    tracemalloc.start()
+    try:
+        a = T_prime_matrix(m, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a.nbytes, f"peak {peak} B for a {a.nbytes} B matrix"
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_t=st.integers(0, 10),
@@ -416,7 +470,7 @@ def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
         assert np.abs(r.T @ r - m_t * np.eye(2 * n_t + 1)).max() <= 1e-13 * m_t
         # R x are the values in time of the Hermitian array unpack(x)
         x = np.random.default_rng(n_t).standard_normal(2 * n_t + 1)
-        values = time_matrix(n_t, m_t) @ unpack(x[:, None])[:, 0]
+        values = time_eval_matrix(n_t, m_t) @ unpack(x[:, None])[:, 0]
         assert np.abs(values.imag).max() <= 1e-14 * np.abs(x).sum()
         assert np.abs(r @ x - values.real).max() <= 1e-14 * np.abs(x).sum()
 
