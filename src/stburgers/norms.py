@@ -111,34 +111,35 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
     if f.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("decompose_forcing expects a Dirichlet dual")
     n_t, n_x = f.n_t, f.n_x
-    gc = np.zeros_like(np.asarray(f.coeffs))
-    hc = np.zeros((2 * n_t + 1, n_x + 1), dtype=complex)
+    # candidate modes, n >= 1 (the conjugate partner comes along), in
+    # order of decreasing multiplier gain sqrt(2 pi n): n descending,
+    # then m
+    n = np.arange(n_t, 0, -1)
+    m_pi = np.arange(1, n_x + 1) * np.pi
+    c = f.coeffs[n_t + n]
+    gmode = c / (np.sqrt(2 * np.pi * n)[:, None] * np.exp(1j * np.pi / 4))
+    mass = 2.0 * np.abs(gmode) ** 2  # both +-n rows
+    nonzero = c != 0
+    # the greedy walk fills the eps budget in that order
     budget = eps ** 2
     used = 0.0
-    # candidate modes, n >= 1 (the conjugate partner comes along), sorted
-    # by decreasing multiplier gain sqrt(2 pi n)
-    order = []
-    for n in range(n_t, 0, -1):
-        for m in range(1, n_x + 1):
-            order.append((n, m))
-    for n, m in order:
-        c = f.coeffs[n_t + n, m - 1]
-        if c == 0:
-            continue
-        mult = np.sqrt(2 * np.pi * n) * np.exp(1j * np.pi / 4)
-        gmode = c / mult
-        mass = 2.0 * abs(gmode) ** 2  # both +-n rows
-        if used + mass <= budget:
-            gc[n_t + n, m - 1] = gmode
-            gc[n_t - n, m - 1] = np.conj(gmode)
-            used += mass
-        else:
-            hc[n_t + n, m] = -c / (m * np.pi)
-            hc[n_t - n, m] = np.conj(hc[n_t + n, m])
+    take = []
+    for q in mass.ravel().tolist():  # 0 for a zero mode
+        fits = used + q <= budget
+        take.append(fits)
+        if fits:
+            used += q
+    take = np.array(take, dtype=bool).reshape(c.shape) & nonzero
+    rest = nonzero & ~take
+    hmode = -c / m_pi
+    gc = np.zeros_like(np.asarray(f.coeffs))
+    gc[n_t + n] = np.where(take, gmode, 0.0)
+    gc[n_t - n] = np.where(take, gmode.conj(), 0.0)
+    hc = np.zeros((2 * n_t + 1, n_x + 1), dtype=complex)
+    hc[n_t + n, 1:] = np.where(rest, hmode, 0.0)
+    hc[n_t - n, 1:] = np.where(rest, hmode.conj(), 0.0)
     # n = 0 row always rides the h channel (zero half-derivative multiplier)
-    for m in range(1, n_x + 1):
-        c = f.coeffs[n_t, m - 1]
-        hc[n_t, m] = -c / (m * np.pi)
+    hc[n_t, 1:] = -f.coeffs[n_t] / m_pi
     g = SpectralField(gc, n_t, n_x, Basis.DIRICHLET_SINE)
     h = SpectralField(hc, n_t, n_x, Basis.NEUMANN_COSINE)
     return ForcingDecomposition(g=g, h=h)

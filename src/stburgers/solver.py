@@ -6,18 +6,22 @@ every w is Hermitian by construction.  The linearization is built once
 per Newton step: small systems are solved directly with the real dense
 matrix of T'(m), which `operators.T_prime_matrix` builds from the same
 factors as the GMRES matvec (`fields.advection_matrix`); larger ones
-run `gmres`, one cycle of GMRES in real arithmetic
-from zero, on the form preconditioned by the time-mean linearization
-P = L + (m_0 .)_x, m_0 the time mean of m:
-w + P^{-1}(m' w)_x = P^{-1} r, with m' = m - m_0 the time fluctuation.
+run `gmres`, one cycle of GMRES in real arithmetic from zero, right-
+preconditioned by the time-mean linearization P = L + (m_0 .)_x, m_0
+the time mean of m, and weighted by the dual norm: GMRES solves
+W T'(m) P^{-1} W^{-1} z = W r for w = P^{-1} W^{-1} z, with W the
+diagonal 1 / sqrt(aniso_weight), so the residual it minimizes is the
+dual residual of w that the solve is gated on (right preconditioning:
+Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, 9.3).
 P is block diagonal over the time modes (the harmonic-balance
 preconditioner of Hall, Thomas & Clark, AIAA J. 40, 2002), so one
 n_x x n_x eigendecomposition per Newton step inverts it; what is left
-to GMRES is the advection by the fluctuation alone.  Its matvec stays
-on packed coordinates: (m' w)_x is `fields.advection_operator(m')`,
-four real products with m' held on the padded product grid.  A few
-rounds of refinement on the true residual, each a fresh cycle, carry the
-solve where P is ill-conditioned.  The package needs numpy only.
+to GMRES is the advection by the fluctuation m' = m - m_0 alone.  Its
+matvec stays on packed coordinates: (m' w)_x is
+`fields.advection_operator(m')`, four real products with m' held on the
+padded product grid.  A few rounds of refinement on the true residual,
+each a fresh cycle, remove what roundoff leaves where P is
+ill-conditioned.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import SpectralField, advection_operator, mean_advection_block, pack, unpack, zeros
-from .norms import aniso_norm, apriori_bound, dual_norm
+from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm
 from .operators import T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
@@ -88,19 +92,25 @@ def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
 
 
 def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
-    """(matvec, precondition) of the GMRES form of T'(m) w = r on the flat
-    packed coordinates x of w = unpack(x).
+    """(matvec, weight, solution) of the GMRES form of T'(m) w = r, on
+    flat packed coordinates, right-preconditioned and weighted by the
+    dual norm: matvec is A = W T'(m) P^{-1} W^{-1}, GMRES runs on
+    b = W pack(r), and solution(z) = P^{-1} W^{-1} z is the packed w of
+    its iterate z.  W is the diagonal `weight`, 1 / sqrt(aniso_weight)
+    laid out as `pack` lays out rows, so |W pack(r)|_2 = dual_norm(r) for
+    Hermitian r and GMRES's residual |b - A z|_2 is the dual residual
+    dual_norm(r - T'(m) w) that `_residual_target` gates.
 
     T'(m) splits as P + A', with P = L + (m_0 .)_x, m_0 the time mean of
-    m, and A' the advection by the fluctuation m' = m - m_0.  P maps each
-    time mode n to itself by the n_x x n_x matrix 2 pi i n + B, with
+    m, and A' the advection by the fluctuation m' = m - m_0, so
+    A z = z + W (m' w)_x with w = solution(z); A' is applied as an
+    advection by m' rather than as A - A0, which would cancel.  P maps
+    each time mode n to itself by the n_x x n_x matrix 2 pi i n + B, with
     B = mu K^2 + B0 real (`fields.mean_advection_block`); one
     eigendecomposition B = V D V^-1 inverts every block as
     V (2 pi i n + D)^-1 V^-1, applied to the packed (Re, Im) row pairs as
-    complex rows.  `precondition` is that P^-1 and
-    matvec(x) = x + P^-1 (m' w)_x; A' is applied as an advection by m'
-    rather than as A - A0, which would cancel.  An eigendecomposition
-    that fails raises LinearSolveError."""
+    complex rows.  An eigendecomposition that fails raises
+    LinearSolveError."""
     n_t, n_x = m.n_t, m.n_x
     h = n_t + 1
     block = np.diag(cfg.mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
@@ -110,21 +120,23 @@ def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"mean-advection preconditioner failed: {exc}") from exc
     scale = 1.0 / (2j * np.pi * np.arange(h)[:, None] + d)  # [n, eigenvalue]
+    root = np.sqrt(aniso_weight(m)[n_t:])  # [n >= 0, k]; even in n
+    weight = 1.0 / np.concatenate([root, root[1:]]).ravel()
     fluctuation = m.coeffs.copy()
     fluctuation[n_t] = 0.0
     advect = advection_operator(m.with_coeffs(fluctuation))
 
-    def precondition(x: np.ndarray) -> np.ndarray:
-        x = x.reshape(2 * n_t + 1, n_x)
-        z = x[:h].astype(complex)
-        z[1:] += 1j * x[h:]
-        z = ((z @ v_inv.T) * scale) @ v.T
-        return np.concatenate([z.real, z[1:].imag]).ravel()
+    def solution(z: np.ndarray) -> np.ndarray:
+        x = (z / weight).reshape(2 * n_t + 1, n_x)
+        y = x[:h].astype(complex)
+        y[1:] += 1j * x[h:]
+        y = ((y @ v_inv.T) * scale) @ v.T
+        return np.concatenate([y.real, y[1:].imag]).ravel()
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return x + precondition(advect(x))
+    def matvec(z: np.ndarray) -> np.ndarray:
+        return z + weight * advect(solution(z))
 
-    return matvec, precondition
+    return matvec, weight, solution
 
 
 def solve_linearized(
@@ -226,20 +238,23 @@ def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
 def _krylov_solve(
     m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
 ) -> SpectralField:
-    """Real GMRES on the preconditioned packed form, refined on the true
-    residual: each of at most 3 rounds, one GMRES cycle of at most
-    MAX_KRYLOV inner iterations, solves for the correction from
-    the residual r - T'(m) w of the iterate so far.  P can be as
-    ill-conditioned as the steady advection-diffusion block, and a round
-    then leaves an error that the next removes (iterative refinement,
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
-    Returns an iterate whose dual residual meets the target."""
-    matvec, precondition = _linearized_matvec(m, cfg)
+    """Real GMRES on the right-preconditioned, dual-weighted form of
+    `_linearized_matvec`, checked on the true residual: each of at most
+    3 rounds, one GMRES cycle of at most MAX_KRYLOV inner iterations,
+    solves for the correction from the residual r - T'(m) w of the
+    iterate so far.  GMRES minimizes the dual norm of that residual, so
+    for a Hermitian r the cycle's own stopping test is the target, and
+    one round meets it unless roundoff (in Arnoldi, or in an
+    ill-conditioned P^{-1}) moves the true residual above the cycle's
+    estimate; a later round then removes that error (iterative
+    refinement, Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12).  Returns an iterate whose dual residual meets the target."""
+    matvec, weight, solution = _linearized_matvec(m, cfg)
     x = np.zeros(r.coeffs.size)
     res = r
     for _ in range(3):
-        dx, _info = gmres(matvec, precondition(pack(res.coeffs)), KRYLOV_TOL, MAX_KRYLOV)
-        x += dx
+        z, _info = gmres(matvec, weight * pack(res.coeffs).ravel(), KRYLOV_TOL, MAX_KRYLOV)
+        x += solution(z)
         w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
         res = r - apply_T_prime(m, w, cfg.mu)
         rd = dual_norm(res)

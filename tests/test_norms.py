@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stburgers.fields import (
     Basis,
+    SpectralField,
     GridField,
     grid_quadrature,
     random_field,
@@ -96,6 +98,64 @@ def test_decompose_forcing_prefers_high_frequency_g():
         if used.size and (rows <= 1e-14).any():
             unused = n[rows <= 1e-14]
             assert used.min() >= unused.max() - 6  # greedy from the top
+
+
+def decompose_forcing_oracle(f, eps):
+    """The coefficient arrays (g, h) of the mode-by-mode greedy split,
+    one scalar step per mode, as `decompose_forcing` computed them
+    before it was vectorized."""
+    n_t, n_x = f.n_t, f.n_x
+    gc = np.zeros_like(np.asarray(f.coeffs))
+    hc = np.zeros((2 * n_t + 1, n_x + 1), dtype=complex)
+    budget = eps ** 2
+    used = 0.0
+    order = []
+    for n in range(n_t, 0, -1):
+        for m in range(1, n_x + 1):
+            order.append((n, m))
+    for n, m in order:
+        c = f.coeffs[n_t + n, m - 1]
+        if c == 0:
+            continue
+        mult = np.sqrt(2 * np.pi * n) * np.exp(1j * np.pi / 4)
+        gmode = c / mult
+        mass = 2.0 * abs(gmode) ** 2
+        if used + mass <= budget:
+            gc[n_t + n, m - 1] = gmode
+            gc[n_t - n, m - 1] = np.conj(gmode)
+            used += mass
+        else:
+            hc[n_t + n, m] = -c / (m * np.pi)
+            hc[n_t - n, m] = np.conj(hc[n_t + n, m])
+    for m in range(1, n_x + 1):
+        c = f.coeffs[n_t, m - 1]
+        hc[n_t, m] = -c / (m * np.pi)
+    return gc, hc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 10),
+    n_x=st.integers(1, 10),
+    seed=st.integers(0, 2**31 - 1),
+    zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    eps=st.floats(1e-3, 10.0),
+)
+def test_decompose_forcing_matches_the_mode_loop(n_t, n_x, seed, zero_frac, eps):
+    # any coefficients, zero modes included, with a budget from none of
+    # the modes to all of them: the same arrays, bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (2 * n_t + 1, n_x)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs *= rng.random(shape) >= zero_frac
+    coeffs *= (1.0 + np.abs(np.arange(-n_t, n_t + 1)))[:, None] ** -1.5
+    f = SpectralField(coeffs, n_t, n_x, Basis.DIRICHLET_SINE)
+    dec = decompose_forcing(f, eps)
+    gc, hc = decompose_forcing_oracle(f, eps)
+    assert dec.g.coeffs.dtype == gc.dtype and dec.h.coeffs.dtype == hc.dtype
+    assert (dec.g.coeffs == gc).all() and (dec.h.coeffs == hc).all()
+    # bit for bit, the signs of zero parts included
+    assert dec.g.coeffs.tobytes() == gc.tobytes() and dec.h.coeffs.tobytes() == hc.tobytes()
 
 
 def test_apriori_bound_formula():

@@ -24,6 +24,7 @@ from stburgers.fields import (
     zeros,
 )
 from stburgers import solver
+from stburgers.norms import dual_norm
 from stburgers.operators import (
     T_prime_matrix,
     apply_L,
@@ -371,31 +372,69 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     scale = np.abs(by_product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(x)
     assert np.abs(y - by_matrix).max() <= 1e-13 * scale
     assert np.abs(y - by_product).max() <= 1e-13 * scale
-    # the solver's preconditioned real GMRES operator x + P^{-1} pack((m' w)_x),
-    # P = L + (m_0 .)_x with m_0 the time mean of m and m' = m - m_0
-    matvec, precondition = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
+    # the solver's right-preconditioned, dual-weighted real GMRES operator
+    # A z = z + W pack((m' w)_x), w = unpack(P^{-1} W^{-1} z), with
+    # P = L + (m_0 .)_x, m_0 the time mean of m and m' = m - m_0
+    matvec, weight, solution = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
     mean = zeros(n_t, n_x).coeffs.copy()
     mean[n_t] = m.coeffs[n_t]
     m_0 = m.with_coeffs(mean)
+    y = solution(x)
+    v = m.with_coeffs(unpack(y.reshape(m.coeffs.shape)))
     mv = matvec(x)
-    ref = x + precondition(pack(d_x(product_cosine(m - m_0, w, n_t, n_x)).coeffs))
-    assert mv.dtype == float
-    # P^{-1} amplifies the roundoff of its argument, about eps (|P| + pi n_x |m|)
-    # times |w|, by at most |P_n^{-1}| on time mode n, and its eigenvector
-    # basis V by at most cond(V)
+    product = pack(d_x(product_cosine(m - m_0, v, n_t, n_x)).coeffs).ravel()
+    ref = x + weight * product
+    assert mv.dtype == float and y.dtype == float
+    # the two sides differ only in how (m' v)_x is computed, and W <= 1
+    scale = np.abs(product).max() if n_x > 1 else np.pi * m.l2() * np.linalg.norm(y)
+    assert np.abs(mv - ref).max() <= 1e-13 * scale
+    kappa = preconditioner_kappa(m, mu)
+    back = solution(weight * pack((apply_L(w, mu) + d_x(product_cosine(m_0, w, n_t, n_x))).coeffs).ravel())
+    assert back.dtype == float
+    assert np.abs(back - x).max() <= 1e-14 * kappa * np.abs(x).max()
+
+
+def preconditioner_kappa(m, mu):
+    """Roundoff model of the solver's P^{-1}, P = L + (m_0 .)_x: it
+    amplifies the roundoff of its argument, about eps (|P| + pi n_x |m|)
+    times its size, by at most |P_n^{-1}| on time mode n, and its
+    eigenvector basis V by at most cond(V)."""
+    n_t, n_x = m.n_t, m.n_x
     block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
     inv_norm = max(
         np.linalg.norm(np.linalg.inv(block + 2j * np.pi * n * np.eye(n_x)), 2)
         for n in range(n_t + 1)
     )
-    kappa = (
+    return (
         np.linalg.cond(np.linalg.eig(block)[1]) * inv_norm
         * (np.linalg.norm(block, 2) + 2 * np.pi * n_t + np.pi * n_x * m.l2())
     )
-    assert np.abs(mv - ref).max() <= 1e-14 * kappa * np.abs(ref).max()
-    back = precondition(pack((apply_L(w, mu) + d_x(product_cosine(m_0, w, n_t, n_x))).coeffs))
-    assert back.dtype == float
-    assert np.abs(back - x).max() <= 1e-14 * kappa * np.abs(x).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_t=st.integers(1, 12),
+    n_x=st.integers(1, 12),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+def test_gmres_residual_is_the_dual_residual(n_t, n_x, mu, seed, amp):
+    # GMRES's residual |b - A z| on b = W pack(r) is the dual residual
+    # of the iterate w = unpack(P^{-1} W^{-1} z) that it stands for, so
+    # the cycle stops on the solver's own gate
+    m = amp * random_field(seed, n_t, n_x, 1.5)
+    r = random_field(seed + 1, n_t, n_x, 1.0)
+    z = np.random.default_rng(seed).standard_normal(m.coeffs.size)
+    matvec, weight, solution = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
+    b = weight * pack(r.coeffs).ravel()
+    assert np.linalg.norm(b) == pytest.approx(dual_norm(r), rel=1e-14)
+    w = r.with_coeffs(unpack(solution(z).reshape(r.coeffs.shape)))
+    ours = np.linalg.norm(b - matvec(z))
+    theirs = dual_norm(r - apply_T_prime(m, w, mu))
+    # z = W P w holds to the roundoff of P^{-1} on z, which A z assumes
+    # and apply_T_prime does not
+    assert abs(ours - theirs) <= 1e-14 * preconditioner_kappa(m, mu) * (np.linalg.norm(z) + np.linalg.norm(b))
 
 
 # truncations of N = (2 n_t + 1) n_x <= 400 unknowns at the two extremes
