@@ -8,7 +8,6 @@ from .fields import (
     GridField,
     ResolutionError,
     SpectralField,
-    dealiased_product,
     product_cosine,
     random_field,
     set_mode,
@@ -67,7 +66,6 @@ from .colehopf import (
     chain_rule_defect,
     lift_s1_to_s2,
     monodromy_leading_pair,
-    project_s2_to_s1,
     s2_to_s3,
     s3_to_s2,
     verify_uniqueness,

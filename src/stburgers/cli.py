@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -321,17 +320,6 @@ def read_field_csv(path: str):
     return times, xs, vals
 
 
-def _workers() -> int:
-    raw = os.environ.get("STBURGERS_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"STBURGERS_WORKERS={raw!r} is not an integer")
-    if n < 1:
-        raise ConfigError("STBURGERS_WORKERS must be at least 1")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -373,13 +361,21 @@ def _truncation(cfg: dict, keys=("n_t", "n_x"), defaults=None) -> tuple[int, int
     `defaults` has it as an attribute, checked against MAX_ARRAY_BYTES
     before any array of that size exists."""
     n_t, n_x = (_count(cfg, key, getattr(defaults, key, ...)) for key in keys)
-    name, size = _largest_array(n_t, n_x)
+    _check_budget(
+        f"config.{keys[0]}/config.{keys[1]}", f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x)
+    )
+    return n_t, n_x
+
+
+def _check_budget(where: str, what: str, *arrays: tuple[str, int]) -> None:
+    """A config error naming `where` if the largest of the (name, bytes)
+    `arrays` that `what` needs is over MAX_ARRAY_BYTES."""
+    name, size = max(arrays, key=lambda named: named[1])
     if size > MAX_ARRAY_BYTES:
         raise ConfigError(
-            f"config.{keys[0]}/config.{keys[1]}: truncation ({n_t}, {n_x}) needs a {name} "
-            f"of {size / 2**30:.3g} GiB, over the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget"
+            f"{where}: {what} needs a {name} of {size / 2**30:.3g} GiB, "
+            f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget"
         )
-    return n_t, n_x
 
 
 def _common_problem(cfg: dict):
@@ -402,7 +398,11 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
     return sv.homotopy_solve(forcing, scfg)
 
 
-def _outputs(cfg: dict):
+def _outputs(cfg: dict, truncation: tuple[int, int] | None = None):
+    """(report_path, field_csv_path, grid_m_t, grid_m_x) of config.outputs.
+    Given the truncation (n_t, n_x) of a solve that writes a field CSV,
+    the grid defaults to 4 (n_t + 1) x 4 (n_x + 1) and is checked against
+    MAX_ARRAY_BYTES before the solve runs."""
     o = _section(cfg, "outputs", OUTPUT_KEYS)
     paths = []
     for key in ("report_path", "field_csv_path"):
@@ -418,6 +418,16 @@ def _outputs(cfg: dict):
         paths.append(path)
     m_t = _count(o, "grid_m_t", None, where="config.outputs")
     m_x = _count(o, "grid_m_x", None, where="config.outputs")
+    if truncation is not None and paths[1]:
+        n_t, n_x = truncation
+        m_t, m_x = m_t or 4 * (n_t + 1), m_x or 4 * (n_x + 1)
+        _check_budget(
+            "config.outputs.grid_m_t/config.outputs.grid_m_x",
+            f"output grid ({m_t}, {m_x})",
+            ("time matrix", 16 * m_t * (2 * n_t + 1)),  # complex, before packing
+            ("value array", 8 * m_t * m_x),
+            ("space matrix", 8 * m_x * n_x),
+        )
     return *paths, m_t, m_x
 
 
@@ -432,7 +442,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def cmd_solve(cfg: dict, doc: dict) -> int:
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg)
+    _, csv_path, m_t, m_x = _outputs(cfg, (n_t, n_x))
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
     result = _run_solve(cfg, forcing, scfg)
     doc["success"] = bool(result.success)
@@ -445,7 +455,6 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
-        m_t, m_x = m_t or 4 * (n_t + 1), m_x or 4 * (n_x + 1)
         xs = fd.space_nodes(m_x, result.u.basis)
         write_field_csv(csv_path, fd.time_nodes(m_t), xs, fd.evaluate(result.u, m_t, m_x))
     return EXIT_OK
@@ -543,8 +552,7 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
     if "monodromy" in cfg:
         _get(cfg, "monodromy", bool)
     problems = [_sweep_problem(cfg, param, v) for v in values]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(lambda v, p: _sweep_row(param, v, *p), values, problems))
+    rows = [_sweep_row(param, v, *p) for v, p in zip(values, problems)]
     _, csv_path, _, _ = _outputs(cfg)
     doc["param"] = param
     doc["rows"] = rows
@@ -628,7 +636,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     local = dict(cfg)
     local["mu"] = mu
     scfg = build_solver_config(local, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg)
+    _, csv_path, m_t, m_x = _outputs(cfg, (n_t, n_x))
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
     result = _run_solve(local, f, scfg)
     doc["success"] = bool(result.success)
@@ -637,9 +645,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
-        phys = sc.denormalize(
-            result.u, prob, m_t=m_t or 4 * (n_t + 1), m_x=m_x or 4 * (n_x + 1)
-        )
+        phys = sc.denormalize(result.u, prob, m_t=m_t, m_x=m_x)
         write_field_csv(csv_path, phys.times, phys.positions, phys.values)
     return EXIT_OK
 

@@ -32,7 +32,6 @@ from .fields import (
     evaluate,
     product_cosine,
     space_matrix,
-    space_nodes,
     zeros,
 )
 from .operators import apply_T, d_t, d_x, d_xx
@@ -127,13 +126,6 @@ def lift_s1_to_s2(
     coeffs[n_t, 0] -= coeffs[n_t, 0].real  # zero space-time mean
     W = SpectralField(coeffs, w.n_t, w.n_x, Basis.NEUMANN_COSINE)
     return ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k)
-
-
-def project_s2_to_s1(e: ColeHopfElement) -> ColeHopfElement:
-    """w = W_x; independent of the representative (constants drop out)."""
-    if e.kind is not Kind.S2:
-        raise ValueError("expected an S2 element")
-    return ColeHopfElement(kind=Kind.S1, v=e.v, w=d_x(e.W))
 
 
 def _pointwise_map(
@@ -324,15 +316,6 @@ def profile_values(psi: np.ndarray, m_x: int | None = None) -> np.ndarray:
         m_x = max(4 * (n_x + 1), 16)
     b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
     return b @ np.asarray(psi, dtype=float)
-
-
-def profile_from_function(fn, n_x: int, m_x: int | None = None) -> np.ndarray:
-    """Cosine coefficients of a smooth function of x (projection on an
-    oversampled midpoint grid)."""
-    if m_x is None:
-        m_x = 4 * (n_x + 1)
-    b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
-    return (b.T @ fn(space_nodes(m_x, Basis.NEUMANN_COSINE))) / m_x
 
 
 def monodromy_leading_pair(

@@ -14,8 +14,7 @@ so Parseval holds with unit weights and all norm formulas are diagonal.
 from __future__ import annotations
 
 import enum
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,62 +174,35 @@ def time_eval_matrix(n_t: int, m_t: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * t)
 
 
-class LayoutCache:
-    """Basis matrices built once per layout and then kept read-only.
-
-    Holds at most `size` layouts and evicts the least recently used one.
-    A lock guards the table, so threads may share the cache (sweep rows
-    run in a pool); a cached matrix is never written after it is built."""
-
-    def __init__(self, build, size: int = TRANSFORM_CACHE_SIZE):
-        self._build = build
-        self.size = size
-        self._table: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, *layout) -> np.ndarray:
-        with self._lock:
-            mat = self._table.get(layout)
-            if mat is not None:
-                self._table.move_to_end(layout)
-                return mat
-        mat = self._build(*layout)
-        mat.setflags(write=False)
-        with self._lock:
-            self._table[layout] = mat
-            while len(self._table) > self.size:
-                self._table.popitem(last=False)
-        return mat
-
-    def entries(self) -> list:
-        """(layout, matrix) pairs, least recently used first."""
-        with self._lock:
-            return list(self._table.items())
+# The transform caches: each basis matrix is built once per layout, kept
+# read-only and evicted least recently used first.  Each builder looks
+# its eval matrix up in the module globals at call time, so a wrapper set
+# on `space_eval_matrix` or `time_eval_matrix` (as bench/tracer.py sets)
+# sees every cache miss.
 
 
-def _space_layout(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
-    return space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def space_matrix(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
+    """B for the space layout (n_x, m_x, node family, basis), that is,
+    `basis` evaluated on the m_x nodes of the grid that belongs to
+    `nodes`."""
+    b = space_eval_matrix(n_x, space_nodes(m_x, nodes), basis)
+    b.setflags(write=False)
+    return b
 
 
-# B for the space layout (n_x, m_x, node family, basis), that is,
-# `basis` evaluated on the m_x nodes of the grid that belongs to `nodes`.
-# Its builder looks space_eval_matrix up at call time, as the packed time
-# layout below does time_eval_matrix, so a wrapper set on the module
-# attribute (as bench/tracer.py does) sees every cache miss.
-space_matrix = LayoutCache(_space_layout)
-
-
-def _packed_time_layout(n_t: int, m_t: int) -> np.ndarray:
-    # E restricted to modes n >= 0, split as `pack` splits coefficients
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def packed_time_matrix(n_t: int, m_t: int) -> np.ndarray:
+    """R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
+    -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
+    coordinates, that is, E restricted to modes n >= 0 and split as `pack`
+    splits coefficients.  R x are the values in time of unpack(x),
+    unpack(R^T g) is E^H g for real g, and R^T R = m_t I when
+    m_t > 2 n_t."""
     e = time_eval_matrix(n_t, m_t)[:, n_t:]
-    return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
-
-
-# R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
-# -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
-# coordinates; R x are the values in time of unpack(x), unpack(R^T g)
-# is E^H g for real g, and R^T R = m_t I when m_t > 2 n_t
-packed_time_matrix = LayoutCache(_packed_time_layout)
+    r = np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+    r.setflags(write=False)
+    return r
 
 
 def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
@@ -475,35 +447,6 @@ def mean_advection_block(m: SpectralField) -> np.ndarray:
     _require_real(m, "mean_advection_block")
     g0 = s @ m.coeffs[m.n_t].real
     return c.T @ (g0[:, None] * s)
-
-
-def cosine_to_sine_projection(n_x_sine: int, n_x_cos: int) -> np.ndarray:
-    """Matrix of L2(0,1) inner products <q_k, b_m>.
-
-    Entry [m-1, k] projects cosine mode k onto sine mode m; nonzero only
-    when m + k is odd."""
-    m = np.arange(1, n_x_sine + 1)[:, None].astype(float)
-    k = np.arange(0, n_x_cos + 1)[None, :].astype(float)
-    odd = (m + k) % 2 == 1
-    with np.errstate(divide="ignore"):
-        plus = np.where(odd, 2.0 / ((m + k) * np.pi), 0.0)
-        diff = m - k
-        minus = np.where(odd & (diff != 0), 2.0 / (diff * np.pi), 0.0)
-    proj = plus + minus
-    # normalization: q_0 = 1 while q_k = sqrt(2) cos for k >= 1
-    proj[:, 0] *= 1.0 / SQRT2
-    return proj
-
-
-def dealiased_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dirichlet-sine coefficients of the pointwise product u*v.
-
-    The product is formed exactly in the mixed sine/cosine algebra on a
-    padded grid and then L2-projected onto the sine modes up to n_x."""
-    pc = product_cosine(u, v, u.n_t, 2 * u.n_x)
-    proj = cosine_to_sine_projection(u.n_x, 2 * u.n_x)
-    coeffs = pc.coeffs @ proj.T
-    return SpectralField(coeffs, u.n_t, u.n_x, Basis.DIRICHLET_SINE)
 
 
 def random_field(

@@ -3,12 +3,13 @@
 The linearized equations T'(m) w = r are solved for a real w, on the N
 real coordinates that `fields.pack` gives its Hermitian coefficients, so
 every w is Hermitian by construction.  The linearization is built once
-per Newton step: small systems are solved directly with the real dense
-matrix of T'(m), which `operators.T_prime_matrix` builds from the same
-factors as the GMRES matvec (`fields.advection_matrix`); larger ones
-run `gmres`, one cycle of GMRES in real arithmetic from zero, right-
-preconditioned by the time-mean linearization P = L + (m_0 .)_x, m_0
-the time mean of m, and weighted by the dual norm: GMRES solves
+per Newton step, and its size picks how a correction is found: small
+systems are solved directly with the real dense matrix of T'(m), which
+`operators.T_prime_matrix` builds from the same factors as the GMRES
+matvec (`fields.advection_matrix`); larger ones run `gmres`, one cycle
+of GMRES in real arithmetic from zero, right-preconditioned by the
+time-mean linearization P = L + (m_0 .)_x, m_0 the time mean of m, and
+weighted by the dual norm: GMRES solves
 W T'(m) P^{-1} W^{-1} z = W r for w = P^{-1} W^{-1} z, with W the
 diagonal 1 / sqrt(aniso_weight), so the residual it minimizes is the
 dual residual of w that the solve is gated on (right preconditioning:
@@ -19,9 +20,10 @@ n_x x n_x eigendecomposition per Newton step inverts it; what is left
 to GMRES is the advection by the fluctuation m' = m - m_0 alone.  Its
 matvec stays on packed coordinates: (m' w)_x is
 `fields.advection_operator(m')`, four real products with m' held on the
-padded product grid.  A few rounds of refinement on the true residual,
-each a fresh cycle, remove what roundoff leaves where P is
-ill-conditioned.  The package needs numpy only.
+padded product grid.  Either path then runs the same few rounds of
+refinement on the true residual, each a fresh LU solve or GMRES cycle,
+to the same dual-residual gate; they remove what roundoff leaves where
+T'(m) or P is ill-conditioned.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -145,22 +147,61 @@ def solve_linearized(
     """Solve T'(m) w = r for a real w (Hermitian coefficients) to dual
     residual KRYLOV_TOL * dual_norm(r); m must be real.
 
+    The size of the system picks how each correction is found: up to
+    DENSE_MAX_UNKNOWNS unknowns by an LU solve with the dense T'(m)
+    (`_dense_correction`), above that by one GMRES cycle
+    (`_krylov_correction`).  Both paths then share one loop of at most
+    3 rounds, each solving for the correction from the true residual
+    r - T'(m) w of the iterate so far (iterative refinement, Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12), and one gate
+    on its dual norm.  One round meets the gate
+    unless roundoff (in the LU factors, in Arnoldi, or in an
+    ill-conditioned P^{-1}) leaves the true residual above it; a later
+    round then removes that error.  A loop that ends above the gate
+    raises LinearSolveError.
+
     A non-Hermitian r is solved for its Hermitian part, as `pack` drops
     the rest, and the dual residual is taken against r itself."""
     rn = dual_norm(r)
     if rn == 0.0:
         return zeros(r.n_t, r.n_x, r.basis)
-    if r.coeffs.size > DENSE_MAX_UNKNOWNS:
-        return _krylov_solve(m, r, rn, cfg)
-    x = np.linalg.solve(T_prime_matrix(m, cfg.mu), pack(r.coeffs).ravel())
-    w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
-    res = dual_norm(apply_T_prime(m, w, cfg.mu) - r)
-    if res > 10.0 * _residual_target(m, w, rn):
-        raise LinearSolveError(
-            f"linearized solve stalled at dual residual {res:.3e} "
-            f"(target {KRYLOV_TOL * rn:.3e})"
-        )
-    return w
+    krylov = r.coeffs.size > DENSE_MAX_UNKNOWNS
+    correction = (_krylov_correction if krylov else _dense_correction)(m, cfg)
+    x = np.zeros(r.coeffs.size)
+    res = r
+    for _ in range(3):
+        x += correction(res)
+        w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
+        res = r - apply_T_prime(m, w, cfg.mu)
+        rd = dual_norm(res)
+        if rd <= _residual_target(m, w, rn):
+            return w
+    raise LinearSolveError(
+        f"{'GMRES' if krylov else 'dense LU solve'} did not converge "
+        f"(dual residual {rd:.3e}, target {KRYLOV_TOL * rn:.3e})"
+    )
+
+
+def _dense_correction(m: SpectralField, cfg: SolverConfig):
+    """The packed correction of a residual by an LU solve with the real
+    dense matrix of T'(m), built once per linearized solve."""
+    a = T_prime_matrix(m, cfg.mu)
+    return lambda res: np.linalg.solve(a, pack(res.coeffs).ravel())
+
+
+def _krylov_correction(m: SpectralField, cfg: SolverConfig):
+    """The packed correction of a residual by one cycle of real GMRES, of
+    at most MAX_KRYLOV inner iterations, on the right-preconditioned,
+    dual-weighted form of `_linearized_matvec`.  GMRES minimizes the dual
+    norm of the residual, so for a Hermitian residual the cycle's own
+    stopping test is the gate of `solve_linearized`."""
+    matvec, weight, solution = _linearized_matvec(m, cfg)
+
+    def correction(res: SpectralField) -> np.ndarray:
+        z, _info = gmres(matvec, weight * pack(res.coeffs).ravel(), KRYLOV_TOL, MAX_KRYLOV)
+        return solution(z)
+
+    return correction
 
 
 def _residual_target(m, w, rn) -> float:
@@ -175,7 +216,8 @@ def gmres(matvec, rhs: np.ndarray, rtol: float, restart: int):
     |rhs - A x| <= rtol |rhs|, of at most `restart` inner iterations.
     Returns (x, info): info is 0 if the true residual rhs - A x meets the
     target and 1 otherwise.  A caller that wants more restarts the cycle
-    on its own residual, as `_krylov_solve` does.
+    on its own residual, as the refinement rounds of `solve_linearized`
+    do.
 
     Arnoldi orthogonalizes each new vector by classical Gram-Schmidt
     done twice, two products with the basis, and Givens rotations keep
@@ -233,34 +275,6 @@ def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
         if tri[k, k] != 0.0:
             y[k] = (g[k] - tri[k, k + 1 :] @ y[k + 1 :]) / tri[k, k]
     return y
-
-
-def _krylov_solve(
-    m: SpectralField, r: SpectralField, rn: float, cfg: SolverConfig
-) -> SpectralField:
-    """Real GMRES on the right-preconditioned, dual-weighted form of
-    `_linearized_matvec`, checked on the true residual: each of at most
-    3 rounds, one GMRES cycle of at most MAX_KRYLOV inner iterations,
-    solves for the correction from the residual r - T'(m) w of the
-    iterate so far.  GMRES minimizes the dual norm of that residual, so
-    for a Hermitian r the cycle's own stopping test is the target, and
-    one round meets it unless roundoff (in Arnoldi, or in an
-    ill-conditioned P^{-1}) moves the true residual above the cycle's
-    estimate; a later round then removes that error (iterative
-    refinement, Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12).  Returns an iterate whose dual residual meets the target."""
-    matvec, weight, solution = _linearized_matvec(m, cfg)
-    x = np.zeros(r.coeffs.size)
-    res = r
-    for _ in range(3):
-        z, _info = gmres(matvec, weight * pack(res.coeffs).ravel(), KRYLOV_TOL, MAX_KRYLOV)
-        x += solution(z)
-        w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
-        res = r - apply_T_prime(m, w, cfg.mu)
-        rd = dual_norm(res)
-        if rd <= _residual_target(m, w, rn):
-            return w
-    raise LinearSolveError(f"GMRES did not converge (dual residual {rd:.3e})")
 
 
 def _newton(

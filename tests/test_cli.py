@@ -451,23 +451,6 @@ def test_dangling_report_link_fails_before_any_sweep_row(tmp_path, monkeypatch, 
     assert not (tmp_path / "sweep_rows.csv").exists()
 
 
-def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # the worker pool is the one multi-threaded path, and the reason the
-    # transform cache has a lock: two workers build it from cold at once
-    runs = []
-    for workers in ("2", "1"):
-        monkeypatch.setenv("STBURGERS_WORKERS", workers)
-        out = tmp_path / workers
-        out.mkdir()
-        proc = run_cli(out, "sweep", config="sweep_mu")
-        assert proc.returncode == 0, proc.stderr
-        report = (out / "sweep_report.json").read_text()
-        assert proc.stdout == report
-        runs.append(([line for line in report.split("\n") if '"timestamp"' not in line],
-                     (out / "sweep_rows.csv").read_bytes()))
-    assert runs[0] == runs[1]
-
-
 def test_verify_defaults_are_verify_config_defaults(tmp_path, monkeypatch, capsys):
     seen = []
 
@@ -505,6 +488,16 @@ def test_verify_keeps_going_after_a_colehopf_projection_failure(tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # the package needs numpy only; scipy is in the test extra alone
     code = "import sys, stburgers.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_thread_pool():
+    # every command runs on one thread; sweep rows run in order
+    code = "import sys, stburgers.cli; assert 'concurrent.futures' not in sys.modules"
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -573,6 +566,41 @@ def test_array_budget_follows_the_solver_path(monkeypatch, capsys):
                     "--override", "n_x=100"]
             assert cli.main(argv) == 1
         assert f"needs a {name} of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, name",
+    [
+        ("solve", ["outputs.grid_m_t=100000000", "outputs.grid_m_x=8"], "time matrix"),
+        ("solve", ["outputs.grid_m_x=100000000"], "value array"),
+        ("solve", ["outputs.grid_m_t=1", "outputs.grid_m_x=10000000"], "space matrix"),
+        ("scale", ["outputs.grid_m_x=100000000"], "value array"),
+    ],
+)
+def test_output_grid_past_the_array_budget_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, overrides, name
+):
+    # the field CSV's grid is built after the solve, and checked before it
+    monkeypatch.chdir(tmp_path)
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    monkeypatch.setattr(solver, "homotopy_solve", no_solve)
+    monkeypatch.setattr(solver, "newton_solve", no_solve)
+    argv = [command, "--config", str(CONFIGS / f"{command}.json")]
+    for override in overrides:
+        argv += ["--override", override]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config.outputs.grid_m_t/config.outputs.grid_m_x" in err
+    assert f"needs a {name} of" in err and "Traceback" not in err
+    assert solves == []
+    # with no field CSV the grid is never built, so it is not checked
+    grid = {"grid_m_t": 10**8, "grid_m_x": 10**8}
+    assert cli._outputs({"outputs": grid}, (16, 16)) == (None, None, 10**8, 10**8)
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

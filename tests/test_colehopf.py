@@ -17,16 +17,23 @@ from stburgers.colehopf import (
     grid_min,
     lift_s1_to_s2,
     monodromy_leading_pair,
-    profile_from_function,
     profile_values,
-    project_s2_to_s1,
     s1_residual,
     s2_to_s3,
     s3_to_s2,
     verify_uniqueness,
 )
-from stburgers.fields import Basis, random_field, space_matrix, truncate, zeros
+from stburgers.fields import (
+    Basis,
+    random_field,
+    space_eval_matrix,
+    space_matrix,
+    space_nodes,
+    truncate,
+    zeros,
+)
 from stburgers.norms import dual_norm
+from stburgers.operators import d_x
 from stburgers.solver import SolverConfig
 
 
@@ -39,8 +46,6 @@ def zero_mean_potential(seed, n_t=4, n_x=5, amp=0.4):
 
 
 def test_antiderivative_round_trip():
-    from stburgers.operators import d_x
-
     w = random_field(3, 5, 7, 2.0)
     wbar = antiderivative_x(w)
     assert wbar.basis is Basis.NEUMANN_COSINE
@@ -66,8 +71,8 @@ def test_lift_project_is_structurally_inverse():
     w = random_field(4, 4, 5, 2.0)
     v = random_field(5, 4, 5, 2.0)
     e2 = lift_s1_to_s2(w, v, mu=0.5, tol=np.inf)
-    e1 = project_s2_to_s1(e2)
-    assert np.max(np.abs(e1.w.coeffs - w.coeffs)) < 1e-13
+    # the S2 -> S1 projection is w = W_x
+    assert np.max(np.abs(d_x(e2.W).coeffs - w.coeffs)) < 1e-13
     # the S2 representative has zero space-time mean
     assert abs(e2.W.coeffs[e2.W.n_t, 0]) < 1e-15
 
@@ -214,10 +219,10 @@ def test_period_map_matches_step_oracle(n_x, v_n_t, v_n_x, mu, steps, seed):
 
 
 def test_profile_projection_round_trip():
-    psi = profile_from_function(lambda x: np.cos(np.pi * x) ** 2, 8)
+    # cosine coefficients of cos^2(pi x) by the midpoint rule on 36 nodes
+    b = space_matrix(8, 36, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
+    psi = (b.T @ np.cos(np.pi * space_nodes(36, Basis.NEUMANN_COSINE)) ** 2) / 36
     x = np.linspace(0.05, 0.95, 11)
-    from stburgers.fields import space_eval_matrix
-
     vals = space_eval_matrix(8, x, Basis.NEUMANN_COSINE) @ psi
     assert np.max(np.abs(vals - np.cos(np.pi * x) ** 2)) < 1e-12
 

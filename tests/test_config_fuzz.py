@@ -93,7 +93,6 @@ def write_grid(path, m_t, m_x, basis, fn):
 @pytest.mark.parametrize("name", list(BASES))
 def test_single_entry_mutations_end_in_a_documented_exit(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("STBURGERS_WORKERS", raising=False)
     write_grid("forcing.csv", 5, 2, Basis.DIRICHLET_SINE,
                lambda t, x: 0.2 * np.sin(np.pi * x) * np.cos(2 * np.pi * t))
     write_grid("phi.csv", 5, 3, Basis.NEUMANN_COSINE,

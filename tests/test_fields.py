@@ -1,23 +1,18 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stburgers import fields
 from stburgers.fields import (
     SQRT2,
     TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
     GridField,
-    LayoutCache,
     ResolutionError,
     SpectralField,
     advection_matrix,
     analyse,
-    cosine_to_sine_projection,
-    dealiased_product,
     evaluate,
     grid_quadrature,
     pack,
@@ -245,6 +240,31 @@ def test_product_cosine_exact_band():
     assert np.abs(c.imag).max() < 1e-14
 
 
+def cosine_to_sine_projection(n_x_sine, n_x_cos):
+    """Matrix of L2(0,1) inner products <q_k, b_m>: entry [m-1, k]
+    projects cosine mode k onto sine mode m, nonzero only when m + k is
+    odd."""
+    m = np.arange(1, n_x_sine + 1)[:, None].astype(float)
+    k = np.arange(0, n_x_cos + 1)[None, :].astype(float)
+    odd = (m + k) % 2 == 1
+    with np.errstate(divide="ignore"):
+        plus = np.where(odd, 2.0 / ((m + k) * np.pi), 0.0)
+        diff = m - k
+        minus = np.where(odd & (diff != 0), 2.0 / (diff * np.pi), 0.0)
+    proj = plus + minus
+    # normalization: q_0 = 1 while q_k = sqrt(2) cos for k >= 1
+    proj[:, 0] *= 1.0 / SQRT2
+    return proj
+
+
+def dealiased_product(u, v):
+    """Dirichlet-sine coefficients of u*v: the exact cosine product,
+    L2-projected onto the sine modes up to n_x."""
+    pc = product_cosine(u, v, u.n_t, 2 * u.n_x)
+    coeffs = pc.coeffs @ cosine_to_sine_projection(u.n_x, 2 * u.n_x).T
+    return SpectralField(coeffs, u.n_t, u.n_x, Basis.DIRICHLET_SINE)
+
+
 def test_cosine_to_sine_projection_against_quadrature():
     n_s, n_c = 6, 9
     mat = cosine_to_sine_projection(n_s, n_c)
@@ -296,17 +316,43 @@ def packed_time_oracle(n_t, m_t):
     return np.concatenate([np.ones((m_t, 1)), SQRT2 * e.real, -SQRT2 * e.imag], axis=1)
 
 
-def test_cached_matrices_equal_the_eval_matrices():
+def test_cached_matrices_equal_the_eval_matrices(monkeypatch):
+    # every layout these transforms use, and no other, is cached: after
+    # the caches are cleared, each is a hit on a direct call
+    packed_time_matrix.cache_clear()
+    space_matrix.cache_clear()
     u = random_field(30, 5, 4, 2.0)
     to_spectral(to_grid(u, 16, 12), 5, 4)
-    dealiased_product(u, u)
     to_grid(product_cosine(u, u), 24, 20)
     advection_matrix(u)
-    assert packed_time_matrix.entries() and space_matrix.entries()
-    for (n_t, m_t), r in packed_time_matrix.entries():
-        assert np.array_equal(r, packed_time_oracle(n_t, m_t))
-    for (n_x, m_x, nodes, basis), b in space_matrix.entries():
+    sine, cosine = Basis.DIRICHLET_SINE, Basis.NEUMANN_COSINE
+    time_layouts = [(5, 16), (5, 21), (10, 21), (10, 24)]
+    space_layouts = [(4, 12, sine, sine), (4, 18, cosine, sine), (8, 18, cosine, cosine),
+                     (8, 20, cosine, cosine), (4, 14, cosine, sine), (4, 14, cosine, cosine)]
+    for cache, layouts in ((packed_time_matrix, time_layouts), (space_matrix, space_layouts)):
+        before = cache.cache_info()
+        assert before.currsize == len(layouts)
+        for layout in layouts:
+            cache(*layout)
+        after = cache.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (len(layouts), 0)
+    for n_t, m_t in time_layouts:
+        assert np.array_equal(packed_time_matrix(n_t, m_t), packed_time_oracle(n_t, m_t))
+    for n_x, m_x, nodes, basis in space_layouts:
+        b = space_matrix(n_x, m_x, nodes, basis)
         assert np.array_equal(b, space_eval_matrix(n_x, space_nodes(m_x, nodes), basis))
+    # a miss calls the eval matrix through the module globals, so a
+    # wrapper set there (as a tracer sets) sees every build
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return time_eval_matrix(*args)
+
+    monkeypatch.setattr(fields, "time_eval_matrix", counted)
+    packed_time_matrix(2, 7)
+    packed_time_matrix(2, 7)
+    assert builds == [(2, 7)]
 
 
 def test_cached_matrices_are_read_only():
@@ -319,35 +365,23 @@ def test_cached_matrices_are_read_only():
 
 
 def test_layout_cache_size_is_bounded():
-    for m_t in range(3, 3 + TRANSFORM_CACHE_SIZE + 10):
+    packed_time_matrix.cache_clear()
+    last = 2 + TRANSFORM_CACHE_SIZE + 10
+    for m_t in range(3, last + 1):
         packed_time_matrix(1, m_t)
-    layouts = [key for key, _ in packed_time_matrix.entries()]
-    assert len(layouts) == TRANSFORM_CACHE_SIZE
-    # least recently used layouts go first
-    assert layouts[-1] == (1, 2 + TRANSFORM_CACHE_SIZE + 10)
-    assert (1, 3) not in layouts
+    info = packed_time_matrix.cache_info()
+    assert info.maxsize == info.currsize == TRANSFORM_CACHE_SIZE
+
+    def missed(m_t):
+        misses = packed_time_matrix.cache_info().misses
+        packed_time_matrix(1, m_t)
+        return packed_time_matrix.cache_info().misses - misses
+
+    # least recently used layouts go first: the oldest survivor, once
+    # used again, outlives the next oldest when a new layout comes in
+    assert missed(last) == 0
+    assert missed(13) == 0
+    assert missed(3) == 1
+    assert missed(13) == 0
+    assert missed(14) == 1
     assert np.array_equal(packed_time_matrix(1, 3), packed_time_oracle(1, 3))
-
-
-def test_layout_cache_is_shared_between_threads():
-    # more threads than cores and a short switch interval, so lookups,
-    # builds and evictions interleave; every lookup must still return the
-    # right matrix and the table must stay within its size
-    cache = LayoutCache(time_eval_matrix, size=4)
-    layouts = [(n_t, 2 * n_t + 1 + k) for n_t in range(1, 4) for k in range(3)] * 20
-
-    def lookup(layout):
-        return np.array_equal(cache(*layout), time_eval_matrix(*layout))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert all(pool.map(lookup, layouts, timeout=60))
-            u = [random_field(40 + i, 2 + i, 3, 2.0) for i in range(4)]
-            threaded = list(pool.map(lambda v: product_cosine(v, v).coeffs, u, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(cache.entries()) == 4
-    serial = [product_cosine(v, v).coeffs for v in u]
-    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))

@@ -117,6 +117,36 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     assert len(residuals) == 3
 
 
+def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
+    # a dense T'(m) off by 1e-7 relative leaves the first LU solve at a
+    # dual residual near 1e-7 relative; the refinement rounds on the true
+    # residual, which the dense path shares with GMRES, reach the 1e-12
+    # target with the one perturbed matrix
+    mu = 0.3
+    f = 0.4 * random_field(3, 6, 6, 2.0)
+    m = random_field(4, 6, 6, 1.5)
+    r = apply_T(m, mu) - f
+    rng = np.random.default_rng(5)
+    builds, solves = [], []
+    exact_matrix, exact_solve = solver.T_prime_matrix, np.linalg.solve
+
+    def perturbed(*args):
+        a = exact_matrix(*args)
+        builds.append(a.shape)
+        return a * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0, a.shape))
+
+    def counted_solve(*args):
+        solves.append(1)
+        return exact_solve(*args)
+
+    monkeypatch.setattr(solver, "T_prime_matrix", perturbed)
+    monkeypatch.setattr(solver.np.linalg, "solve", counted_solve)
+    forced_path(monkeypatch, "dense")
+    w = solve_linearized(m, r, SolverConfig(mu=mu))
+    assert dual_norm(apply_T_prime(m, w, mu) - r) <= solver.KRYLOV_TOL * dual_norm(r)
+    assert len(builds) == 1 and len(solves) > 1
+
+
 class Counted:
     """A function (a matvec, a solve) that counts its calls."""
 
@@ -150,7 +180,7 @@ def test_gmres_matches_a_direct_solve(seed, restart):
     # "full": one cycle of the system's dimension; "restarted": cycles of
     # 6 inner iterations, each from zero on the residual of the sum of
     # the ones before, the restart that the refinement rounds of
-    # `_krylov_solve` make
+    # `solve_linearized` make
     rng = np.random.default_rng(seed)
     a = np.eye(30) + 0.4 * rng.standard_normal((30, 30)) / np.sqrt(30)
     b = rng.standard_normal(30)
@@ -201,8 +231,8 @@ def test_one_gmres_cycle_per_linearized_solve(monkeypatch, base_forcing):
     # amplitude 1 (16x16, GMRES by default): GMRES minimizes the dual
     # residual that the solve is gated on, so its own stopping test meets
     # the target and no linearized solve needs a second cycle
-    solves, cycles = Counted(solver._krylov_solve), Counted(solver.gmres)
-    monkeypatch.setattr(solver, "_krylov_solve", solves)
+    solves, cycles = Counted(solver._krylov_correction), Counted(solver.gmres)
+    monkeypatch.setattr(solver, "_krylov_correction", solves)
     monkeypatch.setattr(solver, "gmres", cycles)
     rep = newton_solve(base_forcing, None, SolverConfig(mu=0.05, max_newton=60))
     assert rep.success
@@ -248,7 +278,7 @@ def test_default_config_routes_the_linearized_solve_by_size(monkeypatch, n, path
     # verify's 8x8 solves and the 12x12 configs stay on the dense LU; the
     # 16x16 Tier-1 fixture and configs/solve.json go to GMRES
     calls = {"dense": 0, "gmres": 0}
-    dense_solve, krylov_solve = np.linalg.solve, solver._krylov_solve
+    dense_solve, krylov_solve = np.linalg.solve, solver._krylov_correction
 
     def counted_dense(*args):
         calls["dense"] += 1
@@ -259,7 +289,7 @@ def test_default_config_routes_the_linearized_solve_by_size(monkeypatch, n, path
         return krylov_solve(*args)
 
     monkeypatch.setattr(solver.np.linalg, "solve", counted_dense)
-    monkeypatch.setattr(solver, "_krylov_solve", counted_krylov)
+    monkeypatch.setattr(solver, "_krylov_correction", counted_krylov)
     m = 0.5 * random_field(1, n, n, 2.0)
     r = random_field(2, n, n, 2.0)
     solve_linearized(m, r, SolverConfig(mu=1.0))
