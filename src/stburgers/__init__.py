@@ -45,6 +45,7 @@ from .norms import (
     interpolation_slack,
     l4_norm,
     norm_report,
+    outer_shell_weight,
 )
 from .solver import (
     ContinuationError,

@@ -344,8 +344,8 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     """(name, bytes) of the largest array that a solve at truncation
     (n_t, n_x) allocates: the real dense matrix of T'(m) or the Krylov
     basis, whichever the solve uses, the real values of a product on its
-    padded grid, or the complex time matrix that its packed one is built
-    from."""
+    padded grid, the complex time matrix that its packed one is built
+    from, or the real space matrix of the product grid of `apply_S`."""
     n = (2 * n_t + 1) * n_x
     if n <= sv.DENSE_MAX_UNKNOWNS:
         linear = ("dense matrix", 8 * n * n)
@@ -353,7 +353,8 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
         linear = ("Krylov basis", 8 * (min(sv.MAX_KRYLOV, n) + 1) * n)
     grid = ("product grid", 8 * (4 * n_t + 1) * (4 * n_x + 2))
     time = ("time matrix", 16 * (4 * n_t + 1) ** 2)
-    return max(linear, grid, time, key=lambda named: named[1])
+    space = ("space matrix", 8 * (3 * n_x + 2) * (n_x + 1))
+    return max(linear, grid, time, space, key=lambda named: named[1])
 
 
 def _truncation(cfg: dict, keys=("n_t", "n_x"), defaults=None) -> tuple[int, int]:

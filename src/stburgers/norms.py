@@ -57,6 +57,21 @@ def aniso_norm(u: SpectralField) -> float:
     return float(np.sqrt((aniso_weight(u) * np.abs(u.coeffs) ** 2).sum()))
 
 
+def outer_shell_weight(u: SpectralField) -> float:
+    """Relative l2 weight of the outermost shell of the truncation,
+    sqrt(max(w_t, w_x) / |u|^2), with w_t the squared l2 weight of the
+    time rows |n| = n_t and w_x that of the space column m = n_x.  A
+    resolved solution has a small tail (Boyd, Chebyshev and Fourier
+    Spectral Methods, 2nd ed., ch. 2); the zero field has weight 0."""
+    sq = np.abs(u.coeffs) ** 2
+    total = sq.sum()
+    if total == 0.0:
+        return 0.0
+    w_t = sq[np.abs(u.time_modes) == u.n_t].sum()
+    w_x = sq[:, -1].sum()
+    return float(np.sqrt(max(w_t, w_x) / total))
+
+
 def l4_norm(u: SpectralField) -> float:
     """L4(Q) norm by quadrature; u^4 needs 4th-order products so the grid
     is padded accordingly."""

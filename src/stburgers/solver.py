@@ -23,7 +23,14 @@ matvec stays on packed coordinates: (m' w)_x is
 padded product grid.  Either path then runs the same few rounds of
 refinement on the true residual, each a fresh LU solve or GMRES cycle,
 to the same dual-residual gate; they remove what roundoff leaves where
-T'(m) or P is ill-conditioned.  The package needs numpy only.
+T'(m) or P is ill-conditioned.
+
+`homotopy_solve` continues in lambda on the coarsest level
+(n_t >> j, n_x >> j), both at least COARSEST, whose solution keeps at
+most TAIL_MAX of its weight in the outermost shell, then climbs to full
+size by Newton at lambda = 1 from the zero-padded solution, one doubling
+at a time (mesh sequencing).  With no such level, or a climb step that
+fails, it runs the homotopy at full size.  The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -34,8 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .fields import SpectralField, advection_operator, mean_advection_block, pack, unpack, zeros
-from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm
+from .fields import (
+    SpectralField, advection_operator, mean_advection_block, pack, truncate, unpack, zeros,
+)
+from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
 from .operators import T_prime_matrix, apply_T, apply_T_prime, invert_L
 
 
@@ -61,6 +70,10 @@ MAX_RECOVERIES = 6
 # the homotopy's lambda steps, and the midpoints it may insert
 HOMOTOPY_STEPS = (0.0, 0.25, 0.5, 0.75, 1.0)
 MAX_BISECTIONS = 12
+# the smallest truncation the homotopy may run on, and the largest
+# outer-shell weight of a coarse solution that counts as resolved
+COARSEST = 8
+TAIL_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -358,13 +371,69 @@ def homotopy_solve(
     cfg: SolverConfig,
     c_gn: float | None = None,
 ) -> SolveReport:
-    """Continuation in lambda from the linear solve to the Burgers solve.
+    """Continuation in lambda from the linear solve to the Burgers solve,
+    run on the coarsest truncation that resolves the solution and
+    carried to full size by Newton (mesh sequencing: Knoll & Keyes,
+    J. Comput. Phys. 193, 2004).
+
+    The levels are (n_t >> j, n_x >> j) for j >= 1 while both are at
+    least COARSEST, tried from the coarsest up; a truncation with
+    min(n_t, n_x) < 2 COARSEST has none.  A level is accepted when the
+    homotopy on truncate(f, level) succeeds and its solution's
+    `outer_shell_weight` is at most TAIL_MAX.  From it the solution is
+    zero-padded to each doubling in turn and Newton at lambda = 1 solves
+    there, up to full size.  If no level is accepted or a climb step
+    fails, the homotopy runs at full size.
+
+    The report of a climb has the full-size Newton's `newton_iters` and
+    `residual_dual`, the coarse homotopy's `lambda_path`, and an
+    `apriori_margin` taken over that path and the solution of every
+    level (`apriori_bound` of the full f less the largest aniso norm)."""
+    bound = apriori_bound(f, cfg.mu, c_gn) if c_gn is not None else None
+    n_t, n_x = f.n_t, f.n_x
+    depth = 0
+    while min(n_t >> (depth + 1), n_x >> (depth + 1)) >= COARSEST:
+        depth += 1
+    for j in range(depth, 0, -1):
+        try:
+            coarse = _homotopy(truncate(f, n_t >> j, n_x >> j), cfg, bound)
+        except ContinuationError:
+            continue
+        if outer_shell_weight(coarse.u) <= TAIL_MAX:
+            return _climb(f, coarse, j, cfg, bound) or _homotopy(f, cfg, bound)
+    return _homotopy(f, cfg, bound)
+
+
+def _climb(
+    f: SpectralField, coarse: SolveReport, j: int, cfg: SolverConfig, bound: float | None
+) -> SolveReport | None:
+    """Newton at lambda = 1 at each doubling from the level-j solution of
+    `coarse` up to the truncation of f; None if a step fails."""
+    u = coarse.u
+    level_norms = []
+    for i in range(j - 1, -1, -1):
+        size = (f.n_t >> i, f.n_x >> i)
+        report = _newton(truncate(f, *size), truncate(u, *size), cfg)
+        if not report.success:
+            return None
+        u = report.u
+        level_norms.append(aniso_norm(u))
+    report.lambda_path = coarse.lambda_path
+    if bound is not None:
+        report.apriori_margin = min(coarse.apriori_margin, bound - max(level_norms))
+    return report
+
+
+def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> SolveReport:
+    """Continuation in lambda at the truncation of f.
 
     Each lambda step warm-starts from the previous solution; a failed
     step is bisected (the solution path is smooth in lambda, so midpoint
     insertion recovers).  Every accepted iterate is recorded with its
-    anisotropic norm for comparison against the a priori bound."""
-    bound = apriori_bound(f, cfg.mu, c_gn) if c_gn is not None else None
+    anisotropic norm for comparison against the a priori bound.  A step
+    that cannot be bisected further raises ContinuationError; if the
+    last iterate's outer-shell weight is above TAIL_MAX, its message says
+    the truncation is likely too coarse."""
     path = []
     u = solve_linear(f, cfg)
     path.append((0.0, dual_norm(apply_T(u, cfg.mu, 0.0) - f), aniso_norm(u)))
@@ -377,8 +446,14 @@ def homotopy_solve(
         report = _newton(f, u, cfg, lam=lam)
         if not report.success:
             if bisections >= MAX_BISECTIONS or lam - prev_lam < 1e-6:
+                tail = outer_shell_weight(report.u)
+                hint = (
+                    f"; outer-shell weight {tail:.3g} > {TAIL_MAX:g}: "
+                    f"the truncation ({f.n_t}, {f.n_x}) is likely too coarse"
+                    if tail > TAIL_MAX else ""
+                )
                 raise ContinuationError(
-                    f"continuation failed at lambda = {lam:.6g}: {report.message}"
+                    f"continuation failed at lambda = {lam:.6g}: {report.message}{hint}"
                 )
             pending.insert(0, 0.5 * (prev_lam + lam))
             bisections += 1

@@ -568,6 +568,28 @@ def test_array_budget_follows_the_solver_path(monkeypatch, capsys):
         assert f"needs a {name} of" in capsys.readouterr().err
 
 
+def test_space_matrix_of_the_product_grid_counts_against_the_budget(monkeypatch, capsys):
+    # at (1, 1500) the Krylov basis is 18 MB but apply_S builds a
+    # (3 n_x + 2) x (n_x + 1) real space matrix of 54 MB
+    assert cli._largest_array(1, 1500) == ("space matrix", 8 * 4502 * 1501)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 50 * 2**20)
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    monkeypatch.setattr(solver, "homotopy_solve", no_solve)
+    monkeypatch.setattr(solver, "newton_solve", no_solve)
+    argv = ["solve", "--config", str(CONFIGS / "solve.json"), "--override", "n_t=1",
+            "--override", "n_x=1500", "--override", "outputs={}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config.n_t/config.n_x" in err and "needs a space matrix of" in err
+    assert "Traceback" not in err
+    assert solves == []
+
+
 @pytest.mark.parametrize(
     "command, overrides, name",
     [

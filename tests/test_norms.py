@@ -10,6 +10,7 @@ from stburgers.fields import (
     random_field,
     set_mode,
     to_grid,
+    truncate,
     zeros,
 )
 from stburgers.norms import (
@@ -24,6 +25,7 @@ from stburgers.norms import (
     interpolation_slack,
     l4_norm,
     norm_report,
+    outer_shell_weight,
 )
 from stburgers.operators import apply_L, apply_T, d_x, half_derivative
 from stburgers.solver import SolverConfig, newton_solve
@@ -43,6 +45,26 @@ def test_norms_of_single_space_mode():
     assert abs(rep.aniso - np.sqrt(1 + np.pi**2)) < 1e-13
     # L4^4 of sqrt(2) sin(pi x) is 4 * (3/8) = 3/2, so L4 = (3/2)^(1/4)
     assert abs(rep.l4 - (1.5) ** 0.25) < 1e-13
+
+
+def test_outer_shell_weight_on_hand_built_fields():
+    # |u|^2 counts both rows of a mode (n, m) and (-n, m), n != 0
+    assert outer_shell_weight(zeros(4, 4)) == 0.0
+    assert outer_shell_weight(set_mode(zeros(4, 4), 1, 2, 1.0)) == 0.0
+    assert outer_shell_weight(set_mode(zeros(4, 4), 4, 2, 0.3j)) == pytest.approx(1.0)
+    u = set_mode(zeros(4, 4), 1, 1, 1.0)  # interior, weight 2
+    u = set_mode(u, 4, 2, 0.5)  # time shell |n| = 4, weight 0.5
+    u = set_mode(u, 0, 4, 0.6)  # space shell m = 4, weight 0.36
+    assert outer_shell_weight(u) == pytest.approx(np.sqrt(0.5 / 2.86), rel=1e-14)
+    u = set_mode(u, 0, 4, 0.8)  # the space shell now outweighs, 0.64
+    assert outer_shell_weight(u) == pytest.approx(np.sqrt(0.64 / 3.14), rel=1e-14)
+    # a corner mode lies in both shells; with n_t = 0 the one row is the
+    # time shell, counted once
+    assert outer_shell_weight(set_mode(zeros(4, 4), -4, 4, 2.0)) == pytest.approx(1.0)
+    assert outer_shell_weight(set_mode(zeros(0, 4), 0, 1, 2.0)) == pytest.approx(1.0)
+    # a spectrally decaying field has a small tail, growing as it is cut
+    tails = [outer_shell_weight(truncate(random_field(3, 16, 16, 3.0), n, n)) for n in (4, 8, 16)]
+    assert tails[0] > tails[1] > tails[2]
 
 
 def test_l4_against_independent_quadrature():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stburgers import fields, operators, solver
+from stburgers import fields, norms, operators, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
-from stburgers.norms import aniso_norm, dual_norm
+from stburgers.norms import aniso_norm, apriori_bound, dual_norm
 from stburgers.operators import apply_T, apply_T_prime
 from stburgers.solver import (
     SolverConfig,
@@ -315,6 +315,114 @@ def test_default_path_matches_dense_on_the_hardest_fixture_cell(monkeypatch, tes
         assert dense.newton_iters == default.newton_iters
         assert len(dense.lambda_path) == len(default.lambda_path)
         assert np.abs(dense.u.coeffs - default.u.coeffs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("n", [16, 32])
+def test_ladder_agrees_with_the_full_homotopy(monkeypatch, base_forcing, n, mu):
+    # the Tier-1 forcing's coarse solutions are resolved at these cells,
+    # so the homotopy runs coarse and Newton climbs to n; the two
+    # solutions agree inside newton_tol (1.1e-11 relative at most)
+    f = truncate(base_forcing, n, n)
+    cfg = SolverConfig(mu=mu, max_newton=60)
+    climbs = Counted(solver._climb)
+    monkeypatch.setattr(solver, "_climb", climbs)
+    ladder = homotopy_solve(f, cfg)
+    full = solver._homotopy(f, cfg, None)
+    assert ladder.success and full.success
+    assert climbs.calls == 1
+    assert ladder.residual_dual <= cfg.newton_tol
+    assert aniso_norm(ladder.u - full.u) <= 1e-8 * aniso_norm(full.u)
+    assert [lam for lam, _ in ladder.lambda_path] == list(solver.HOMOTOPY_STEPS)
+
+
+def test_ladder_margin_covers_the_path_and_every_level(test_matrix, gn_constant):
+    # the fixture's homotopy at mu = 0.1, amplitude 1 climbs from 8x8:
+    # its margin is the full bound less the largest aniso norm over the
+    # coarse path and the solution of every level, here the 16x16 one
+    cell = test_matrix[(0.1, 1.0)]
+    f, rep = cell["f"], cell["homotopy"]
+    bound = apriori_bound(f, 0.1, gn_constant)
+    coarse = solver._homotopy(truncate(f, 8, 8), SolverConfig(mu=0.1, max_newton=60), bound)
+    assert rep.lambda_path == coarse.lambda_path
+    assert rep.apriori_margin == min(coarse.apriori_margin, bound - aniso_norm(rep.u)) > 0
+
+
+def test_unresolved_coarse_level_falls_back_to_the_full_homotopy(monkeypatch, base_forcing):
+    # at mu = 0.02, amplitude 2.5 the 8x8 solution keeps 0.23 of its
+    # weight in the outer shell, so no level is accepted and the report
+    # is the full-size homotopy's, bit for bit
+    f = 2.5 * base_forcing
+    cfg = SolverConfig(mu=0.02, max_newton=60)
+    coarse = solver._homotopy(truncate(f, 8, 8), cfg, None)
+    assert norms.outer_shell_weight(coarse.u) > solver.TAIL_MAX
+    monkeypatch.setattr(solver, "_climb", no_call)
+    rep = homotopy_solve(f, cfg)
+    ref = solver._homotopy(f, cfg, None)
+    assert rep.success
+    assert rep.lambda_path == ref.lambda_path
+    assert rep.newton_iters == ref.newton_iters
+    assert rep.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+
+
+def test_failed_climb_step_falls_back_to_the_full_homotopy(monkeypatch, base_forcing):
+    # the climb's Newton is the only one called without a lam keyword;
+    # when it fails, the report is the full-size homotopy's
+    f = truncate(base_forcing, 32, 32)
+    cfg = SolverConfig(mu=0.1)
+    newton = solver._newton
+    failed = []
+
+    def failing_climb(f, u0, cfg, **kwargs):
+        if not kwargs:
+            failed.append(f.n_t)
+            return solver.SolveReport(u=u0, residual_dual=1.0, newton_iters=0, success=False)
+        return newton(f, u0, cfg, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton", failing_climb)
+    rep = homotopy_solve(f, cfg)
+    assert failed == [16]
+    monkeypatch.setattr(solver, "_newton", newton)
+    ref = solver._homotopy(f, cfg, None)
+    assert rep.success and rep.residual_dual <= cfg.newton_tol
+    assert rep.lambda_path == ref.lambda_path
+    assert rep.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+
+
+def no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("n_t, n_x", [(8, 8), (12, 12), (15, 16), (16, 10)])
+def test_small_truncations_run_the_homotopy_unchanged(monkeypatch, base_forcing, n_t, n_x):
+    # below min(n_t, n_x) = 16 there is no level: no coarse truncation
+    # of f and no climb, only the full-size homotopy
+    f = truncate(base_forcing, n_t, n_x)
+    cfg = SolverConfig(mu=0.1)
+    ref = solver._homotopy(f, cfg, None)
+    monkeypatch.setattr(solver, "truncate", no_call)
+    monkeypatch.setattr(solver, "_climb", no_call)
+    rep = homotopy_solve(f, cfg)
+    assert rep.lambda_path == ref.lambda_path
+    assert rep.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+
+
+def test_failed_homotopy_names_a_too_coarse_truncation(monkeypatch, base_forcing):
+    # the Tier-1 forcing x2.5 at 6x6, mu = 0.02 does not converge, and
+    # its last iterate keeps 0.286 of its weight in the outer shell
+    cfg = SolverConfig(mu=0.02, max_newton=60)
+    with pytest.raises(solver.ContinuationError, match=r"outer-shell weight 0\.286 > 0\.1: "
+                       r"the truncation \(6, 6\) is likely too coarse"):
+        homotopy_solve(truncate(2.5 * base_forcing, 6, 6), cfg)
+    # a failure on a resolved field says nothing of the truncation
+    def stalled(f, u0, cfg, lam=1.0):
+        return solver.SolveReport(u=u0, residual_dual=1.0, newton_iters=0, success=False,
+                                  message="stalled")
+
+    monkeypatch.setattr(solver, "_newton", stalled)
+    with pytest.raises(solver.ContinuationError) as failure:
+        homotopy_solve(base_forcing, SolverConfig(mu=1.0))
+    assert str(failure.value).endswith("stalled")
 
 
 def test_spectral_convergence_in_truncation():
