@@ -297,10 +297,10 @@ def grid_quadrature(g: GridField) -> float:
     return float(g.values.sum() / (g.m_t * w))
 
 
-def _product_grid(u: SpectralField, n_t_out: int, n_x_out: int) -> tuple[int, int]:
-    """Padded grid (m_t, m_x) on which the product of two fields of u's
-    truncation is exact in the output band (n_t_out, n_x_out)."""
-    return 2 * u.n_t + n_t_out + 1, 2 * u.n_x + n_x_out + 2
+def _product_grid(n_t: int, n_x: int, n_t_out: int, n_x_out: int) -> tuple[int, int]:
+    """Padded grid (m_t, m_x) on which the product of two fields of the
+    truncation (n_t, n_x) is exact in the output band (n_t_out, n_x_out)."""
+    return 2 * n_t + n_t_out + 1, 2 * n_x + n_x_out + 2
 
 
 def product_cosine(
@@ -324,7 +324,7 @@ def product_cosine(
         n_t_out = 2 * u.n_t
     if n_x_out is None:
         n_x_out = 2 * u.n_x
-    m_t, m_x = _product_grid(u, n_t_out, n_x_out)
+    m_t, m_x = _product_grid(u.n_t, u.n_x, n_t_out, n_x_out)
     # real values on the grid; evaluate drops an anti-Hermitian part
     gu = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
     gv = gu if v is u else evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
@@ -360,31 +360,77 @@ def _require_real(u: SpectralField, what: str) -> None:
         raise ValueError(f"{what} expects a real field (Hermitian coefficients): {defect:.3e}")
 
 
-def _advection_factors(m: SpectralField, what: str):
-    """The factors (R, S, C, g) of the linear map w -> (m w)_x, the
-    x-derivative of product_cosine(m, w, n_t, n_x), on the packed (`pack`)
-    Dirichlet-sine coefficients of m's truncation; m must be real.
+@dataclass(frozen=True, eq=False)
+class AdvectionGrid:
+    """The padded grid of product_cosine(m, w, n_t, n_x) for two fields of
+    the truncation (n_t, n_x), and the two maps between it and packed
+    (`pack`) Dirichlet-sine coefficients X, (2 n_t + 1) x n_x arrays:
 
-    On the padded grid of that product, R is the packed time matrix
-    [t, i], S the midpoint sine matrix [x, j], C the midpoint cosine
-    matrix of modes 1..n_x scaled by the derivative factor
-    -k pi / (m_t m_x) [x, k], and g the real values of m [t, x]."""
-    if m.basis is not Basis.DIRICHLET_SINE:
-        raise BasisMismatchError(f"{what} expects a Dirichlet-sine field")
-    _require_real(m, what)
-    n_x = m.n_x
-    m_t, m_x = _product_grid(m, m.n_t, n_x)
+        values(X) = R X S^T,    derivative(p) = R^T (p C),
+
+    R the packed time matrix [t, i], S the midpoint sine matrix [x, j] and
+    C the midpoint cosine matrix of modes 1..n_x scaled by the derivative
+    factor -k pi / (m_t m_x) [x, k].  values(X) are the values of
+    unpack(X) on the grid, and derivative(p) is the packed x-derivative
+    of the product of grid values p, so (m w)_x is
+    derivative(values(X_m) * values(X_w)); R^T / m_t is the analysis onto
+    packed coordinates, since R^T R = m_t I.  r_t and s_t are contiguous
+    copies of R^T and S^T: at 32x32 a product is 15% faster on them."""
+
+    n_t: int
+    n_x: int
+    r: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
+    r_t: np.ndarray
+    s_t: np.ndarray
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return (self.r @ x) @ self.s_t
+
+    def derivative(self, p: np.ndarray) -> np.ndarray:
+        return self.r_t @ (p @ self.c)
+
+
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def advection_grid(n_t: int, n_x: int) -> AdvectionGrid:
+    """The AdvectionGrid of the truncation (n_t, n_x), cached like the
+    transform matrices it is built from, its arrays read-only."""
+    m_t, m_x = _product_grid(n_t, n_x, n_t, n_x)
     mid = Basis.NEUMANN_COSINE
-    r = packed_time_matrix(m.n_t, m_t)
+    r = packed_time_matrix(n_t, m_t)
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
     k = np.arange(1, n_x + 1)
     c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
-    return r, s, c, evaluate(m, m_t, m_x, mid)
+    grid = AdvectionGrid(n_t, n_x, r, s, c, np.ascontiguousarray(r.T), np.ascontiguousarray(s.T))
+    for a in (grid.c, grid.r_t, grid.s_t):
+        a.setflags(write=False)
+    return grid
 
 
-def advection_matrix(m: SpectralField) -> np.ndarray:
-    """Real matrix of advection_operator(m)'s map w -> (m w)_x on packed
-    Dirichlet-sine coefficients, contracted from the same factors:
+def advection_grid_of(g: np.ndarray) -> AdvectionGrid:
+    """The AdvectionGrid whose grid has the shape of the values g."""
+    n_t, n_x = (g.shape[0] - 1) // 3, (g.shape[1] - 2) // 3
+    if g.shape != _product_grid(n_t, n_x, n_t, n_x) or n_x < 1:
+        raise ValueError(f"values of shape {g.shape} lie on no product grid")
+    return advection_grid(n_t, n_x)
+
+
+def advection_values(m: SpectralField) -> np.ndarray:
+    """The real values g of m on its AdvectionGrid [t, x], which fix the
+    advection w -> (m w)_x that `advection_matrix`, `advection_operator`
+    and `mean_advection_block` take; m must be a real Dirichlet-sine
+    field."""
+    if m.basis is not Basis.DIRICHLET_SINE:
+        raise BasisMismatchError("the advection by m expects a Dirichlet-sine field")
+    _require_real(m, "the advection by m")
+    return advection_grid(m.n_t, m.n_x).values(pack(m.coeffs))
+
+
+def advection_matrix(g: np.ndarray) -> np.ndarray:
+    """Real matrix of advection_operator(g)'s map w -> (m w)_x on packed
+    Dirichlet-sine coefficients, m the field with values g on its
+    AdvectionGrid, contracted from the same factors:
 
         A[(n, k), (i, j)] = sum_t R[t, n] R[t, i] h[t, k, j],
         h[t, k, j] = sum_x C[x, k] g[t, x] S[x, j],
@@ -392,61 +438,43 @@ def advection_matrix(m: SpectralField) -> np.ndarray:
     with the sum over x taken first.  The largest temporary is then the
     product [t, k, i, j] that R^T contracts, m_t / (2 n_t + 1) < 1.5
     times the size of the matrix; no complex array is formed."""
-    r, s, c, g = _advection_factors(m, "advection_matrix")
-    h = c.T @ (g[:, :, None] * s)  # [t, k, j]
+    grid = advection_grid_of(g)
+    r = grid.r
+    h = grid.c.T @ (g[:, :, None] * grid.s)  # [t, k, j]
     # [t, k, i, j], so R^T brings out the rows (n, k) and columns (i, j)
     a = r.T @ (h[:, :, None, :] * r[:, None, :, None]).reshape(len(r), -1)
-    return a.reshape(r.shape[1] * m.n_x, -1)
+    return a.reshape(r.shape[1] * grid.n_x, -1)
 
 
-def advection_operator(m: SpectralField):
-    """Matrix-free form of advection_matrix(m): a function that maps the
+def advection_operator(g: np.ndarray):
+    """Matrix-free form of advection_matrix(g): a function that maps the
     flattened packed (`pack`) Dirichlet-sine coefficients x of a real w
-    to the packed coefficients of (m w)_x; m must be real.
-
-    The factors R, S, C and g (`_advection_factors`) depend on m alone
-    and are formed here, once; an apply is then four real products,
+    to the packed coefficients of (m w)_x, m the field with values g on
+    its AdvectionGrid.  An apply is four real products,
 
         (m w)_x = R^T ((g * (R X S^T)) C),
 
-    with X the packed coefficients as a (2 n_t + 1) x n_x array: R X S^T
-    are the values of w on the grid, and R^T / m_t is the analysis onto
-    packed coordinates, since R^T R = m_t I."""
-    r, s, c, g = _advection_factors(m, "advection_operator")
-    rows, n_x = 2 * m.n_t + 1, m.n_x
-    # contiguous transposes: at 32x32 an apply is 15% faster on them
-    r_t = np.ascontiguousarray(r.T)
-    s_t = np.ascontiguousarray(s.T)
+    with X the packed coefficients as a (2 n_t + 1) x n_x array."""
+    grid = advection_grid_of(g)
+    shape = (2 * grid.n_t + 1, grid.n_x)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        p = (r @ x.reshape(rows, n_x)) @ s_t
+        p = grid.values(x.reshape(shape))
         p *= g
-        return (r_t @ (p @ c)).ravel()
+        return grid.derivative(p).ravel()
 
     return apply
 
 
-def mean_advection_block(m: SpectralField) -> np.ndarray:
+def mean_advection_block(g: np.ndarray) -> np.ndarray:
     """Real n_x x n_x matrix B0 of w -> (m_0 w)_x on the Dirichlet-sine
-    coefficients of one time mode, m_0 the time mean (row n = 0) of m;
-    m must be real.  Advection by m_0 maps every time mode to itself, and
-    B0 is its block on each; it equals advection_matrix(m)[:n_x, :n_x],
-    the block of the real mode n = 0.
-
-    With g0 the values of m_0 on the midpoint nodes of the padded product
-    grid, B0 = C^T (g0 * S), C the cosine matrix of modes 1..n_x scaled by
-    the derivative factor -k pi / m_x."""
-    if m.basis is not Basis.DIRICHLET_SINE:
-        raise BasisMismatchError("mean_advection_block expects a Dirichlet-sine field")
-    n_x = m.n_x
-    _, m_x = _product_grid(m, m.n_t, n_x)
-    mid = Basis.NEUMANN_COSINE
-    s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)  # [x, j]
-    k = np.arange(1, n_x + 1)
-    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / m_x)  # [x, k]
-    _require_real(m, "mean_advection_block")
-    g0 = s @ m.coeffs[m.n_t].real
-    return c.T @ (g0[:, None] * s)
+    coefficients of one time mode, m_0 the time mean of the field m with
+    values g on its AdvectionGrid.  Advection by m_0 maps every time mode
+    to itself, and B0 is its block on each; it equals
+    advection_matrix(g)[:n_x, :n_x], the block of the real mode n = 0:
+    B0 = C^T (sum_t g[t] * S), since R[t, 0] = 1."""
+    grid = advection_grid_of(g)
+    return grid.c.T @ (g.sum(axis=0)[:, None] * grid.s)
 
 
 def random_field(

@@ -10,12 +10,14 @@ dual norm of a forcing is exact rather than estimated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StburgersError
 from .fields import (
+    TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
     SpectralField,
@@ -41,16 +43,28 @@ class NormReport:
     aniso: float
 
 
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _weight_table(n_t: int, n_x: int, basis: Basis) -> tuple[np.ndarray, ...]:
+    """(2 pi |n|, (m pi)^2, aniso weight) on the truncation (n_t, n_x) of
+    `basis`, read-only; built from numpy alone, so a miss calls no other
+    function of the package."""
+    n = np.abs(np.arange(-n_t, n_t + 1))[:, None].astype(float)
+    first = 1 if basis is Basis.DIRICHLET_SINE else 0
+    m = np.arange(first, n_x + 1)[None, :].astype(float)
+    wt, wx = 2 * np.pi * n, (m * np.pi) ** 2
+    table = wt, wx, 1.0 + wt + wx
+    for part in table:
+        part.setflags(write=False)
+    return table
+
+
 def _diagonal_weights(u: SpectralField):
-    n = np.abs(u.time_modes)[:, None].astype(float)
-    m = u.space_modes[None, :].astype(float)
-    return 2 * np.pi * n, (m * np.pi) ** 2
+    return _weight_table(u.n_t, u.n_x, u.basis)[:2]
 
 
 def aniso_weight(u: SpectralField) -> np.ndarray:
-    """w(n, m) = 1 + 2 pi |n| + (m pi)^2 on the truncation of u."""
-    wt, wx = _diagonal_weights(u)
-    return 1.0 + wt + wx
+    """w(n, m) = 1 + 2 pi |n| + (m pi)^2 on the truncation of u, read-only."""
+    return _weight_table(u.n_t, u.n_x, u.basis)[2]
 
 
 def aniso_norm(u: SpectralField) -> float:

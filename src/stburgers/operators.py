@@ -16,12 +16,16 @@ through the L2(Q) pairing in the same orthonormal modal coordinates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fields import (
+    TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
     SpectralField,
+    advection_grid_of,
     advection_matrix,
     product_cosine,
 )
@@ -77,14 +81,26 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     return float(np.vdot(v.coeffs, u.coeffs).real)
 
 
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _symbol_table(n_t: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts 2 pi i n [n, 1] and (m pi)^2 [1, m] of L's symbol on the
+    truncation (n_t, n_x), read-only; built from numpy alone, so a miss
+    calls no other function of the package."""
+    n = np.arange(-n_t, n_t + 1)[:, None]
+    m = np.arange(1, n_x + 1)[None, :]
+    parts = 2j * np.pi * n, (m * np.pi) ** 2
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
 def linear_symbol(n_t: int, n_x: int, mu: float) -> np.ndarray:
     """Diagonal symbol lambda(n, m) = 2 pi i n + mu (m pi)^2 of L on the
     truncation (n_t, n_x)."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    n = np.arange(-n_t, n_t + 1)[:, None]
-    m = np.arange(1, n_x + 1)[None, :]
-    return 2j * np.pi * n + mu * (m * np.pi) ** 2
+    time, space = _symbol_table(n_t, n_x)
+    return time + mu * space
 
 
 def apply_L(u: SpectralField, mu: float) -> SpectralField:
@@ -129,18 +145,21 @@ def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralFiel
     return apply_L(w, mu) + d_x(mw)
 
 
-def T_prime_matrix(m: SpectralField, mu: float) -> np.ndarray:
+def T_prime_matrix(g: np.ndarray, mu: float) -> np.ndarray:
     """Dense real matrix of T'(m) on packed (`fields.pack`) Dirichlet-sine
-    coefficients; m must be real."""
-    a = advection_matrix(m)
+    coefficients, m the field with values g on its AdvectionGrid
+    (`fields.advection_values`)."""
+    a = advection_matrix(g)
+    grid = advection_grid_of(g)
+    n_t, n_x = grid.n_t, grid.n_x
     # L multiplies mode n by lambda(n): on the packed pair (Re, Im) of a
     # row n >= 1 that is [[Re lambda, -Im lambda], [Im lambda, Re lambda]]
-    lam = linear_symbol(m.n_t, m.n_x, mu)[m.n_t :].ravel()  # n >= 0
-    a[np.diag_indices_from(a)] += np.concatenate([lam.real, lam.real[m.n_x :]])
-    re = np.arange(m.n_x, lam.size)
-    im = re + m.n_t * m.n_x
-    a[re, im] -= lam.imag[m.n_x :]
-    a[im, re] += lam.imag[m.n_x :]
+    lam = linear_symbol(n_t, n_x, mu)[n_t:].ravel()  # n >= 0
+    a[np.diag_indices_from(a)] += np.concatenate([lam.real, lam.real[n_x:]])
+    re = np.arange(n_x, lam.size)
+    im = re + n_t * n_x
+    a[re, im] -= lam.imag[n_x:]
+    a[im, re] += lam.imag[n_x:]
     return a
 
 

@@ -1,29 +1,35 @@
 """Newton / homotopy solution of the time-periodic Burgers problem T(u) = f.
 
-The linearized equations T'(m) w = r are solved for a real w, on the N
-real coordinates that `fields.pack` gives its Hermitian coefficients, so
-every w is Hermitian by construction.  The linearization is built once
-per Newton step, and its size picks how a correction is found: small
-systems are solved directly with the real dense matrix of T'(m), which
-`operators.T_prime_matrix` builds from the same factors as the GMRES
-matvec (`fields.advection_matrix`); larger ones run `gmres`, one cycle
-of GMRES in real arithmetic from zero, right-preconditioned by the
-time-mean linearization P = L + (m_0 .)_x, m_0 the time mean of m, and
-weighted by the dual norm: GMRES solves
-W T'(m) P^{-1} W^{-1} z = W r for w = P^{-1} W^{-1} z, with W the
-diagonal 1 / sqrt(aniso_weight), so the residual it minimizes is the
-dual residual of w that the solve is gated on (right preconditioning:
-Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, 9.3).
-P is block diagonal over the time modes (the harmonic-balance
-preconditioner of Hall, Thomas & Clark, AIAA J. 40, 2002), so one
-n_x x n_x eigendecomposition per Newton step inverts it; what is left
-to GMRES is the advection by the fluctuation m' = m - m_0 alone.  Its
-matvec stays on packed coordinates: (m' w)_x is
-`fields.advection_operator(m')`, four real products with m' held on the
-padded product grid.  Either path then runs the same few rounds of
-refinement on the true residual, each a fresh LU solve or GMRES cycle,
-to the same dual-residual gate; they remove what roundoff leaves where
-T'(m) or P is ill-conditioned.
+Damped Newton runs on the real coordinates X that `fields.pack` gives
+the Hermitian coefficients of u, a (2 n_t + 1) x n_x array, so every
+iterate and every correction w is real by construction; SpectralFields
+are built only where Newton starts and stops.  Each iterate is evaluated
+once on the padded product grid (`fields.AdvectionGrid`), g = R X S^T,
+and that one g gives both its residual,
+T_lam(u) - f = L X + (lam / 2) R^T ((g * g) C) - pack(f), and the next
+linearization T'(lam u), the advection by the field with values lam g.
+The dual norm of a residual is |W res|_2, W the diagonal
+1 / sqrt(aniso_weight) in packed layout.
+
+The linearized equations T'(m) w = r are solved to a dual-residual gate.
+The size of the system picks how a correction is found: small systems
+are solved directly with the real dense matrix of T'(m), which
+`operators.T_prime_matrix` contracts from g (`fields.advection_matrix`);
+larger ones run `gmres`, one cycle of GMRES in real arithmetic from
+zero, right-preconditioned by the time-mean linearization
+P = L + (m_0 .)_x, m_0 the time mean of m, and weighted by the dual
+norm: GMRES solves W T'(m) P^{-1} W^{-1} z = W r for w = P^{-1} W^{-1} z,
+so the residual it minimizes is the dual residual of w that the solve is
+gated on (right preconditioning: Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., 2003, 9.3).  P is block diagonal over the time
+modes (the harmonic-balance preconditioner of Hall, Thomas & Clark,
+AIAA J. 40, 2002), so one n_x x n_x eigendecomposition per Newton step
+inverts it; what is left to GMRES is the advection by the fluctuation
+m' = m - m_0 alone, `fields.advection_operator` of g less its time mean,
+four real products on the grid.  Either path then runs the same few
+rounds of refinement on the true residual r - (L w + (m w)_x), computed
+matrix-free, each a fresh LU solve or GMRES cycle, to the same gate;
+they remove what roundoff leaves where T'(m) or P is ill-conditioned.
 
 `homotopy_solve` continues in lambda on the coarsest level
 (n_t >> j, n_x >> j), both at least COARSEST, whose solution keeps at
@@ -42,10 +48,11 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import (
-    SpectralField, advection_operator, mean_advection_block, pack, truncate, unpack, zeros,
+    BasisMismatchError, SpectralField, advection_grid, advection_operator, advection_values,
+    mean_advection_block, pack, truncate, unpack, zeros,
 )
 from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
-from .operators import T_prime_matrix, apply_T, apply_T_prime, invert_L
+from .operators import T_prime_matrix, apply_T, invert_L, linear_symbol
 
 
 class LinearSolveError(SolverError):
@@ -106,40 +113,75 @@ def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
     return invert_L(f, cfg.mu)
 
 
-def _linearized_matvec(m: SpectralField, cfg: SolverConfig):
+class _Packed:
+    """The parts of T on the packed (`pack`) coordinates X of the
+    truncation of a Dirichlet-sine field u, (2 n_t + 1) x n_x real arrays:
+    the AdvectionGrid of the product, the symbol of L and the dual
+    weights W, 1 / sqrt(aniso_weight) laid out as `pack` lays out rows, so
+    |W pack(r)|_2 = dual_norm(r) for Hermitian r.  L and W are read from
+    the cached tables of `linear_symbol` and `aniso_weight`."""
+
+    def __init__(self, u: SpectralField, mu: float):
+        n_t = u.n_t
+        self.mu = mu
+        self.grid = advection_grid(n_t, u.n_x)
+        sym = linear_symbol(n_t, u.n_x, mu)[n_t:]  # n >= 0
+        self.diffusion = np.concatenate([sym.real, sym.real[1:]])
+        self.frequency = sym.imag[1:]
+        root = np.sqrt(aniso_weight(u)[n_t:])  # even in n
+        self.weight = 1.0 / np.concatenate([root, root[1:]])
+
+    def apply_L(self, x: np.ndarray) -> np.ndarray:
+        """L X: mu (m pi)^2 X, plus 2 pi n times the (Re, Im) row pair
+        (a, b) of each mode n >= 1 turned by i, to (-b, a)."""
+        h = len(self.frequency) + 1
+        y = self.diffusion * x
+        y[1:h] -= self.frequency * x[h:]
+        y[h:] += self.frequency * x[1:h]
+        return y
+
+    def residual(self, x: np.ndarray, g: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """pack(T_lam(u) - f) for X = pack(u), g = grid.values(X) and
+        rhs = pack(f): L X + (lam / 2) R^T ((g * g) C) - rhs."""
+        res = self.apply_L(x) - rhs
+        if lam != 0.0:
+            res += (0.5 * lam) * self.grid.derivative(g * g)
+        return res
+
+    def dual(self, res: np.ndarray) -> float:
+        return float(np.linalg.norm(self.weight * res))
+
+
+def _linearized_matvec(packed: _Packed, g: np.ndarray):
     """(matvec, weight, solution) of the GMRES form of T'(m) w = r, on
-    flat packed coordinates, right-preconditioned and weighted by the
-    dual norm: matvec is A = W T'(m) P^{-1} W^{-1}, GMRES runs on
-    b = W pack(r), and solution(z) = P^{-1} W^{-1} z is the packed w of
-    its iterate z.  W is the diagonal `weight`, 1 / sqrt(aniso_weight)
-    laid out as `pack` lays out rows, so |W pack(r)|_2 = dual_norm(r) for
-    Hermitian r and GMRES's residual |b - A z|_2 is the dual residual
-    dual_norm(r - T'(m) w) that `_residual_target` gates.
+    flat packed coordinates, for the m with values g on the product grid,
+    right-preconditioned and weighted by the dual norm: matvec is
+    A = W T'(m) P^{-1} W^{-1}, GMRES runs on b = W pack(r), and
+    solution(z) = P^{-1} W^{-1} z is the packed w of its iterate z.  W is
+    the diagonal `weight` of `_Packed`, so GMRES's residual |b - A z|_2 is
+    the dual residual dual_norm(r - T'(m) w) that `_residual_target` gates.
 
     T'(m) splits as P + A', with P = L + (m_0 .)_x, m_0 the time mean of
-    m, and A' the advection by the fluctuation m' = m - m_0, so
-    A z = z + W (m' w)_x with w = solution(z); A' is applied as an
-    advection by m' rather than as A - A0, which would cancel.  P maps
-    each time mode n to itself by the n_x x n_x matrix 2 pi i n + B, with
-    B = mu K^2 + B0 real (`fields.mean_advection_block`); one
-    eigendecomposition B = V D V^-1 inverts every block as
-    V (2 pi i n + D)^-1 V^-1, applied to the packed (Re, Im) row pairs as
-    complex rows.  An eigendecomposition that fails raises
-    LinearSolveError."""
-    n_t, n_x = m.n_t, m.n_x
+    m, and A' the advection by the fluctuation m' = m - m_0, whose values
+    are g less its mean over t, so A z = z + W (m' w)_x with
+    w = solution(z); A' is applied as an advection by m' rather than as
+    A - A0, which would cancel.  P maps each time mode n to itself by the
+    n_x x n_x matrix 2 pi i n + B, with B = mu K^2 + B0 real
+    (`fields.mean_advection_block`); one eigendecomposition B = V D V^-1
+    inverts every block as V (2 pi i n + D)^-1 V^-1, applied to the
+    packed (Re, Im) row pairs as complex rows.  An eigendecomposition
+    that fails raises LinearSolveError."""
+    n_t, n_x = packed.grid.n_t, packed.grid.n_x
     h = n_t + 1
-    block = np.diag(cfg.mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
+    block = np.diag(packed.diffusion[0]) + mean_advection_block(g)
     try:
         d, v = np.linalg.eig(block)
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"mean-advection preconditioner failed: {exc}") from exc
     scale = 1.0 / (2j * np.pi * np.arange(h)[:, None] + d)  # [n, eigenvalue]
-    root = np.sqrt(aniso_weight(m)[n_t:])  # [n >= 0, k]; even in n
-    weight = 1.0 / np.concatenate([root, root[1:]]).ravel()
-    fluctuation = m.coeffs.copy()
-    fluctuation[n_t] = 0.0
-    advect = advection_operator(m.with_coeffs(fluctuation))
+    weight = packed.weight.ravel()
+    advect = advection_operator(g - g.mean(axis=0))
 
     def solution(z: np.ndarray) -> np.ndarray:
         x = (z / weight).reshape(2 * n_t + 1, n_x)
@@ -158,68 +200,83 @@ def solve_linearized(
     m: SpectralField, r: SpectralField, cfg: SolverConfig
 ) -> SpectralField:
     """Solve T'(m) w = r for a real w (Hermitian coefficients) to dual
-    residual KRYLOV_TOL * dual_norm(r); m must be real.
+    residual KRYLOV_TOL * dual_norm(r); m must be real.  A non-Hermitian
+    r is solved for its Hermitian part, which `pack` keeps.  The solve
+    itself is `_solve_packed` on pack(r)."""
+    if not m.same_layout(r):
+        raise BasisMismatchError("T'(m) requires matching layouts")
+    g = advection_values(m)
+    x = _solve_packed(_Packed(m, cfg.mu), g, pack(r.coeffs), m.l2())
+    return r.with_coeffs(unpack(x))
+
+
+def _solve_packed(packed: _Packed, g: np.ndarray, b: np.ndarray, m_norm: float) -> np.ndarray:
+    """The packed X with T'(m) X = b to dual residual KRYLOV_TOL |W b|,
+    m the field with values g on the product grid and l2 norm m_norm.
 
     The size of the system picks how each correction is found: up to
     DENSE_MAX_UNKNOWNS unknowns by an LU solve with the dense T'(m)
     (`_dense_correction`), above that by one GMRES cycle
     (`_krylov_correction`).  Both paths then share one loop of at most
     3 rounds, each solving for the correction from the true residual
-    r - T'(m) w of the iterate so far (iterative refinement, Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 12), and one gate
-    on its dual norm.  One round meets the gate
-    unless roundoff (in the LU factors, in Arnoldi, or in an
-    ill-conditioned P^{-1}) leaves the true residual above it; a later
-    round then removes that error.  A loop that ends above the gate
-    raises LinearSolveError.
-
-    A non-Hermitian r is solved for its Hermitian part, as `pack` drops
-    the rest, and the dual residual is taken against r itself."""
-    rn = dual_norm(r)
+    b - T'(m) X of the iterate so far (iterative refinement, Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12), computed
+    matrix-free by `_linearized_residual`, and one gate on its dual norm.
+    One round meets the gate unless roundoff (in the LU factors, in
+    Arnoldi, or in an ill-conditioned P^{-1}) leaves the true residual
+    above it; a later round then removes that error.  A loop that ends
+    above the gate raises LinearSolveError."""
+    rn = packed.dual(b)
     if rn == 0.0:
-        return zeros(r.n_t, r.n_x, r.basis)
-    krylov = r.coeffs.size > DENSE_MAX_UNKNOWNS
-    correction = (_krylov_correction if krylov else _dense_correction)(m, cfg)
-    x = np.zeros(r.coeffs.size)
-    res = r
+        return np.zeros_like(b)
+    krylov = b.size > DENSE_MAX_UNKNOWNS
+    correction = (_krylov_correction if krylov else _dense_correction)(packed, g)
+    x = np.zeros_like(b)
+    res = b
     for _ in range(3):
         x += correction(res)
-        w = r.with_coeffs(unpack(x.reshape(r.coeffs.shape)))
-        res = r - apply_T_prime(m, w, cfg.mu)
-        rd = dual_norm(res)
-        if rd <= _residual_target(m, w, rn):
-            return w
+        res = _linearized_residual(packed, g, b, x)
+        rd = packed.dual(res)
+        if rd <= _residual_target(m_norm, np.linalg.norm(x), rn):
+            return x
     raise LinearSolveError(
         f"{'GMRES' if krylov else 'dense LU solve'} did not converge "
         f"(dual residual {rd:.3e}, target {KRYLOV_TOL * rn:.3e})"
     )
 
 
-def _dense_correction(m: SpectralField, cfg: SolverConfig):
+def _linearized_residual(packed: _Packed, g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - T'(m) X = b - (L X + R^T ((g * (R X S^T)) C)), matrix-free."""
+    grid = packed.grid
+    return b - (packed.apply_L(x) + grid.derivative(g * grid.values(x)))
+
+
+def _dense_correction(packed: _Packed, g: np.ndarray):
     """The packed correction of a residual by an LU solve with the real
     dense matrix of T'(m), built once per linearized solve."""
-    a = T_prime_matrix(m, cfg.mu)
-    return lambda res: np.linalg.solve(a, pack(res.coeffs).ravel())
+    a = T_prime_matrix(g, packed.mu)
+    return lambda res: np.linalg.solve(a, res.ravel()).reshape(res.shape)
 
 
-def _krylov_correction(m: SpectralField, cfg: SolverConfig):
+def _krylov_correction(packed: _Packed, g: np.ndarray):
     """The packed correction of a residual by one cycle of real GMRES, of
     at most MAX_KRYLOV inner iterations, on the right-preconditioned,
     dual-weighted form of `_linearized_matvec`.  GMRES minimizes the dual
-    norm of the residual, so for a Hermitian residual the cycle's own
-    stopping test is the gate of `solve_linearized`."""
-    matvec, weight, solution = _linearized_matvec(m, cfg)
+    norm of the residual, so the cycle's own stopping test is the gate of
+    `_solve_packed`."""
+    matvec, weight, solution = _linearized_matvec(packed, g)
 
-    def correction(res: SpectralField) -> np.ndarray:
-        z, _info = gmres(matvec, weight * pack(res.coeffs).ravel(), KRYLOV_TOL, MAX_KRYLOV)
-        return solution(z)
+    def correction(res: np.ndarray) -> np.ndarray:
+        z, _info = gmres(matvec, weight * res.ravel(), KRYLOV_TOL, MAX_KRYLOV)
+        return solution(z).reshape(res.shape)
 
     return correction
 
 
-def _residual_target(m, w, rn) -> float:
-    # relative target plus the roundoff floor of evaluating T'(m) w
-    floor = 5e-15 * (1.0 + m.l2()) * (1.0 + w.l2())
+def _residual_target(m_norm: float, w_norm: float, rn: float) -> float:
+    # relative target plus the roundoff floor of evaluating T'(m) w, from
+    # the l2 norms of m and w
+    floor = 5e-15 * (1.0 + m_norm) * (1.0 + w_norm)
     return max(KRYLOV_TOL * rn, floor)
 
 
@@ -229,8 +286,7 @@ def gmres(matvec, rhs: np.ndarray, rtol: float, restart: int):
     |rhs - A x| <= rtol |rhs|, of at most `restart` inner iterations.
     Returns (x, info): info is 0 if the true residual rhs - A x meets the
     target and 1 otherwise.  A caller that wants more restarts the cycle
-    on its own residual, as the refinement rounds of `solve_linearized`
-    do.
+    on its own residual, as the refinement rounds of `_solve_packed` do.
 
     Arnoldi orthogonalizes each new vector by classical Gram-Schmidt
     done twice, two products with the basis, and Givens rotations keep
@@ -296,30 +352,51 @@ def _newton(
     cfg: SolverConfig,
     lam: float = 1.0,
 ) -> SolveReport:
-    u = u0
-    res = apply_T(u, cfg.mu, lam) - f
-    rd = dual_norm(res)
+    """Damped Newton on T_lam(u) = f from u0, run on the packed
+    coordinates X of u (`_Packed`).  Each iterate is evaluated once on the
+    product grid, g = R X S^T, and that one g gives both its residual and
+    the next linearization T'(lam u), whose values are lam g.  The dual
+    residual is |W pack(T_lam(u) - f)|_2, taken together with the dual
+    norm of the anti-Hermitian part of f, which no real u removes; u0
+    enters by its Hermitian part, which `pack` keeps.  The report's u is
+    u0 itself until a step moves it."""
+    packed = _Packed(f, cfg.mu)
+    rhs = pack(f.coeffs)
+    skew = dual_norm(f.with_coeffs(0.5 * (f.coeffs - f.coeffs[::-1].conj())))
+
+    def evaluate(x):
+        # the iterate's residual and the values lam g of the advection
+        # field of its linearization, scaled in place
+        g = packed.grid.values(x)
+        res = packed.residual(x, g, lam, rhs)
+        g *= lam
+        return g, res, math.hypot(packed.dual(res), skew)
+
+    def report(x, rd, iters, message=""):
+        u = u0 if x is start else u0.with_coeffs(unpack(x))
+        return SolveReport(
+            u=u, residual_dual=rd, newton_iters=iters, lambda_path=history,
+            success=not message, message=message,
+        )
+
+    x = start = pack(u0.coeffs)
+    g, res, rd = evaluate(x)
     history = [(lam, rd)]
     recoveries = MAX_RECOVERIES
     for it in range(1, cfg.max_newton + 1):
         if rd <= cfg.newton_tol:
-            return SolveReport(u=u, residual_dual=rd, newton_iters=it - 1, lambda_path=history)
+            return report(x, rd, it - 1)
         try:
             # T'(u) for the homotopy operator L + lam*S has advection
             # field lam*u
-            w = solve_linearized(lam * u, res, cfg)
+            w = _solve_packed(packed, g, res, lam * np.linalg.norm(x))
         except LinearSolveError as exc:
-            return SolveReport(
-                u=u, residual_dual=rd, newton_iters=it - 1,
-                lambda_path=history, success=False,
-                message=f"linearized solve failed: {exc}",
-            )
+            return report(x, rd, it - 1, f"linearized solve failed: {exc}")
         step = 1.0
         stalled = True
         for _ in range(MAX_DAMPING):
-            u_try = u - step * w
-            res_try = apply_T(u_try, cfg.mu, lam) - f
-            rd_try = dual_norm(res_try)
+            x_try = x - step * w
+            g_try, res_try, rd_try = evaluate(x_try)
             # demand a nonvanishing relative decrease: an accepted crawl
             # along a fold is a stall in slow motion
             if rd_try < 0.999 * rd:
@@ -332,25 +409,16 @@ def _newton(
             # toward the zero start and continue from the better basin
             if recoveries > 0:
                 recoveries -= 1
-                u = 0.5 * u
-                res = apply_T(u, cfg.mu, lam) - f
-                rd = dual_norm(res)
+                x = 0.5 * x
+                g, res, rd = evaluate(x)
                 history.append((lam, rd))
                 continue
-            return SolveReport(
-                u=u, residual_dual=rd, newton_iters=it,
-                lambda_path=history, success=False,
-                message="damped Newton step could not reduce the residual",
-            )
-        u, res, rd = u_try, res_try, rd_try
+            return report(x, rd, it, "damped Newton step could not reduce the residual")
+        x, g, res, rd = x_try, g_try, res_try, rd_try
         history.append((lam, rd))
     if rd <= cfg.newton_tol:
-        return SolveReport(u=u, residual_dual=rd, newton_iters=cfg.max_newton, lambda_path=history)
-    return SolveReport(
-        u=u, residual_dual=rd, newton_iters=cfg.max_newton,
-        lambda_path=history, success=False,
-        message=f"no convergence after {cfg.max_newton} Newton iterations",
-    )
+        return report(x, rd, cfg.max_newton)
+    return report(x, rd, cfg.max_newton, f"no convergence after {cfg.max_newton} Newton iterations")
 
 
 def newton_solve(

@@ -700,3 +700,35 @@ def test_every_package_error_carries_an_exit_code():
     for cls in errors:
         assert issubclass(cls, StburgersError), cls
         assert cls.exit_code in (1, 2), cls
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+# (newton_iterations, len(lambda_path)) of each solve that a checked-in
+# solve-type config runs, one entry per sweep row
+PINNED_SOLVES = {
+    "solve": [(2, 5)],
+    "zero": [(0, 1)],
+    "manufactured": [(4, 5)],
+    "scale": [(3, 5)],
+    "sweep_mu": [(2, 5), (2, 5), (3, 5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_checked_in_configs_keep_their_newton_and_lambda_counts(monkeypatch, tmp_path, name):
+    # a change to the Newton iteration that only moves roundoff leaves
+    # every count of the checked-in configs where it is
+    reports = []
+    run_solve = cli._run_solve
+
+    def recorded(*args):
+        reports.append(run_solve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "_run_solve", recorded)
+    monkeypatch.chdir(tmp_path)
+    command = {"zero": "solve", "manufactured": "solve", "sweep_mu": "sweep"}.get(name, name)
+    assert cli.main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+    assert [(r.newton_iters, len(r.lambda_path)) for r in reports] == PINNED_SOLVES[name]

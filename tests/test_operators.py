@@ -10,6 +10,7 @@ from stburgers.fields import (
     SpectralField,
     advection_matrix,
     advection_operator,
+    advection_values,
     evaluate,
     mean_advection_block,
     pack,
@@ -177,6 +178,24 @@ def test_dxx_is_dx_squared():
     assert (d_xx(u) - d_x(d_x(u))).l2() < 1e-12
 
 
+@pytest.mark.parametrize("n_t, n_x, mu", [(0, 1, 1.0), (2, 3, 0.3), (8, 5, 0.05)])
+def test_linear_symbol_table_gives_the_formula_bytes(n_t, n_x, mu):
+    # the symbol is read from a per-truncation table; the result is the
+    # bytes of the direct formula, and a fresh array for each caller
+    from stburgers import operators
+
+    operators._symbol_table.cache_clear()
+    n = np.arange(-n_t, n_t + 1)[:, None]
+    m = np.arange(1, n_x + 1)[None, :]
+    ref = 2j * np.pi * n + mu * (m * np.pi) ** 2
+    for _ in range(2):
+        sym = linear_symbol(n_t, n_x, mu)
+        assert sym.tobytes() == ref.tobytes() and sym.shape == ref.shape
+        assert sym.flags.writeable
+    assert operators._symbol_table.cache_info()[:2] == (1, 1)
+    assert not any(part.flags.writeable for part in operators._symbol_table(n_t, n_x))
+
+
 def test_linear_symbol_values():
     sym = linear_symbol(2, 3, 0.3)
     assert sym.shape == (5, 3)
@@ -327,7 +346,7 @@ def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
     assert a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
     ref = packed(ref, m.coeffs.shape)
-    a = T_prime_matrix(m, mu)
+    a = T_prime_matrix(advection_values(m), mu)
     assert a.dtype == float and a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -345,7 +364,7 @@ def test_real_dense_solve_matches_complex_oracle(n_t, n_x, mu, seed, amp):
     r = random_field(seed + 1, n_t, n_x, 1.0).coeffs
     ref = np.linalg.solve(complex_T_prime_matrix(m, mu), r.ravel()).reshape(r.shape)
     ref = 0.5 * (ref + ref[::-1].conj())
-    w = unpack(np.linalg.solve(T_prime_matrix(m, mu), pack(r).ravel()).reshape(r.shape))
+    w = unpack(np.linalg.solve(T_prime_matrix(advection_values(m), mu), pack(r).ravel()).reshape(r.shape))
     assert np.abs(w - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -362,9 +381,10 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
     w = m.with_coeffs(unpack(x))
     x = x.ravel()
-    y = advection_operator(m)(x)
+    g = advection_values(m)
+    y = advection_operator(g)(x)
     assert y.dtype == float and y.shape == x.shape
-    by_matrix = advection_matrix(m) @ x
+    by_matrix = advection_matrix(g) @ x
     by_product = pack(d_x(product_cosine(m, w, n_t, n_x)).coeffs).ravel()
     # at n_x = 1, (m w)_x has no mode in the band (sin^2 holds cosine
     # modes 0 and 2 only), so the entries are compared with the size
@@ -375,7 +395,7 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     # the solver's right-preconditioned, dual-weighted real GMRES operator
     # A z = z + W pack((m' w)_x), w = unpack(P^{-1} W^{-1} z), with
     # P = L + (m_0 .)_x, m_0 the time mean of m and m' = m - m_0
-    matvec, weight, solution = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
+    matvec, weight, solution = solver._linearized_matvec(solver._Packed(m, mu), advection_values(m))
     mean = zeros(n_t, n_x).coeffs.copy()
     mean[n_t] = m.coeffs[n_t]
     m_0 = m.with_coeffs(mean)
@@ -400,7 +420,7 @@ def preconditioner_kappa(m, mu):
     times its size, by at most |P_n^{-1}| on time mode n, and its
     eigenvector basis V by at most cond(V)."""
     n_t, n_x = m.n_t, m.n_x
-    block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(m)
+    block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(advection_values(m))
     inv_norm = max(
         np.linalg.norm(np.linalg.inv(block + 2j * np.pi * n * np.eye(n_x)), 2)
         for n in range(n_t + 1)
@@ -426,7 +446,7 @@ def test_gmres_residual_is_the_dual_residual(n_t, n_x, mu, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
     r = random_field(seed + 1, n_t, n_x, 1.0)
     z = np.random.default_rng(seed).standard_normal(m.coeffs.size)
-    matvec, weight, solution = solver._linearized_matvec(m, solver.SolverConfig(mu=mu))
+    matvec, weight, solution = solver._linearized_matvec(solver._Packed(m, mu), advection_values(m))
     b = weight * pack(r.coeffs).ravel()
     assert np.linalg.norm(b) == pytest.approx(dual_norm(r), rel=1e-14)
     w = r.with_coeffs(unpack(solution(z).reshape(r.coeffs.shape)))
@@ -455,10 +475,11 @@ ELONGATED = st.one_of(
 def test_advection_matrix_matches_operator_and_product_when_elongated(shape, seed, amp):
     n_t, n_x = shape
     m = amp * random_field(seed, n_t, n_x, 1.5)
-    a = advection_matrix(m)
+    g = advection_values(m)
+    a = advection_matrix(g)
     n = (2 * n_t + 1) * n_x
     assert a.dtype == float and a.shape == (n, n) and n <= 400
-    apply = advection_operator(m)
+    apply = advection_operator(g)
     columns = np.stack([apply(e) for e in np.eye(n)], axis=1)
     x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
     w = m.with_coeffs(unpack(x))
@@ -477,10 +498,11 @@ def test_advection_matrix_matches_operator_and_product_when_elongated(shape, see
 @pytest.mark.parametrize("n_t, n_x", [(1, 133), (3, 57), (14, 14), (199, 1)])
 def test_t_prime_matrix_peak_memory_is_a_few_matrices(n_t, n_x):
     m = random_field(n_t + n_x, n_t, n_x, 1.5)
-    T_prime_matrix(m, 0.1)  # fills the layout caches
+    g = advection_values(m)
+    T_prime_matrix(g, 0.1)  # fills the layout caches
     tracemalloc.start()
     try:
-        a = T_prime_matrix(m, 0.1)
+        a = T_prime_matrix(g, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,9 +518,10 @@ def test_t_prime_matrix_peak_memory_is_a_few_matrices(n_t, n_x):
 )
 def test_mean_advection_block_is_the_mean_mode_of_the_matrix(n_t, n_x, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
-    block = mean_advection_block(m)
+    g = advection_values(m)
+    block = mean_advection_block(g)
     assert block.shape == (n_x, n_x) and block.dtype == float
-    ref = advection_matrix(m)[:n_x, :n_x]
+    ref = advection_matrix(g)[:n_x, :n_x]
     assert np.abs(block - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
@@ -515,24 +538,21 @@ def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
 
 
 def test_advection_operator_rejects_cosine_and_complex_fields(monkeypatch):
+    # every advection by m (dense, matrix-free, the preconditioner's
+    # mean block) takes its values g from advection_values, which checks
+    # m; the dense path's packing would otherwise drop the anti-Hermitian
+    # part of m
     with pytest.raises(BasisMismatchError):
-        advection_operator(zeros(2, 2, Basis.NEUMANN_COSINE))
+        advection_values(zeros(2, 2, Basis.NEUMANN_COSINE))
     complex_m = zeros(2, 2).with_coeffs(np.full((5, 2), 1j))
-    with pytest.raises(ValueError, match="real field"):
-        advection_operator(complex_m)
-    # the dense path, whose packing would drop the anti-Hermitian part
-    # of m without this check
-    with pytest.raises(ValueError, match="real field"):
-        advection_matrix(complex_m)
-    with pytest.raises(ValueError, match="real field"):
-        T_prime_matrix(complex_m, 0.5)
+    # the GMRES path's preconditioner reads the time mean of m alone: an
+    # imaginary mean is rejected too
+    complex_mean = zeros(2, 2).with_coeffs(np.pad(np.full((1, 2), 1j), ((2, 2), (0, 0))))
+    for m in (complex_m, complex_mean):
+        with pytest.raises(ValueError, match="real field"):
+            advection_values(m)
     with pytest.raises(ValueError, match="real field"):
         solver.solve_linearized(complex_m, random_field(1, 2, 2, 1.0), solver.SolverConfig(mu=0.5))
-    # the GMRES path, whose preconditioner reads the time mean of m
-    # alone: an imaginary mean is rejected too
-    complex_mean = zeros(2, 2).with_coeffs(np.pad(np.full((1, 2), 1j), ((2, 2), (0, 0))))
-    with pytest.raises(ValueError, match="real field"):
-        mean_advection_block(complex_mean)
     monkeypatch.setattr(solver, "DENSE_MAX_UNKNOWNS", 0)
     for m in (complex_m, complex_mean):
         with pytest.raises(ValueError, match="real field"):
@@ -541,7 +561,17 @@ def test_advection_operator_rejects_cosine_and_complex_fields(monkeypatch):
 
 def test_advection_matrix_rejects_cosine_fields():
     with pytest.raises(BasisMismatchError):
-        advection_matrix(zeros(2, 2, Basis.NEUMANN_COSINE))
+        T_prime_matrix(advection_values(zeros(2, 2, Basis.NEUMANN_COSINE)), 0.5)
+
+
+def test_advection_rejects_values_off_every_product_grid():
+    # the truncation of an advection is read from the shape of its
+    # values, (3 n_t + 1, 3 n_x + 2) with n_x >= 1
+    takers = (advection_operator, advection_matrix, mean_advection_block, lambda g: T_prime_matrix(g, 0.5))
+    for shape in ((5, 5), (7, 4), (7, 2)):
+        for take in takers:
+            with pytest.raises(ValueError, match="no product grid"):
+                take(np.zeros(shape))
 
 
 def test_apply_t_secant_identity():

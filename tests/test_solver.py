@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stburgers import fields, norms, operators, solver
+from stburgers import fields, norms, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, apriori_bound, dual_norm
 from stburgers.operators import apply_T, apply_T_prime
@@ -89,8 +90,8 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     # the Newton solve then reports the failure instead of raising
     applies, residuals = [], []
 
-    def counting_operator(m):
-        advect = fields.advection_operator(m)
+    def counting_operator(g):
+        advect = fields.advection_operator(g)
 
         def counted(x):
             applies.append(1)
@@ -98,12 +99,14 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
 
         return counted
 
-    def counting_residual(*args, **kwargs):
+    linearized_residual = solver._linearized_residual
+
+    def counting_residual(*args):
         residuals.append(1)
-        return operators.apply_T_prime(*args, **kwargs)
+        return linearized_residual(*args)
 
     monkeypatch.setattr(solver, "advection_operator", counting_operator)
-    monkeypatch.setattr(solver, "apply_T_prime", counting_residual)
+    monkeypatch.setattr(solver, "_linearized_residual", counting_residual)
     f = 2.0 * random_field(3, 6, 6, 2.0)
     u0 = 2.0 * random_field(4, 6, 6, 1.0)
     krylov = 4
@@ -115,6 +118,46 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     assert rep.u is u0
     assert 0 < len(applies) <= 3 * (krylov + 1)
     assert len(residuals) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_t=st.integers(1, 10),
+    n_x=st.integers(1, 10),
+    lam=st.sampled_from([0.0, 0.3, 1.0]),
+    mu=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+@example(n_t=3, n_x=9, lam=1.0, mu=0.05, seed=1, amp=5.0)
+@example(n_t=9, n_x=2, lam=0.3, mu=1.0, seed=2, amp=2.0)
+def test_packed_residual_is_the_homotopy_residual(n_t, n_x, lam, mu, seed, amp):
+    # the residual that Newton computes from X = pack(u) and its one grid
+    # evaluation g is pack(T_lam(u) - f), and its norm |W res| is the dual
+    # norm of that residual
+    f = random_field(seed, n_t, n_x, 2.0)
+    u = amp * random_field(seed + 1, n_t, n_x, 1.5)
+    packed = solver._Packed(f, mu)
+    x = fields.pack(u.coeffs)
+    res = packed.residual(x, packed.grid.values(x), lam, fields.pack(f.coeffs))
+    ref = apply_T(u, mu, lam) - f
+    rn = dual_norm(ref)
+    assert dual_norm(ref.with_coeffs(fields.unpack(res)) - ref) <= 1e-13 * rn
+    assert abs(packed.dual(res) - rn) <= 1e-13 * rn
+    assert abs(packed.dual(fields.pack(ref.coeffs)) - rn) <= 1e-14 * rn
+
+
+def test_newton_takes_a_non_hermitian_forcing_part_into_its_residual():
+    # no real u removes the anti-Hermitian part of f: Newton's residual
+    # is the dual norm of all of T(u) - f, so it cannot meet a tolerance
+    # below that part
+    mu = 0.5
+    f = 0.5 * random_field(5, 4, 4, 2.0)
+    skew = f.with_coeffs(1e-6j * np.ones(f.coeffs.shape))
+    rep = newton_solve(f + skew, None, SolverConfig(mu=mu))
+    assert not rep.success
+    assert rep.residual_dual == pytest.approx(dual_norm(apply_T(rep.u, mu) - f - skew), rel=1e-9)
+    assert rep.residual_dual >= dual_norm(skew)
 
 
 def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
@@ -213,8 +256,7 @@ def test_gmres_inner_iterations_match_scipy(seed, mu):
     # applies minus the one true residual
     m = 2.0 * random_field(seed, 8, 8, 1.5)
     r = random_field(seed + 10, 8, 8, 1.0)
-    cfg = SolverConfig(mu=mu)
-    matvec, weight, _ = solver._linearized_matvec(m, cfg)
+    matvec, weight, _ = solver._linearized_matvec(solver._Packed(m, mu), fields.advection_values(m))
     rhs = weight * fields.pack(r.coeffs).ravel()
     ours = Counted(matvec)
     x, info = solver.gmres(ours, rhs, solver.KRYLOV_TOL, rhs.size)
