@@ -375,7 +375,12 @@ class AdvectionGrid:
     of the product of grid values p, so (m w)_x is
     derivative(values(X_m) * values(X_w)); R^T / m_t is the analysis onto
     packed coordinates, since R^T R = m_t I.  r_t and s_t are contiguous
-    copies of R^T and S^T: at 32x32 a product is 15% faster on them."""
+    copies of R^T and S^T: at 32x32 a product is 15% faster on them.
+
+    The advection w -> (m w)_x by the m with values g on the grid
+    (`advection_values`) is `advect` matrix-free, `matrix` as a dense
+    matrix, and `mean_block` on one time mode for the time mean of m;
+    each checks that g lies on this grid."""
 
     n_t: int
     n_x: int
@@ -390,6 +395,45 @@ class AdvectionGrid:
 
     def derivative(self, p: np.ndarray) -> np.ndarray:
         return self.r_t @ (p @ self.c)
+
+    def _check(self, g: np.ndarray) -> None:
+        shape = (len(self.r), len(self.s))
+        if g.shape != shape:
+            raise ValueError(f"values of shape {g.shape} lie off the product grid {shape}")
+
+    def advect(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The packed (m w)_x = derivative(g * values(X)) of the w with
+        packed coefficients X, four real products."""
+        self._check(g)
+        p = self.values(x)
+        p *= g
+        return self.derivative(p)
+
+    def matrix(self, g: np.ndarray) -> np.ndarray:
+        """Real matrix of `advect(g, .)` on flattened packed coefficients,
+        contracted from the same factors:
+
+            A[(n, k), (i, j)] = sum_t R[t, n] R[t, i] h[t, k, j],
+            h[t, k, j] = sum_x C[x, k] g[t, x] S[x, j],
+
+        with the sum over x taken first.  The largest temporary is then
+        the product [t, k, i, j] that R^T contracts, m_t / (2 n_t + 1) < 1.5
+        times the size of the matrix; no complex array is formed."""
+        self._check(g)
+        r = self.r
+        h = self.c.T @ (g[:, :, None] * self.s)  # [t, k, j]
+        # [t, k, i, j], so R^T brings out the rows (n, k) and columns (i, j)
+        a = r.T @ (h[:, :, None, :] * r[:, None, :, None]).reshape(len(r), -1)
+        return a.reshape(r.shape[1] * self.n_x, -1)
+
+    def mean_block(self, g: np.ndarray) -> np.ndarray:
+        """Real n_x x n_x matrix B0 of w -> (m_0 w)_x on the Dirichlet-sine
+        coefficients of one time mode, m_0 the time mean of m.  Advection
+        by m_0 maps every time mode to itself, and B0 is its block on
+        each; it equals matrix(g)[:n_x, :n_x], the block of the real mode
+        n = 0: B0 = C^T (sum_t g[t] * S), since R[t, 0] = 1."""
+        self._check(g)
+        return self.c.T @ (g.sum(axis=0)[:, None] * self.s)
 
 
 @functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
@@ -408,73 +452,14 @@ def advection_grid(n_t: int, n_x: int) -> AdvectionGrid:
     return grid
 
 
-def advection_grid_of(g: np.ndarray) -> AdvectionGrid:
-    """The AdvectionGrid whose grid has the shape of the values g."""
-    n_t, n_x = (g.shape[0] - 1) // 3, (g.shape[1] - 2) // 3
-    if g.shape != _product_grid(n_t, n_x, n_t, n_x) or n_x < 1:
-        raise ValueError(f"values of shape {g.shape} lie on no product grid")
-    return advection_grid(n_t, n_x)
-
-
 def advection_values(m: SpectralField) -> np.ndarray:
     """The real values g of m on its AdvectionGrid [t, x], which fix the
-    advection w -> (m w)_x that `advection_matrix`, `advection_operator`
-    and `mean_advection_block` take; m must be a real Dirichlet-sine
-    field."""
+    advection w -> (m w)_x that the grid's `advect`, `matrix` and
+    `mean_block` take; m must be a real Dirichlet-sine field."""
     if m.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("the advection by m expects a Dirichlet-sine field")
     _require_real(m, "the advection by m")
     return advection_grid(m.n_t, m.n_x).values(pack(m.coeffs))
-
-
-def advection_matrix(g: np.ndarray) -> np.ndarray:
-    """Real matrix of advection_operator(g)'s map w -> (m w)_x on packed
-    Dirichlet-sine coefficients, m the field with values g on its
-    AdvectionGrid, contracted from the same factors:
-
-        A[(n, k), (i, j)] = sum_t R[t, n] R[t, i] h[t, k, j],
-        h[t, k, j] = sum_x C[x, k] g[t, x] S[x, j],
-
-    with the sum over x taken first.  The largest temporary is then the
-    product [t, k, i, j] that R^T contracts, m_t / (2 n_t + 1) < 1.5
-    times the size of the matrix; no complex array is formed."""
-    grid = advection_grid_of(g)
-    r = grid.r
-    h = grid.c.T @ (g[:, :, None] * grid.s)  # [t, k, j]
-    # [t, k, i, j], so R^T brings out the rows (n, k) and columns (i, j)
-    a = r.T @ (h[:, :, None, :] * r[:, None, :, None]).reshape(len(r), -1)
-    return a.reshape(r.shape[1] * grid.n_x, -1)
-
-
-def advection_operator(g: np.ndarray):
-    """Matrix-free form of advection_matrix(g): a function that maps the
-    flattened packed (`pack`) Dirichlet-sine coefficients x of a real w
-    to the packed coefficients of (m w)_x, m the field with values g on
-    its AdvectionGrid.  An apply is four real products,
-
-        (m w)_x = R^T ((g * (R X S^T)) C),
-
-    with X the packed coefficients as a (2 n_t + 1) x n_x array."""
-    grid = advection_grid_of(g)
-    shape = (2 * grid.n_t + 1, grid.n_x)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        p = grid.values(x.reshape(shape))
-        p *= g
-        return grid.derivative(p).ravel()
-
-    return apply
-
-
-def mean_advection_block(g: np.ndarray) -> np.ndarray:
-    """Real n_x x n_x matrix B0 of w -> (m_0 w)_x on the Dirichlet-sine
-    coefficients of one time mode, m_0 the time mean of the field m with
-    values g on its AdvectionGrid.  Advection by m_0 maps every time mode
-    to itself, and B0 is its block on each; it equals
-    advection_matrix(g)[:n_x, :n_x], the block of the real mode n = 0:
-    B0 = C^T (sum_t g[t] * S), since R[t, 0] = 1."""
-    grid = advection_grid_of(g)
-    return grid.c.T @ (g.sum(axis=0)[:, None] * grid.s)
 
 
 def random_field(

@@ -25,8 +25,6 @@ from .fields import (
     Basis,
     BasisMismatchError,
     SpectralField,
-    advection_grid_of,
-    advection_matrix,
     product_cosine,
 )
 
@@ -143,24 +141,6 @@ def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralFiel
         raise BasisMismatchError("T'(m) requires matching layouts")
     mw = product_cosine(m, w, m.n_t, m.n_x)
     return apply_L(w, mu) + d_x(mw)
-
-
-def T_prime_matrix(g: np.ndarray, mu: float) -> np.ndarray:
-    """Dense real matrix of T'(m) on packed (`fields.pack`) Dirichlet-sine
-    coefficients, m the field with values g on its AdvectionGrid
-    (`fields.advection_values`)."""
-    a = advection_matrix(g)
-    grid = advection_grid_of(g)
-    n_t, n_x = grid.n_t, grid.n_x
-    # L multiplies mode n by lambda(n): on the packed pair (Re, Im) of a
-    # row n >= 1 that is [[Re lambda, -Im lambda], [Im lambda, Re lambda]]
-    lam = linear_symbol(n_t, n_x, mu)[n_t:].ravel()  # n >= 0
-    a[np.diag_indices_from(a)] += np.concatenate([lam.real, lam.real[n_x:]])
-    re = np.arange(n_x, lam.size)
-    im = re + n_t * n_x
-    a[re, im] -= lam.imag[n_x:]
-    a[im, re] += lam.imag[n_x:]
-    return a
 
 
 def p_transform(u: SpectralField) -> SpectralField:

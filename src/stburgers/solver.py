@@ -13,23 +13,24 @@ The dual norm of a residual is |W res|_2, W the diagonal
 
 The linearized equations T'(m) w = r are solved to a dual-residual gate.
 The size of the system picks how a correction is found: small systems
-are solved directly with the real dense matrix of T'(m), which
-`operators.T_prime_matrix` contracts from g (`fields.advection_matrix`);
-larger ones run `gmres`, one cycle of GMRES in real arithmetic from
-zero, right-preconditioned by the time-mean linearization
-P = L + (m_0 .)_x, m_0 the time mean of m, and weighted by the dual
-norm: GMRES solves W T'(m) P^{-1} W^{-1} z = W r for w = P^{-1} W^{-1} z,
-so the residual it minimizes is the dual residual of w that the solve is
-gated on (right preconditioning: Saad, Iterative Methods for Sparse
-Linear Systems, 2nd ed., 2003, 9.3).  P is block diagonal over the time
-modes (the harmonic-balance preconditioner of Hall, Thomas & Clark,
-AIAA J. 40, 2002), so one n_x x n_x eigendecomposition per Newton step
-inverts it; what is left to GMRES is the advection by the fluctuation
-m' = m - m_0 alone, `fields.advection_operator` of g less its time mean,
-four real products on the grid.  Either path then runs the same few
-rounds of refinement on the true residual r - (L w + (m w)_x), computed
-matrix-free, each a fresh LU solve or GMRES cycle, to the same gate;
-they remove what roundoff leaves where T'(m) or P is ill-conditioned.
+are solved directly with the real dense matrix of T'(m), `_Packed.matrix`,
+the advection contracted from g (`AdvectionGrid.matrix`) plus L written
+in by index; larger ones run `gmres`, one cycle of GMRES in real
+arithmetic from zero, right-preconditioned by the time-mean
+linearization P = L + (m_0 .)_x, m_0 the time mean of m, and weighted
+by the dual norm: GMRES solves W T'(m) P^{-1} W^{-1} z = W r for
+w = P^{-1} W^{-1} z, so the residual it minimizes is the dual residual
+of w that the solve is gated on (right preconditioning: Saad, Iterative
+Methods for Sparse Linear Systems, 2nd ed., 2003, 9.3).  P is block
+diagonal over the time modes (the harmonic-balance preconditioner of
+Hall, Thomas & Clark, AIAA J. 40, 2002), so one n_x x n_x
+eigendecomposition per Newton step inverts it; what is left to GMRES
+is the advection by the fluctuation m' = m - m_0 alone,
+`AdvectionGrid.advect` by g less its time mean, four real products on
+the grid.  Either path then runs the same few rounds of refinement on
+the true residual r - (L w + (m w)_x), computed matrix-free by the same
+`advect`, each a fresh LU solve or GMRES cycle, to the same gate; they
+remove what roundoff leaves where T'(m) or P is ill-conditioned.
 
 `homotopy_solve` continues in lambda on the coarsest level
 (n_t >> j, n_x >> j), both at least COARSEST, whose solution keeps at
@@ -48,11 +49,11 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import (
-    BasisMismatchError, SpectralField, advection_grid, advection_operator, advection_values,
-    mean_advection_block, pack, truncate, unpack, zeros,
+    Basis, BasisMismatchError, SpectralField, advection_grid, advection_values, pack, truncate,
+    unpack, zeros,
 )
 from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
-from .operators import T_prime_matrix, apply_T, invert_L, linear_symbol
+from .operators import apply_T, invert_L, linear_symbol
 
 
 class LinearSolveError(SolverError):
@@ -119,11 +120,12 @@ class _Packed:
     the AdvectionGrid of the product, the symbol of L and the dual
     weights W, 1 / sqrt(aniso_weight) laid out as `pack` lays out rows, so
     |W pack(r)|_2 = dual_norm(r) for Hermitian r.  L and W are read from
-    the cached tables of `linear_symbol` and `aniso_weight`."""
+    the cached tables of `linear_symbol` and `aniso_weight`.  The packed
+    layout of L lives here alone: `apply_L` applies it and `matrix` writes
+    it into the dense T'(m)."""
 
     def __init__(self, u: SpectralField, mu: float):
         n_t = u.n_t
-        self.mu = mu
         self.grid = advection_grid(n_t, u.n_x)
         sym = linear_symbol(n_t, u.n_x, mu)[n_t:]  # n >= 0
         self.diffusion = np.concatenate([sym.real, sym.real[1:]])
@@ -139,6 +141,20 @@ class _Packed:
         y[1:h] -= self.frequency * x[h:]
         y[h:] += self.frequency * x[1:h]
         return y
+
+    def matrix(self, g: np.ndarray) -> np.ndarray:
+        """Dense real T'(m) on flattened packed coordinates, m the field
+        with values g on the grid: grid.matrix(g) with L written in by
+        index as `apply_L` applies it, the diffusion on the diagonal and
+        -/+ the frequency between the Re and Im rows of each mode n >= 1."""
+        a = self.grid.matrix(g)
+        a[np.diag_indices_from(a)] += self.diffusion.ravel()
+        n_x = self.grid.n_x
+        re = np.arange(n_x, (len(self.frequency) + 1) * n_x)
+        im = re + self.frequency.size
+        a[re, im] -= self.frequency.ravel()
+        a[im, re] += self.frequency.ravel()
+        return a
 
     def residual(self, x: np.ndarray, g: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
         """pack(T_lam(u) - f) for X = pack(u), g = grid.values(X) and
@@ -167,13 +183,14 @@ def _linearized_matvec(packed: _Packed, g: np.ndarray):
     w = solution(z); A' is applied as an advection by m' rather than as
     A - A0, which would cancel.  P maps each time mode n to itself by the
     n_x x n_x matrix 2 pi i n + B, with B = mu K^2 + B0 real
-    (`fields.mean_advection_block`); one eigendecomposition B = V D V^-1
+    (`AdvectionGrid.mean_block`); one eigendecomposition B = V D V^-1
     inverts every block as V (2 pi i n + D)^-1 V^-1, applied to the
     packed (Re, Im) row pairs as complex rows.  An eigendecomposition
     that fails raises LinearSolveError."""
-    n_t, n_x = packed.grid.n_t, packed.grid.n_x
-    h = n_t + 1
-    block = np.diag(packed.diffusion[0]) + mean_advection_block(g)
+    grid = packed.grid
+    shape = (2 * grid.n_t + 1, grid.n_x)
+    h = grid.n_t + 1
+    block = np.diag(packed.diffusion[0]) + grid.mean_block(g)
     try:
         d, v = np.linalg.eig(block)
         v_inv = np.linalg.inv(v)
@@ -181,17 +198,17 @@ def _linearized_matvec(packed: _Packed, g: np.ndarray):
         raise LinearSolveError(f"mean-advection preconditioner failed: {exc}") from exc
     scale = 1.0 / (2j * np.pi * np.arange(h)[:, None] + d)  # [n, eigenvalue]
     weight = packed.weight.ravel()
-    advect = advection_operator(g - g.mean(axis=0))
+    fluctuation = g - g.mean(axis=0)
 
     def solution(z: np.ndarray) -> np.ndarray:
-        x = (z / weight).reshape(2 * n_t + 1, n_x)
+        x = (z / weight).reshape(shape)
         y = x[:h].astype(complex)
         y[1:] += 1j * x[h:]
         y = ((y @ v_inv.T) * scale) @ v.T
         return np.concatenate([y.real, y[1:].imag]).ravel()
 
     def matvec(z: np.ndarray) -> np.ndarray:
-        return z + weight * advect(solution(z))
+        return z + weight * grid.advect(fluctuation, solution(z).reshape(shape)).ravel()
 
     return matvec, weight, solution
 
@@ -247,14 +264,13 @@ def _solve_packed(packed: _Packed, g: np.ndarray, b: np.ndarray, m_norm: float) 
 
 def _linearized_residual(packed: _Packed, g: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - T'(m) X = b - (L X + R^T ((g * (R X S^T)) C)), matrix-free."""
-    grid = packed.grid
-    return b - (packed.apply_L(x) + grid.derivative(g * grid.values(x)))
+    return b - (packed.apply_L(x) + packed.grid.advect(g, x))
 
 
 def _dense_correction(packed: _Packed, g: np.ndarray):
     """The packed correction of a residual by an LU solve with the real
     dense matrix of T'(m), built once per linearized solve."""
-    a = T_prime_matrix(g, packed.mu)
+    a = packed.matrix(g)
     return lambda res: np.linalg.solve(a, res.ravel()).reshape(res.shape)
 
 
@@ -359,7 +375,12 @@ def _newton(
     residual is |W pack(T_lam(u) - f)|_2, taken together with the dual
     norm of the anti-Hermitian part of f, which no real u removes; u0
     enters by its Hermitian part, which `pack` keeps.  The report's u is
-    u0 itself until a step moves it."""
+    u0 itself until a step moves it.  f must be a Dirichlet-sine field
+    and u0 of its layout."""
+    if f.basis is not Basis.DIRICHLET_SINE:
+        raise BasisMismatchError("L acts on Dirichlet-sine fields")
+    if not u0.same_layout(f):
+        raise BasisMismatchError("field layouts differ")
     packed = _Packed(f, cfg.mu)
     rhs = pack(f.coeffs)
     skew = dual_norm(f.with_coeffs(0.5 * (f.coeffs - f.coeffs[::-1].conj())))

@@ -12,7 +12,6 @@ from stburgers.fields import (
     ResolutionError,
     SpectralField,
     advection_grid,
-    advection_matrix,
     advection_values,
     analyse,
     evaluate,
@@ -327,7 +326,7 @@ def test_cached_matrices_equal_the_eval_matrices(monkeypatch):
     u = random_field(30, 5, 4, 2.0)
     to_spectral(to_grid(u, 16, 12), 5, 4)
     to_grid(product_cosine(u, u), 24, 20)
-    advection_matrix(advection_values(u))
+    advection_grid(5, 4).matrix(advection_values(u))
     sine, cosine = Basis.DIRICHLET_SINE, Basis.NEUMANN_COSINE
     time_layouts = [(5, 16), (5, 21), (10, 21), (10, 24)]
     space_layouts = [(4, 12, sine, sine), (4, 18, cosine, sine), (8, 18, cosine, cosine),

@@ -8,11 +8,9 @@ from stburgers.fields import (
     Basis,
     BasisMismatchError,
     SpectralField,
-    advection_matrix,
-    advection_operator,
+    advection_grid,
     advection_values,
     evaluate,
-    mean_advection_block,
     pack,
     packed_time_matrix,
     product_cosine,
@@ -27,7 +25,6 @@ from stburgers.fields import (
 from stburgers import solver
 from stburgers.norms import dual_norm
 from stburgers.operators import (
-    T_prime_matrix,
     apply_L,
     apply_S,
     apply_T,
@@ -318,7 +315,8 @@ def complex_advection_matrix(m):
 
 
 def complex_T_prime_matrix(m, mu):
-    """The complex oracle of T_prime_matrix: T'(m) on all coefficients."""
+    """The complex oracle of the solver's dense T'(m), `_Packed.matrix`:
+    T'(m) on all coefficients."""
     a = complex_advection_matrix(m)
     a[np.diag_indices_from(a)] += linear_symbol(m.n_t, m.n_x, mu).ravel()
     return a
@@ -346,7 +344,7 @@ def test_t_prime_matrix_matches_column_oracle(n_t, n_x, mu, seed, amp):
     assert a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
     ref = packed(ref, m.coeffs.shape)
-    a = T_prime_matrix(advection_values(m), mu)
+    a = solver._Packed(m, mu).matrix(advection_values(m))
     assert a.dtype == float and a.shape == ref.shape
     assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -364,7 +362,8 @@ def test_real_dense_solve_matches_complex_oracle(n_t, n_x, mu, seed, amp):
     r = random_field(seed + 1, n_t, n_x, 1.0).coeffs
     ref = np.linalg.solve(complex_T_prime_matrix(m, mu), r.ravel()).reshape(r.shape)
     ref = 0.5 * (ref + ref[::-1].conj())
-    w = unpack(np.linalg.solve(T_prime_matrix(advection_values(m), mu), pack(r).ravel()).reshape(r.shape))
+    a = solver._Packed(m, mu).matrix(advection_values(m))
+    w = unpack(np.linalg.solve(a, pack(r).ravel()).reshape(r.shape))
     assert np.abs(w - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -380,11 +379,12 @@ def test_advection_operator_matches_matrix_and_product(n_t, n_x, mu, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
     x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
     w = m.with_coeffs(unpack(x))
-    x = x.ravel()
+    grid = advection_grid(n_t, n_x)
     g = advection_values(m)
-    y = advection_operator(g)(x)
+    y = grid.advect(g, x).ravel()
+    x = x.ravel()
     assert y.dtype == float and y.shape == x.shape
-    by_matrix = advection_matrix(g) @ x
+    by_matrix = grid.matrix(g) @ x
     by_product = pack(d_x(product_cosine(m, w, n_t, n_x)).coeffs).ravel()
     # at n_x = 1, (m w)_x has no mode in the band (sin^2 holds cosine
     # modes 0 and 2 only), so the entries are compared with the size
@@ -420,7 +420,8 @@ def preconditioner_kappa(m, mu):
     times its size, by at most |P_n^{-1}| on time mode n, and its
     eigenvector basis V by at most cond(V)."""
     n_t, n_x = m.n_t, m.n_x
-    block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_advection_block(advection_values(m))
+    mean_block = advection_grid(n_t, n_x).mean_block(advection_values(m))
+    block = np.diag(mu * (np.pi * np.arange(1, n_x + 1)) ** 2) + mean_block
     inv_norm = max(
         np.linalg.norm(np.linalg.inv(block + 2j * np.pi * n * np.eye(n_x)), 2)
         for n in range(n_t + 1)
@@ -475,12 +476,12 @@ ELONGATED = st.one_of(
 def test_advection_matrix_matches_operator_and_product_when_elongated(shape, seed, amp):
     n_t, n_x = shape
     m = amp * random_field(seed, n_t, n_x, 1.5)
+    grid = advection_grid(n_t, n_x)
     g = advection_values(m)
-    a = advection_matrix(g)
+    a = grid.matrix(g)
     n = (2 * n_t + 1) * n_x
     assert a.dtype == float and a.shape == (n, n) and n <= 400
-    apply = advection_operator(g)
-    columns = np.stack([apply(e) for e in np.eye(n)], axis=1)
+    columns = np.stack([grid.advect(g, e.reshape(m.coeffs.shape)).ravel() for e in np.eye(n)], axis=1)
     x = np.random.default_rng(seed).standard_normal(m.coeffs.shape)  # packed
     w = m.with_coeffs(unpack(x))
     x = x.ravel()
@@ -499,10 +500,11 @@ def test_advection_matrix_matches_operator_and_product_when_elongated(shape, see
 def test_t_prime_matrix_peak_memory_is_a_few_matrices(n_t, n_x):
     m = random_field(n_t + n_x, n_t, n_x, 1.5)
     g = advection_values(m)
-    T_prime_matrix(g, 0.1)  # fills the layout caches
+    packed = solver._Packed(m, 0.1)
+    packed.matrix(g)  # fills the layout caches
     tracemalloc.start()
     try:
-        a = T_prime_matrix(g, 0.1)
+        a = packed.matrix(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,10 +520,11 @@ def test_t_prime_matrix_peak_memory_is_a_few_matrices(n_t, n_x):
 )
 def test_mean_advection_block_is_the_mean_mode_of_the_matrix(n_t, n_x, seed, amp):
     m = amp * random_field(seed, n_t, n_x, 1.5)
+    grid = advection_grid(n_t, n_x)
     g = advection_values(m)
-    block = mean_advection_block(g)
+    block = grid.mean_block(g)
     assert block.shape == (n_x, n_x) and block.dtype == float
-    ref = advection_matrix(g)[:n_x, :n_x]
+    ref = grid.matrix(g)[:n_x, :n_x]
     assert np.abs(block - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
@@ -538,10 +541,10 @@ def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
 
 
 def test_advection_operator_rejects_cosine_and_complex_fields(monkeypatch):
-    # every advection by m (dense, matrix-free, the preconditioner's
-    # mean block) takes its values g from advection_values, which checks
-    # m; the dense path's packing would otherwise drop the anti-Hermitian
-    # part of m
+    # every advection by m (the grid's dense matrix, matrix-free advect
+    # and the preconditioner's mean block) takes its values g from
+    # advection_values, which checks m; the dense path's packing would
+    # otherwise drop the anti-Hermitian part of m
     with pytest.raises(BasisMismatchError):
         advection_values(zeros(2, 2, Basis.NEUMANN_COSINE))
     complex_m = zeros(2, 2).with_coeffs(np.full((5, 2), 1j))
@@ -561,17 +564,25 @@ def test_advection_operator_rejects_cosine_and_complex_fields(monkeypatch):
 
 def test_advection_matrix_rejects_cosine_fields():
     with pytest.raises(BasisMismatchError):
-        T_prime_matrix(advection_values(zeros(2, 2, Basis.NEUMANN_COSINE)), 0.5)
+        solver._Packed(zeros(2, 2), 0.5).matrix(advection_values(zeros(2, 2, Basis.NEUMANN_COSINE)))
 
 
 def test_advection_rejects_values_off_every_product_grid():
-    # the truncation of an advection is read from the shape of its
-    # values, (3 n_t + 1, 3 n_x + 2) with n_x >= 1
-    takers = (advection_operator, advection_matrix, mean_advection_block, lambda g: T_prime_matrix(g, 0.5))
-    for shape in ((5, 5), (7, 4), (7, 2)):
-        for take in takers:
-            with pytest.raises(ValueError, match="no product grid"):
-                take(np.zeros(shape))
+    # an advection's values lie on the product grid of its truncation,
+    # (3 n_t + 1, 3 n_x + 2) with n_x >= 1; none of these shapes is one,
+    # and each grid, and the dense T'(m) built on it, checks g against
+    # its own shape
+    for n_t, n_x in ((1, 1), (2, 1), (1, 2)):
+        grid = advection_grid(n_t, n_x)
+        x = np.zeros((2 * n_t + 1, n_x))
+        takers = (
+            lambda g: grid.advect(g, x), grid.matrix, grid.mean_block,
+            solver._Packed(zeros(n_t, n_x), 0.5).matrix,
+        )
+        for shape in ((5, 5), (7, 4), (7, 2)):
+            for take in takers:
+                with pytest.raises(ValueError, match="off the product grid"):
+                    take(np.zeros(shape))
 
 
 def test_apply_t_secant_identity():

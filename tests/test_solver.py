@@ -89,15 +89,16 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
     # solver checks the dual residual of each round's iterate once, and
     # the Newton solve then reports the failure instead of raising
     applies, residuals = [], []
+    linearized_matvec = solver._linearized_matvec
 
-    def counting_operator(g):
-        advect = fields.advection_operator(g)
+    def counting_matvec(*args):
+        matvec, weight, solution = linearized_matvec(*args)
 
-        def counted(x):
+        def counted(z):
             applies.append(1)
-            return advect(x)
+            return matvec(z)
 
-        return counted
+        return counted, weight, solution
 
     linearized_residual = solver._linearized_residual
 
@@ -105,7 +106,7 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
         residuals.append(1)
         return linearized_residual(*args)
 
-    monkeypatch.setattr(solver, "advection_operator", counting_operator)
+    monkeypatch.setattr(solver, "_linearized_matvec", counting_matvec)
     monkeypatch.setattr(solver, "_linearized_residual", counting_residual)
     f = 2.0 * random_field(3, 6, 6, 2.0)
     u0 = 2.0 * random_field(4, 6, 6, 1.0)
@@ -160,6 +161,26 @@ def test_newton_takes_a_non_hermitian_forcing_part_into_its_residual():
     assert rep.residual_dual >= dual_norm(skew)
 
 
+@pytest.mark.parametrize(
+    "forcing, start, message",
+    [
+        ((4, 4, fields.Basis.DIRICHLET_SINE), (3, 3, fields.Basis.DIRICHLET_SINE), "layouts differ"),
+        ((4, 4, fields.Basis.DIRICHLET_SINE), (4, 5, fields.Basis.DIRICHLET_SINE), "layouts differ"),
+        ((4, 4, fields.Basis.DIRICHLET_SINE), (4, 4, fields.Basis.NEUMANN_COSINE), "layouts differ"),
+        ((4, 4, fields.Basis.NEUMANN_COSINE), None, "Dirichlet-sine"),
+    ],
+    ids=["start-3x3", "start-4x5", "cosine-start", "cosine-forcing"],
+)
+def test_newton_rejects_a_start_or_forcing_off_the_layout(forcing, start, message):
+    # Newton packs f and u0 on one Dirichlet-sine truncation: a start of
+    # another truncation or basis, or a cosine forcing, is a
+    # BasisMismatchError before any packing
+    f = random_field(1, *forcing[:2], 2.0, basis=forcing[2])
+    u0 = None if start is None else zeros(*start)
+    with pytest.raises(fields.BasisMismatchError, match=message):
+        newton_solve(f, u0, SolverConfig(mu=0.5))
+
+
 def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
     # a dense T'(m) off by 1e-7 relative leaves the first LU solve at a
     # dual residual near 1e-7 relative; the refinement rounds on the true
@@ -171,7 +192,7 @@ def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
     r = apply_T(m, mu) - f
     rng = np.random.default_rng(5)
     builds, solves = [], []
-    exact_matrix, exact_solve = solver.T_prime_matrix, np.linalg.solve
+    exact_matrix, exact_solve = solver._Packed.matrix, np.linalg.solve
 
     def perturbed(*args):
         a = exact_matrix(*args)
@@ -182,7 +203,7 @@ def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
         solves.append(1)
         return exact_solve(*args)
 
-    monkeypatch.setattr(solver, "T_prime_matrix", perturbed)
+    monkeypatch.setattr(solver._Packed, "matrix", perturbed)
     monkeypatch.setattr(solver.np.linalg, "solve", counted_solve)
     forced_path(monkeypatch, "dense")
     w = solve_linearized(m, r, SolverConfig(mu=mu))
