@@ -127,12 +127,9 @@ def apply_S(u: SpectralField) -> SpectralField:
     return 0.5 * d_x(sq)
 
 
-def apply_T(u: SpectralField, mu: float, lam: float = 1.0) -> SpectralField:
-    """Homotopy operator (L + lam*S)(u); lam = 1 is the Burgers operator."""
-    out = apply_L(u, mu)
-    if lam != 0.0:
-        out = out + lam * apply_S(u)
-    return out
+def apply_T(u: SpectralField, mu: float) -> SpectralField:
+    """The Burgers operator T(u) = L u + S(u)."""
+    return apply_L(u, mu) + apply_S(u)
 
 
 def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralField:

@@ -6,8 +6,8 @@ iterate and every correction w is real by construction; SpectralFields
 are built only where Newton starts and stops.  Each iterate is evaluated
 once on the padded product grid (`fields.AdvectionGrid`), g = R X S^T,
 and that one g gives both its residual,
-T_lam(u) - f = L X + (lam / 2) R^T ((g * g) C) - pack(f), and the next
-linearization T'(lam u), the advection by the field with values lam g.
+T(u) - f = L X + (1 / 2) R^T ((g * g) C) - pack(f), and the next
+linearization T'(u), the advection by the field with values g.
 The dual norm of a residual is |W res|_2, W the diagonal
 1 / sqrt(aniso_weight) in packed layout.
 
@@ -32,18 +32,20 @@ the true residual r - (L w + (m w)_x), computed matrix-free by the same
 `advect`, each a fresh LU solve or GMRES cycle, to the same gate; they
 remove what roundoff leaves where T'(m) or P is ill-conditioned.
 
-`homotopy_solve` continues in lambda on the coarsest level
-(n_t >> j, n_x >> j), both at least COARSEST, whose solution keeps at
-most TAIL_MAX of its weight in the outermost shell, then climbs to full
-size by Newton at lambda = 1 from the zero-padded solution, one doubling
-at a time (mesh sequencing).  With no such level, or a climb step that
-fails, it runs the homotopy at full size.  The package needs numpy only.
+`homotopy_solve` continues in the forcing: L u + lam S(u) = f is
+T(v) = lam f for v = lam u, so Newton solves T(u) = f and nothing else.
+It continues on the coarsest level (n_t >> j, n_x >> j), both at least
+COARSEST, whose solution keeps at most TAIL_MAX of its weight in the
+outermost shell, then climbs to full size by Newton from the zero-padded
+solution, one doubling at a time (mesh sequencing).  With no such level,
+or a climb step that fails, it runs the homotopy at full size.  The
+package needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .fields import (
     unpack, zeros,
 )
 from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
-from .operators import apply_T, invert_L, linear_symbol
+from .operators import apply_L, invert_L, linear_symbol
 
 
 class LinearSolveError(SolverError):
@@ -92,10 +94,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for key in ("mu", "newton_tol"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.max_newton < 1:
-            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        n = self.max_newton
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_newton must be at least 1 and an integer, got {n!r}")
 
 
 @dataclass
@@ -156,13 +159,10 @@ class _Packed:
         a[im, re] += self.frequency.ravel()
         return a
 
-    def residual(self, x: np.ndarray, g: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """pack(T_lam(u) - f) for X = pack(u), g = grid.values(X) and
-        rhs = pack(f): L X + (lam / 2) R^T ((g * g) C) - rhs."""
-        res = self.apply_L(x) - rhs
-        if lam != 0.0:
-            res += (0.5 * lam) * self.grid.derivative(g * g)
-        return res
+    def residual(self, x: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """pack(T(u) - f) for X = pack(u), g = grid.values(X) and
+        rhs = pack(f): L X + (1 / 2) R^T ((g * g) C) - rhs."""
+        return self.apply_L(x) - rhs + 0.5 * self.grid.derivative(g * g)
 
     def dual(self, res: np.ndarray) -> float:
         return float(np.linalg.norm(self.weight * res))
@@ -362,21 +362,16 @@ def _back_substitute(tri: np.ndarray, g: list) -> np.ndarray:
     return y
 
 
-def _newton(
-    f: SpectralField,
-    u0: SpectralField,
-    cfg: SolverConfig,
-    lam: float = 1.0,
-) -> SolveReport:
-    """Damped Newton on T_lam(u) = f from u0, run on the packed
-    coordinates X of u (`_Packed`).  Each iterate is evaluated once on the
-    product grid, g = R X S^T, and that one g gives both its residual and
-    the next linearization T'(lam u), whose values are lam g.  The dual
-    residual is |W pack(T_lam(u) - f)|_2, taken together with the dual
-    norm of the anti-Hermitian part of f, which no real u removes; u0
-    enters by its Hermitian part, which `pack` keeps.  The report's u is
-    u0 itself until a step moves it.  f must be a Dirichlet-sine field
-    and u0 of its layout."""
+def _newton(f: SpectralField, u0: SpectralField, cfg: SolverConfig) -> SolveReport:
+    """Damped Newton on T(u) = f from u0, run on the packed coordinates X
+    of u (`_Packed`).  Each iterate is evaluated once on the product grid,
+    g = R X S^T, and that one g gives both its residual and the next
+    linearization T'(u), whose values are g.  The dual residual is
+    |W pack(T(u) - f)|_2, taken together with the dual norm of the
+    anti-Hermitian part of f, which no real u removes; u0 enters by its
+    Hermitian part, which `pack` keeps.  The report's u is u0 itself
+    until a step moves it.  f must be a Dirichlet-sine field and u0 of
+    its layout."""
     if f.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("L acts on Dirichlet-sine fields")
     if not u0.same_layout(f):
@@ -386,11 +381,10 @@ def _newton(
     skew = dual_norm(f.with_coeffs(0.5 * (f.coeffs - f.coeffs[::-1].conj())))
 
     def evaluate(x):
-        # the iterate's residual and the values lam g of the advection
-        # field of its linearization, scaled in place
+        # the iterate's values g on the grid, which are those of the
+        # advection field of its linearization, and its residual
         g = packed.grid.values(x)
-        res = packed.residual(x, g, lam, rhs)
-        g *= lam
+        res = packed.residual(x, g, rhs)
         return g, res, math.hypot(packed.dual(res), skew)
 
     def report(x, rd, iters, message=""):
@@ -402,15 +396,13 @@ def _newton(
 
     x = start = pack(u0.coeffs)
     g, res, rd = evaluate(x)
-    history = [(lam, rd)]
+    history = [(1.0, rd)]
     recoveries = MAX_RECOVERIES
     for it in range(1, cfg.max_newton + 1):
         if rd <= cfg.newton_tol:
             return report(x, rd, it - 1)
         try:
-            # T'(u) for the homotopy operator L + lam*S has advection
-            # field lam*u
-            w = _solve_packed(packed, g, res, lam * np.linalg.norm(x))
+            w = _solve_packed(packed, g, res, np.linalg.norm(x))
         except LinearSolveError as exc:
             return report(x, rd, it - 1, f"linearized solve failed: {exc}")
         step = 1.0
@@ -432,11 +424,11 @@ def _newton(
                 recoveries -= 1
                 x = 0.5 * x
                 g, res, rd = evaluate(x)
-                history.append((lam, rd))
+                history.append((1.0, rd))
                 continue
             return report(x, rd, it, "damped Newton step could not reduce the residual")
         x, g, res, rd = x_try, g_try, res_try, rd_try
-        history.append((lam, rd))
+        history.append((1.0, rd))
     if rd <= cfg.newton_tol:
         return report(x, rd, cfg.max_newton)
     return report(x, rd, cfg.max_newton, f"no convergence after {cfg.max_newton} Newton iterations")
@@ -452,7 +444,7 @@ def newton_solve(
         raise ValueError("a SolverConfig is required")
     if u0 is None:
         u0 = zeros(f.n_t, f.n_x, f.basis)
-    return _newton(f, u0, cfg, lam=1.0)
+    return _newton(f, u0, cfg)
 
 
 def homotopy_solve(
@@ -460,8 +452,8 @@ def homotopy_solve(
     cfg: SolverConfig,
     c_gn: float | None = None,
 ) -> SolveReport:
-    """Continuation in lambda from the linear solve to the Burgers solve,
-    run on the coarsest truncation that resolves the solution and
+    """Continuation in the forcing lam f, lam from 0 to 1, from the linear
+    solve to the Burgers solve, run on the coarsest truncation that resolves the solution and
     carried to full size by Newton (mesh sequencing: Knoll & Keyes,
     J. Comput. Phys. 193, 2004).
 
@@ -470,7 +462,7 @@ def homotopy_solve(
     min(n_t, n_x) < 2 COARSEST has none.  A level is accepted when the
     homotopy on truncate(f, level) succeeds and its solution's
     `outer_shell_weight` is at most TAIL_MAX.  From it the solution is
-    zero-padded to each doubling in turn and Newton at lambda = 1 solves
+    zero-padded to each doubling in turn and Newton solves T(u) = f
     there, up to full size.  If no level is accepted or a climb step
     fails, the homotopy runs at full size.
 
@@ -496,7 +488,7 @@ def homotopy_solve(
 def _climb(
     f: SpectralField, coarse: SolveReport, j: int, cfg: SolverConfig, bound: float | None
 ) -> SolveReport | None:
-    """Newton at lambda = 1 at each doubling from the level-j solution of
+    """Newton on T(u) = f at each doubling from the level-j solution of
     `coarse` up to the truncation of f; None if a step fails."""
     u = coarse.u
     level_norms = []
@@ -514,25 +506,30 @@ def _climb(
 
 
 def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> SolveReport:
-    """Continuation in lambda at the truncation of f.
+    """Continuation in the forcing at the truncation of f.
 
-    Each lambda step warm-starts from the previous solution; a failed
-    step is bisected (the solution path is smooth in lambda, so midpoint
-    insertion recovers).  Every accepted iterate is recorded with its
+    L u + lam S(u) = f is T(v) = lam f for v = lam u, so the step at lam
+    is Newton on T(v) = lam f from lam u, u the last solution (L^{-1} f
+    at first), to lam newton_tol, and u = v / lam; the path row's
+    residual is that of L u + lam S(u) - f, residual_dual / lam.  The
+    path is the preimage of the ray {lam f} under the diffeomorphism T,
+    smooth and without folds (natural-parameter continuation: Allgower &
+    Georg, Introduction to Numerical Continuation Methods, 1990), so a
+    failed step is bisected.  Every accepted u is recorded with its
     anisotropic norm for comparison against the a priori bound.  A step
     that cannot be bisected further raises ContinuationError; if the
-    last iterate's outer-shell weight is above TAIL_MAX, its message says
-    the truncation is likely too coarse."""
+    last iterate's outer-shell weight (the same for v and u) is above
+    TAIL_MAX, its message says the truncation is likely too coarse."""
     path = []
     u = solve_linear(f, cfg)
-    path.append((0.0, dual_norm(apply_T(u, cfg.mu, 0.0) - f), aniso_norm(u)))
+    path.append((0.0, dual_norm(apply_L(u, cfg.mu) - f), aniso_norm(u)))
     pending = list(HOMOTOPY_STEPS[1:])
     prev_lam = 0.0
     bisections = 0
     last = None
     while pending:
         lam = pending[0]
-        report = _newton(f, u, cfg, lam=lam)
+        report = _newton(lam * f, lam * u, replace(cfg, newton_tol=lam * cfg.newton_tol))
         if not report.success:
             if bisections >= MAX_BISECTIONS or lam - prev_lam < 1e-6:
                 tail = outer_shell_weight(report.u)
@@ -547,9 +544,9 @@ def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> Solve
             pending.insert(0, 0.5 * (prev_lam + lam))
             bisections += 1
             continue
-        u = report.u
+        u = report.u.with_coeffs(report.u.coeffs / lam)
         last = report
-        path.append((lam, report.residual_dual, aniso_norm(u)))
+        path.append((lam, report.residual_dual / lam, aniso_norm(u)))
         prev_lam = lam
         pending.pop(0)
     last.lambda_path = [(lam, rd) for lam, rd, _ in path]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stburgers.fields import (
     Basis,
@@ -593,6 +593,27 @@ def test_apply_t_secant_identity():
     lhs = apply_T(u, mu) - apply_T(v, mu)
     rhs = apply_T_prime(0.5 * (u + v), u - v, mu)
     assert (lhs - rhs).l2() < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_t=st.integers(1, 10),
+    n_x=st.integers(1, 10),
+    mu=st.floats(0.01, 2.0),
+    lam=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    amp=st.floats(0.1, 5.0),
+)
+@example(n_t=9, n_x=2, mu=1.0, lam=0.3, seed=2, amp=2.0)
+def test_scaled_burgers_operator_is_the_homotopy_operator(n_t, n_x, mu, lam, seed, amp):
+    # T(lam u) - lam f = lam (L u + lam S(u) - f): the homotopy solves its
+    # step at lam as T(v) = lam f for v = lam u.  lam stays above 1e-6,
+    # which is below the smallest step bisection reaches, 0.25 / 2^12
+    f = random_field(seed, n_t, n_x, 2.0)
+    u = amp * random_field(seed + 1, n_t, n_x, 1.5)
+    lhs = apply_T(lam * u, mu) - lam * f
+    rhs = lam * (apply_L(u, mu) + lam * apply_S(u) - f)
+    assert dual_norm(lhs - rhs) <= 1e-13 * dual_norm(rhs)
 
 
 def test_p_transform_coercivity_identity():

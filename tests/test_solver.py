@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from stburgers import fields, norms, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, apriori_bound, dual_norm
-from stburgers.operators import apply_T, apply_T_prime
+from stburgers.operators import apply_L, apply_T, apply_T_prime
 from stburgers.solver import (
     SolverConfig,
     homotopy_solve,
@@ -125,23 +125,22 @@ def test_gmres_work_is_bounded_by_max_krylov(monkeypatch):
 @given(
     n_t=st.integers(1, 10),
     n_x=st.integers(1, 10),
-    lam=st.sampled_from([0.0, 0.3, 1.0]),
     mu=st.floats(0.01, 2.0),
     seed=st.integers(0, 2**31 - 1),
     amp=st.floats(0.1, 5.0),
 )
-@example(n_t=3, n_x=9, lam=1.0, mu=0.05, seed=1, amp=5.0)
-@example(n_t=9, n_x=2, lam=0.3, mu=1.0, seed=2, amp=2.0)
-def test_packed_residual_is_the_homotopy_residual(n_t, n_x, lam, mu, seed, amp):
+@example(n_t=3, n_x=9, mu=0.05, seed=1, amp=5.0)
+@example(n_t=9, n_x=2, mu=1.0, seed=2, amp=2.0)
+def test_packed_residual_is_the_burgers_residual(n_t, n_x, mu, seed, amp):
     # the residual that Newton computes from X = pack(u) and its one grid
-    # evaluation g is pack(T_lam(u) - f), and its norm |W res| is the dual
+    # evaluation g is pack(T(u) - f), and its norm |W res| is the dual
     # norm of that residual
     f = random_field(seed, n_t, n_x, 2.0)
     u = amp * random_field(seed + 1, n_t, n_x, 1.5)
     packed = solver._Packed(f, mu)
     x = fields.pack(u.coeffs)
-    res = packed.residual(x, packed.grid.values(x), lam, fields.pack(f.coeffs))
-    ref = apply_T(u, mu, lam) - f
+    res = packed.residual(x, packed.grid.values(x), fields.pack(f.coeffs))
+    ref = apply_T(u, mu) - f
     rn = dual_norm(ref)
     assert dual_norm(ref.with_coeffs(fields.unpack(res)) - ref) <= 1e-13 * rn
     assert abs(packed.dual(res) - rn) <= 1e-13 * rn
@@ -428,19 +427,33 @@ def test_unresolved_coarse_level_falls_back_to_the_full_homotopy(monkeypatch, ba
     assert rep.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
 
 
+def test_bisected_homotopy_path_is_pinned(base_forcing):
+    # at 8x8, mu = 0.02, amplitude 2.5 the steps to lambda = 0.25 and
+    # then to 0.125 fail, so the path is bisected down to 0.0625; each
+    # row's residual is that of L u + lam S(u) - f, which the step at lam
+    # solves as T(lam u) = lam f to the tolerance lam newton_tol
+    cfg = SolverConfig(mu=0.02, max_newton=60)
+    rep = homotopy_solve(2.5 * truncate(base_forcing, 8, 8), cfg)
+    assert rep.success
+    assert [lam for lam, _ in rep.lambda_path] == [0.0, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0]
+    assert rep.newton_iters == 7
+    assert all(rd <= cfg.newton_tol for _, rd in rep.lambda_path)
+
+
 def test_failed_climb_step_falls_back_to_the_full_homotopy(monkeypatch, base_forcing):
-    # the climb's Newton is the only one called without a lam keyword;
-    # when it fails, the report is the full-size homotopy's
+    # the coarse homotopy runs at 8x8 and the fallback at 32x32, so the
+    # only 16x16 Newton is the climb's; when it fails, the report is the
+    # full-size homotopy's
     f = truncate(base_forcing, 32, 32)
     cfg = SolverConfig(mu=0.1)
     newton = solver._newton
     failed = []
 
-    def failing_climb(f, u0, cfg, **kwargs):
-        if not kwargs:
+    def failing_climb(f, u0, cfg):
+        if f.n_t == 16:
             failed.append(f.n_t)
             return solver.SolveReport(u=u0, residual_dual=1.0, newton_iters=0, success=False)
-        return newton(f, u0, cfg, **kwargs)
+        return newton(f, u0, cfg)
 
     monkeypatch.setattr(solver, "_newton", failing_climb)
     rep = homotopy_solve(f, cfg)
@@ -478,7 +491,7 @@ def test_failed_homotopy_names_a_too_coarse_truncation(monkeypatch, base_forcing
                        r"the truncation \(6, 6\) is likely too coarse"):
         homotopy_solve(truncate(2.5 * base_forcing, 6, 6), cfg)
     # a failure on a resolved field says nothing of the truncation
-    def stalled(f, u0, cfg, lam=1.0):
+    def stalled(f, u0, cfg):
         return solver.SolveReport(u=u0, residual_dual=1.0, newton_iters=0, success=False,
                                   message="stalled")
 
@@ -530,20 +543,25 @@ def test_linear_solve_inverts_l():
     f = random_field(4, 6, 6, 2.0)
     cfg = SolverConfig(mu=0.7)
     u = solve_linear(f, cfg)
-    assert dual_norm(apply_T(u, cfg.mu, 0.0) - f) < 1e-14
+    assert dual_norm(apply_L(u, cfg.mu) - f) < 1e-14
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(mu=0.0)
+    # a viscosity of nan would otherwise bisect the homotopy down to
+    # lambda = 6.1e-5 before failing on a nan residual
+    for mu in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            SolverConfig(mu=mu)
     with pytest.raises(ValueError):
         newton_solve(random_field(2, 4, 4, 2.0))
 
 
 @pytest.mark.parametrize("key", ["newton_tol"])
 def test_config_rejects_nonpositive_tolerances(key):
-    # a tolerance of zero or below can never be met
-    for value in (0.0, -1.0):
+    # a tolerance of zero or below can never be met, and one of inf or
+    # nan is met or missed whatever the residual (inf reported success
+    # after 0 iterations at a dual residual of 0.036)
+    for value in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             SolverConfig(mu=1.0, **{key: value})
 
@@ -551,7 +569,12 @@ def test_config_rejects_nonpositive_tolerances(key):
 @pytest.mark.parametrize("key, least", [("max_newton", 1)])
 def test_config_rejects_counts_below_their_least_value(key, least):
     # the bound the CLI checks on config.solver; max_newton = 0 would
-    # otherwise fail every solve that does not start converged
+    # otherwise fail every solve that does not start converged.  A count
+    # must be an integer and not a boolean: 2.5 would fail in range() and
+    # True would run one iteration and report newton_iters=True
     with pytest.raises(ValueError, match=f"{key} must be at least {least}"):
         SolverConfig(mu=1.0, **{key: least - 1})
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match=f"{key} must be at least {least} and an integer"):
+            SolverConfig(mu=1.0, **{key: value})
     assert getattr(SolverConfig(mu=1.0, **{key: least}), key) == least
