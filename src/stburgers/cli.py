@@ -42,10 +42,20 @@ NODE_TOL = 1e-9
 # largest array (`_largest_array`) needs more is a config error, raised
 # before anything of that size is allocated
 MAX_ARRAY_BYTES = 2**30
-# the keys that config.solver and config.outputs take; any other is a
-# config error
+# the keys that config.solver and config.outputs take, and the top-level
+# keys that each command reads (a colehopf run on a phi_file reads only
+# PHI_FILE_KEYS); any other is a config error
 SOLVER_KEYS = ("method", "newton_tol", "max_newton")
 OUTPUT_KEYS = ("report_path", "field_csv_path", "grid_m_t", "grid_m_x")
+PROBLEM_KEYS = ("mu", "n_t", "n_x", "forcing", "solver", "outputs")
+COMMAND_KEYS = {
+    "solve": PROBLEM_KEYS,
+    "verify": tuple(f.name for f in dataclasses.fields(vf.VerifyConfig)) + ("outputs",),
+    "sweep": PROBLEM_KEYS + ("sweep", "monodromy"),
+    "colehopf": PROBLEM_KEYS + ("n_starts", "seed", "monodromy_steps"),
+    "scale": ("period", "length", "viscosity") + PROBLEM_KEYS[1:],
+}
+PHI_FILE_KEYS = ("mu", "phi_file", "outputs")
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +200,17 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
             f"{where}: {path!r} is not on the {m_t}x{m_x} grid t = j/m_t, x = {x_nodes}"
         )
     return fd.GridField(vals, m_t, m_x, basis)
+
+
+def _check_keys(command: str, cfg: dict) -> None:
+    """A config error naming every top-level key of cfg that `command`
+    does not read."""
+    keys, what = COMMAND_KEYS[command], command
+    if command == "colehopf" and "phi_file" in cfg:
+        keys, what = PHI_FILE_KEYS, "colehopf on a phi_file"
+    unread = [f"config.{key}" for key in cfg if key not in keys]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by {what} (takes {', '.join(keys)})")
 
 
 def _section(cfg: dict, name: str, keys) -> dict:
@@ -463,8 +484,6 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
     # every key but the seed defaults to its VerifyConfig value
-    if "solver" in cfg:
-        raise ConfigError("config.solver: not read (verify solves with the default settings)")
     defaults = vf.VerifyConfig
     n_t, n_x = _truncation(cfg, defaults=defaults)
     solve_n_t, solve_n_x = _truncation(cfg, ("solve_n_t", "solve_n_x"), defaults)
@@ -578,8 +597,6 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
 def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
-        if "solver" in cfg:
-            raise ConfigError("config.solver: not read (a run on a phi_file solves nothing)")
         path = _get(cfg, "phi_file", str)
         mu = _positive(cfg, "mu")
         g = _read_grid(path, fd.Basis.NEUMANN_COSINE, "config.phi_file")
@@ -634,12 +651,10 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)
-    local = dict(cfg)
-    local["mu"] = mu
-    scfg = build_solver_config(local, mu)
+    scfg = build_solver_config(cfg, mu)
     _, csv_path, m_t, m_x = _outputs(cfg, (n_t, n_x))
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
-    result = _run_solve(local, f, scfg)
+    result = _run_solve(cfg, f, scfg)
     doc["success"] = bool(result.success)
     doc["residual_dual"] = result.residual_dual
     doc["norms_normalized"] = dataclasses.asdict(nm.norm_report(result.u))
@@ -679,6 +694,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)
+        _check_keys(args.command, cfg)
         report_path = _outputs(cfg)[0]
         doc = report_header(args.command)
         try:

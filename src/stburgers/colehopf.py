@@ -31,12 +31,20 @@ from .fields import (
     analyse,
     evaluate,
     product_cosine,
+    random_field,
     space_matrix,
     zeros,
 )
 from .operators import apply_T, d_t, d_x, d_xx
 from .norms import dual_norm
-from .solver import SolverConfig, SolveReport, newton_solve, solve_linear
+from .solver import SolverConfig, newton_solve, solve_linear
+
+
+# the largest pointwise miss of the projected exponential of s2_to_s3, and
+# the largest l2 distance between two solutions that verify_uniqueness
+# counts as one
+PROJECTION_TOL = 1e-6
+UNIQUENESS_TOL = 1e-6
 
 
 class NotInS1Error(StburgersError, ValueError):
@@ -128,22 +136,18 @@ def lift_s1_to_s2(
     return ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k)
 
 
-def _pointwise_map(
-    u: SpectralField, fn, n_t_out: int, n_x_out: int, pad: int = 2
-) -> SpectralField:
-    """Apply fn pointwise on an oversampled grid and re-project.
+def _pointwise_map(u: SpectralField, fn, n_t_out: int, n_x_out: int) -> SpectralField:
+    """Apply fn pointwise on a twice-oversampled grid and re-project.
 
     The result is only as accurate as the target truncation allows; the
     caller monitors the equation residual of the projection."""
-    m_t = pad * (2 * n_t_out + 1)
-    m_x = pad * (n_x_out + 1)
+    m_t = 2 * (2 * n_t_out + 1)
+    m_x = 2 * (n_x_out + 1)
     vals = fn(evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE))
     return analyse(vals, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
-def chain_rule_defect(
-    W: SpectralField, v: SpectralField, k: float, mu: float, pad: int = 4
-) -> float:
+def chain_rule_defect(W: SpectralField, v: SpectralField, k: float, mu: float) -> float:
     """Sup-norm defect of the substitution identity for phi = exp(-W/(2 mu)):
 
         phi_t - mu phi_xx + v phi_x + (K/(2 mu)) phi = -(1/(2 mu)) r phi
@@ -153,9 +157,9 @@ def chain_rule_defect(
     only measures the truncation of the projected exponential."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    n_t_p = pad * W.n_t
-    n_x_p = pad * W.n_x
-    phi = _pointwise_map(W, lambda g: np.exp(-g / (2.0 * mu)), n_t_p, n_x_p, pad=2)
+    n_t_p = 4 * W.n_t
+    n_x_p = 4 * W.n_x
+    phi = _pointwise_map(W, lambda g: np.exp(-g / (2.0 * mu)), n_t_p, n_x_p)
     lin = d_t(phi) - mu * d_xx(phi) + (k / (2.0 * mu)) * phi
     phix = d_x(phi)
     m_t = 2 * (2 * n_t_p + 1)
@@ -173,34 +177,30 @@ def chain_rule_defect(
     return float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
 
 
-def grid_min(u: SpectralField, pad: int = 4) -> float:
-    m_t = max(pad * (2 * u.n_t + 1), 8)
-    m_x = max(pad * (u.n_x + 1), 8)
+def grid_min(u: SpectralField) -> float:
+    m_t = max(4 * (2 * u.n_t + 1), 8)
+    m_x = max(4 * (u.n_x + 1), 8)
     return float(evaluate(u, m_t, m_x).min())
 
 
-def grid_max(u: SpectralField, pad: int = 4) -> float:
-    return -grid_min(-1.0 * u, pad)
+def grid_max(u: SpectralField) -> float:
+    return -grid_min(-1.0 * u)
 
 
-def s2_to_s3(
-    e: ColeHopfElement, mu: float, resid_tol: float = 1e-6, pad: int = 3
-) -> ColeHopfElement:
+def s2_to_s3(e: ColeHopfElement, mu: float) -> ColeHopfElement:
     """phi = exp(-W/(2 mu)) on a padded grid, re-projected; K' = K/(2 mu).
 
     Positivity comes from the exponential; the representative is scaled
     to maximum one.  The exponential leaves any fixed truncation, so phi
-    is retained with pad times the modes of W; the projection defect is
+    is retained with three times the modes of W; the projection defect is
     measured pointwise against the exact exponential and must stay below
-    resid_tol or the truncation was too coarse for W."""
+    PROJECTION_TOL or the truncation was too coarse for W."""
     if e.kind is not Kind.S2:
         raise ValueError("expected an S2 element")
     if mu <= 0:
         raise ValueError("mu must be positive")
     W = e.W
-    phi = _pointwise_map(
-        W, lambda g: np.exp(-g / (2.0 * mu)), pad * W.n_t, pad * W.n_x
-    )
+    phi = _pointwise_map(W, lambda g: np.exp(-g / (2.0 * mu)), 3 * W.n_t, 3 * W.n_x)
     top = grid_max(phi)
     phi = (1.0 / top) * phi
     kp = e.K / (2.0 * mu)
@@ -209,10 +209,10 @@ def s2_to_s3(
     mid = Basis.NEUMANN_COSINE  # midpoint nodes
     exact = np.exp(-evaluate(W, m_t, m_x, mid) / (2.0 * mu)) / top
     defect = float(np.abs(evaluate(phi, m_t, m_x, mid) - exact).max())
-    if defect > resid_tol:
+    if defect > PROJECTION_TOL:
         raise ProjectionAccuracyError(
             f"projected exponential misses its pointwise values by {defect:.3e} "
-            f"(> {resid_tol:g}); refine the truncation of W"
+            f"(> {PROJECTION_TOL:g}); refine the truncation of W"
         )
     return ColeHopfElement(kind=Kind.S3, v=e.v, phi=phi, K=kp)
 
@@ -309,11 +309,10 @@ def _chain_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def profile_values(psi: np.ndarray, m_x: int | None = None) -> np.ndarray:
+def profile_values(psi: np.ndarray) -> np.ndarray:
     """Evaluate a cosine-coefficient profile on midpoint nodes."""
     n_x = len(psi) - 1
-    if m_x is None:
-        m_x = max(4 * (n_x + 1), 16)
+    m_x = max(4 * (n_x + 1), 16)
     b = space_matrix(n_x, m_x, Basis.NEUMANN_COSINE, Basis.NEUMANN_COSINE)
     return b @ np.asarray(psi, dtype=float)
 
@@ -358,21 +357,15 @@ def s1_residual(w: SpectralField, v: SpectralField, mu: float) -> float:
 
 
 def verify_uniqueness(
-    f: SpectralField,
-    cfg: SolverConfig,
-    n_starts: int = 3,
-    seed: int = 0,
-    distance_tol: float = 1e-6,
+    f: SpectralField, cfg: SolverConfig, n_starts: int = 3, seed: int = 0
 ) -> UniquenessReport:
     """Solve T(u) = f from several starts and check all runs agree.
 
     Differences of solutions are S1 elements for v = one of the
     solutions; their residual and smallness are reported.  Distances
-    above tolerance flag a solver defect, not a counterexample."""
+    above UNIQUENESS_TOL flag a solver defect, not a counterexample."""
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    from .fields import random_field
-
     starts = [zeros(f.n_t, f.n_x, f.basis), solve_linear(f, cfg)]
     i = 0
     while len(starts) < n_starts:
@@ -394,6 +387,6 @@ def verify_uniqueness(
         solutions=sols,
         max_pairwise_l2=max_d,
         max_s1_residual=max_res,
-        unique=max_d <= distance_tol,
+        unique=max_d <= UNIQUENESS_TOL,
         reports=reports,
     )

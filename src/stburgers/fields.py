@@ -273,17 +273,14 @@ def to_grid(u: SpectralField, m_t: int, m_x: int) -> GridField:
     return GridField(evaluate(u, m_t, m_x), m_t, m_x, u.basis)
 
 
-def to_spectral(g: GridField, n_t: int, n_x: int, basis: Basis | None = None) -> SpectralField:
-    """Discrete analysis; exact inverse of to_grid on band-limited fields."""
-    if basis is None:
-        basis = g.basis
-    if basis is not g.basis:
-        raise BasisMismatchError("grid node family does not match requested basis")
-    if g.m_t < 2 * n_t + 1 or g.m_x < space_columns(n_x, basis):
+def to_spectral(g: GridField, n_t: int, n_x: int) -> SpectralField:
+    """Discrete analysis in the basis of the grid's node family; exact
+    inverse of to_grid on band-limited fields."""
+    if g.m_t < 2 * n_t + 1 or g.m_x < space_columns(n_x, g.basis):
         raise ResolutionError(
             f"grid {g.m_t}x{g.m_x} too small for truncation ({n_t}, {n_x})"
         )
-    return analyse(g.values, n_t, n_x, basis)
+    return analyse(g.values, n_t, n_x, g.basis)
 
 
 def grid_quadrature(g: GridField) -> float:

@@ -103,6 +103,11 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """The result of a solve.  `lambda_path` holds (lam, dual residual)
+    rows: for `homotopy_solve` one per continuation step, the residual
+    being that of L u + lam S(u) = f; for `newton_solve` the Newton
+    residual history, every row at lam = 1."""
+
     u: SpectralField
     residual_dual: float
     newton_iters: int
@@ -434,14 +439,9 @@ def _newton(f: SpectralField, u0: SpectralField, cfg: SolverConfig) -> SolveRepo
     return report(x, rd, cfg.max_newton, f"no convergence after {cfg.max_newton} Newton iterations")
 
 
-def newton_solve(
-    f: SpectralField,
-    u0: SpectralField | None = None,
-    cfg: SolverConfig | None = None,
-) -> SolveReport:
-    """Damped Newton iteration on T(u) = f from the given start."""
-    if cfg is None:
-        raise ValueError("a SolverConfig is required")
+def newton_solve(f: SpectralField, u0: SpectralField | None, cfg: SolverConfig) -> SolveReport:
+    """Damped Newton iteration on T(u) = f from u0, or from zero if u0
+    is None."""
     if u0 is None:
         u0 = zeros(f.n_t, f.n_x, f.basis)
     return _newton(f, u0, cfg)

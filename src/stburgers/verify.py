@@ -65,12 +65,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _samples(cfg: VerifyConfig, count: int | None = None, decay: float = 1.5):
-    n = cfg.n_samples if count is None else count
-    for i in range(n):
+def _samples(cfg: VerifyConfig):
+    """The cfg.n_samples seeded random fields of decay 1.5."""
+    for i in range(cfg.n_samples):
         seq = np.random.SeedSequence([cfg.seed, i])
         seed = int(seq.generate_state(1)[0])
-        yield fd.random_field(seed, cfg.n_t, cfg.n_x, decay)
+        yield fd.random_field(seed, cfg.n_t, cfg.n_x, 1.5)
 
 
 def _tol(cfg: VerifyConfig, name: str) -> float:

@@ -396,6 +396,12 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("verify", None, "solver.newton_tl=5", "config.solver"),
         ("verify", None, "solver.newton_tol=1e-8", "config.solver"),
         ("colehopf", None, "phi_file=phi.csv", "config.solver"),
+        # top-level keys that the command does not read, misspelt or
+        # belonging to another command
+        ("solve", None, "mu_=0.5", "config.mu_"),
+        ("verify", None, "n_sample=2", "config.n_sample"),
+        ("scale", None, "mu=5", "config.mu"),
+        ("colehopf", None, "n_start=2", "config.n_start"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
@@ -407,6 +413,15 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert os.listdir(tmp_path) == []  # no report, no field dump
+
+
+def test_one_config_error_names_every_unread_key(tmp_path, capsys):
+    # a phi_file run reads mu, phi_file and outputs alone
+    cfg = dict(solve_cfg(tmp_path), phi_file="phi.csv", seed=0)
+    assert run(tmp_path, "colehopf", cfg) == 1
+    err = capsys.readouterr().err
+    assert "config.n_t, config.n_x, config.forcing, config.solver, config.seed: not read" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -552,7 +552,8 @@ def test_config_validation():
     for mu in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="mu must be positive"):
             SolverConfig(mu=mu)
-    with pytest.raises(ValueError):
+    # a solve without a SolverConfig is refused at the call
+    with pytest.raises(TypeError):
         newton_solve(random_field(2, 4, 4, 2.0))
 
 
