@@ -42,11 +42,18 @@ NODE_TOL = 1e-9
 # largest array (`_largest_array`) needs more is a config error, raised
 # before anything of that size is allocated
 MAX_ARRAY_BYTES = 2**30
-# the keys that config.solver and config.outputs take, and the top-level
-# keys that each command reads (a colehopf run on a phi_file reads only
-# PHI_FILE_KEYS); any other is a config error
+# the keys of config.solver (colehopf reads all but method), the keys of
+# config.outputs and the top-level keys that each command reads (a
+# colehopf run on a phi_file reads only PHI_FILE_KEYS); any other is a
+# config error
 SOLVER_KEYS = ("method", "newton_tol", "max_newton")
-OUTPUT_KEYS = ("report_path", "field_csv_path", "grid_m_t", "grid_m_x")
+OUTPUT_KEYS = {
+    "solve": ("report_path", "field_csv_path", "grid_m_t", "grid_m_x"),
+    "verify": ("report_path",),
+    "sweep": ("report_path", "field_csv_path"),
+    "colehopf": ("report_path",),
+}
+OUTPUT_KEYS["scale"] = OUTPUT_KEYS["solve"]
 PROBLEM_KEYS = ("mu", "n_t", "n_x", "forcing", "solver", "outputs")
 COMMAND_KEYS = {
     "solve": PROBLEM_KEYS,
@@ -122,10 +129,20 @@ def _check(value, kind, where: str):
     return value
 
 
-def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "fd.SpectralField":
-    if not isinstance(spec, dict):
+def _mapping(value, where: str, keys) -> dict:
+    """`value` as a mapping of `keys`; one config error names every
+    other key."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping")
-    keys = [k for k in ("modes", "grid_file", "decomposition") if k in spec]
+    unread = [f"{where}.{key}" for key in value if key not in keys]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read (takes {', '.join(keys)})")
+    return value
+
+
+def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "fd.SpectralField":
+    spec = _mapping(spec, where, ("modes", "grid_file", "decomposition"))
+    keys = list(spec)
     if len(keys) != 1:
         raise ConfigError(
             f"{where}: exactly one of modes / grid_file / decomposition required"
@@ -139,16 +156,15 @@ def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "f
             return fd.to_spectral(g, n_t, n_x)
         except fd.ResolutionError as e:
             raise ConfigError(f"{where}.grid_file: {e}")
-    d = _get(spec, "decomposition", dict, where=where)
     where += ".decomposition"
+    d = _mapping(spec["decomposition"], where, ("g_modes", "h_modes"))
     g = _forcing_from_modes(d, "g_modes", n_t, n_x, where)
     h = _forcing_from_modes(d, "h_modes", n_t, n_x, where, fd.Basis.NEUMANN_COSINE)
     return op.half_derivative(g) + op.d_x(h)
 
 
 def _check_mode(entry, n_t: int, n_x: int, where: str, m_min: int = 1):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected a mapping with n, m, re, im")
+    _mapping(entry, where, ("n", "m", "re", "im"))
     n = _get(entry, "n", int, where=where)
     m = _get(entry, "m", int, where=where)
     re = _get(entry, "re", float, 0.0, where=where)
@@ -202,31 +218,10 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
     return fd.GridField(vals, m_t, m_x, basis)
 
 
-def _check_keys(command: str, cfg: dict) -> None:
-    """A config error naming every top-level key of cfg that `command`
-    does not read."""
-    keys, what = COMMAND_KEYS[command], command
-    if command == "colehopf" and "phi_file" in cfg:
-        keys, what = PHI_FILE_KEYS, "colehopf on a phi_file"
-    unread = [f"config.{key}" for key in cfg if key not in keys]
-    if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read by {what} (takes {', '.join(keys)})")
-
-
-def _section(cfg: dict, name: str, keys) -> dict:
-    """The mapping cfg[name], empty if absent; a key outside `keys` is a
-    config error."""
-    section = _get(cfg, name, dict, {})
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"config.{name}.{key}: unknown key (takes {', '.join(keys)})")
-    return section
-
-
-def build_solver_config(cfg: dict, mu: float) -> "sv.SolverConfig":
-    """The SolverConfig of config.solver; each of its range errors begins
-    with the name of the setting at fault."""
-    s = _section(cfg, "solver", SOLVER_KEYS)
+def build_solver_config(cfg: dict, mu: float, keys=SOLVER_KEYS) -> "sv.SolverConfig":
+    """The SolverConfig of config.solver, a mapping of `keys`; each of its
+    range errors begins with the name of the setting at fault."""
+    s = _mapping(cfg.get("solver", {}), "config.solver", keys)
     settings = {
         key: _get(s, key, kind, where="config.solver")
         for key, kind in (("newton_tol", float), ("max_newton", int))
@@ -403,12 +398,13 @@ def _check_budget(where: str, what: str, *arrays: tuple[str, int]) -> None:
 def _common_problem(cfg: dict):
     mu = _positive(cfg, "mu")
     n_t, n_x = _truncation(cfg)
-    forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
+    forcing = build_forcing(cfg.get("forcing", {"modes": []}), n_t, n_x)
     return mu, n_t, n_x, forcing
 
 
 def _solve_method(cfg: dict) -> str:
-    method = _get(_section(cfg, "solver", SOLVER_KEYS), "method", str, "homotopy", "config.solver")
+    s = _mapping(cfg.get("solver", {}), "config.solver", SOLVER_KEYS)
+    method = _get(s, "method", str, "homotopy", "config.solver")
     if method not in ("newton", "homotopy"):
         raise ConfigError(f"config.solver.method: unknown method {method!r}")
     return method
@@ -420,12 +416,13 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
     return sv.homotopy_solve(forcing, scfg)
 
 
-def _outputs(cfg: dict, truncation: tuple[int, int] | None = None):
-    """(report_path, field_csv_path, grid_m_t, grid_m_x) of config.outputs.
+def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None):
+    """(report_path, field_csv_path, grid_m_t, grid_m_x) of config.outputs,
+    a mapping of the OUTPUT_KEYS of `command`; None where a key is absent.
     Given the truncation (n_t, n_x) of a solve that writes a field CSV,
     the grid defaults to 4 (n_t + 1) x 4 (n_x + 1) and is checked against
     MAX_ARRAY_BYTES before the solve runs."""
-    o = _section(cfg, "outputs", OUTPUT_KEYS)
+    o = _mapping(cfg.get("outputs", {}), "config.outputs", OUTPUT_KEYS[command])
     paths = []
     for key in ("report_path", "field_csv_path"):
         path = _get(o, key, str, None, where="config.outputs")
@@ -464,7 +461,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def cmd_solve(cfg: dict, doc: dict) -> int:
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg, (n_t, n_x))
+    _, csv_path, m_t, m_x = _outputs(cfg, "solve", (n_t, n_x))
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
     result = _run_solve(cfg, forcing, scfg)
     doc["success"] = bool(result.success)
@@ -497,12 +494,7 @@ def cmd_verify(cfg: dict, doc: dict) -> int:
         solve_n_x=solve_n_x,
         monodromy_steps=_count(cfg, "monodromy_steps", defaults.monodromy_steps),
         positivity_cases=_count(cfg, "positivity_cases", defaults.positivity_cases),
-        tolerances=_get(cfg, "tolerances", dict, {}),
     )
-    for name in vcfg.tolerances:
-        if name not in vf.DEFAULT_TOLERANCES:
-            raise ConfigError(f"config.tolerances: unknown invariant {name!r}")
-        _get(vcfg.tolerances, name, float, where="config.tolerances")
     results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
     doc["n_samples"] = vcfg.n_samples
@@ -560,7 +552,7 @@ def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
 
 
 def cmd_sweep(cfg: dict, doc: dict) -> int:
-    sweep = _get(cfg, "sweep", dict)
+    sweep = _mapping(_get(cfg, "sweep", dict), "config.sweep", ("param", "values"))
     param = _get(sweep, "param", str, where="config.sweep")
     if param not in ("mu", "n_modes", "forcing_amplitude"):
         raise ConfigError(f"config.sweep.param: unknown parameter {param!r}")
@@ -573,7 +565,7 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
         _get(cfg, "monodromy", bool)
     problems = [_sweep_problem(cfg, param, v) for v in values]
     rows = [_sweep_row(param, v, *p) for v, p in zip(values, problems)]
-    _, csv_path, _, _ = _outputs(cfg)
+    _, csv_path, _, _ = _outputs(cfg, "sweep")
     doc["param"] = param
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
@@ -598,22 +590,16 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
-        mu = _positive(cfg, "mu")
+        _positive(cfg, "mu")
         g = _read_grid(path, fd.Basis.NEUMANN_COSINE, "config.phi_file")
-        n_t = (g.m_t - 1) // 2
-        n_x = g.m_x - 1
-        phi = fd.to_spectral(g, n_t, n_x)
-        v = fd.zeros(n_t, n_x)
-        elem = ch.ColeHopfElement(kind=ch.Kind.S3, v=v, phi=phi, K=0.0)
-        try:
-            ch.s3_to_s2(elem, mu)
-        except ch.NonpositivePhiError as e:
-            raise ConfigError(f"config.phi_file: {e}")
+        phi = fd.to_spectral(g, (g.m_t - 1) // 2, g.m_x - 1)
         doc["phi_min"] = ch.grid_min(phi)
+        if doc["phi_min"] <= 0.0:
+            raise ConfigError("config.phi_file: phi is not strictly positive on the grid")
         doc["success"] = True
         return EXIT_OK
     mu, n_t, n_x, forcing = _common_problem(cfg)
-    scfg = build_solver_config(cfg, mu)
+    scfg = build_solver_config(cfg, mu, SOLVER_KEYS[1:])
     n_starts = _count(cfg, "n_starts", 3, least=2)
     seed = _count(cfg, "seed", 0, least=0)
     steps = _count(cfg, "monodromy_steps", 512)
@@ -632,7 +618,7 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
     doc["rho"] = rho
     doc["eigfun_flatness"] = float(np.abs(ch.profile_values(eig) - 1.0).max())
-    tol = vf.DEFAULT_TOLERANCES
+    tol = vf.TOLERANCES
     doc["success"] = bool(
         uniq.unique
         and abs(rho - 1.0) <= tol["monodromy_eigenvalue"]
@@ -648,11 +634,11 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     if viscosity == 0.0:
         raise ConfigError("config.viscosity: must be nonzero")
     n_t, n_x = _truncation(cfg)
-    forcing = build_forcing(_get(cfg, "forcing", dict, {"modes": []}), n_t, n_x)
+    forcing = build_forcing(cfg.get("forcing", {"modes": []}), n_t, n_x)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)
     scfg = build_solver_config(cfg, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg, (n_t, n_x))
+    _, csv_path, m_t, m_x = _outputs(cfg, "scale", (n_t, n_x))
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
     result = _run_solve(cfg, f, scfg)
     doc["success"] = bool(result.success)
@@ -694,8 +680,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.override)
-        _check_keys(args.command, cfg)
-        report_path = _outputs(cfg)[0]
+        phi_file = args.command == "colehopf" and "phi_file" in cfg
+        _mapping(cfg, "config", PHI_FILE_KEYS if phi_file else COMMAND_KEYS[args.command])
+        report_path = _outputs(cfg, args.command)[0]
         doc = report_header(args.command)
         try:
             code = COMMANDS[args.command](cfg, doc)

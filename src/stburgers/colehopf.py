@@ -60,7 +60,6 @@ class NonpositivePhiError(StburgersError, ValueError):
 
 
 class Kind(enum.Enum):
-    S1 = "S1"
     S2 = "S2"
     S3 = "S3"
 
@@ -69,7 +68,6 @@ class Kind(enum.Enum):
 class ColeHopfElement:
     kind: Kind
     v: SpectralField
-    w: SpectralField | None = None      # S1 representative
     W: SpectralField | None = None      # S2 representative, zero mean
     phi: SpectralField | None = None    # S3 representative, max = 1
     K: float | None = None              # S2/S3 eigenvalue

@@ -7,7 +7,7 @@ backend of the `verify` CLI command and of the acceptance tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class VerifyConfig:
     solve_n_x: int = 8
     monodromy_steps: int = 512
     positivity_cases: int = 20
-    tolerances: dict = dc_field(default_factory=dict)
 
 
-DEFAULT_TOLERANCES = {
+# each invariant's tolerance; fixed, so that no config can loosen the gate
+TOLERANCES = {
     "half_derivative_composition": 1e-11,
     "adjoint_factorization": 1e-11,
     "rotated_pairing": 1e-11,
@@ -73,12 +73,8 @@ def _samples(cfg: VerifyConfig):
         yield fd.random_field(seed, cfg.n_t, cfg.n_x, 1.5)
 
 
-def _tol(cfg: VerifyConfig, name: str) -> float:
-    return float(cfg.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-
-def _result(cfg, name, value, detail="") -> InvariantResult:
-    tol = _tol(cfg, name)
+def _result(name, value, detail="") -> InvariantResult:
+    tol = TOLERANCES[name]
     return InvariantResult(name, float(value), tol, bool(value <= tol), detail)
 
 
@@ -124,7 +120,7 @@ def check_operator_identities(cfg: VerifyConfig) -> list[InvariantResult]:
             abs(op.inner(d, v) - op.inner(u, op.half_derivative_adjoint(v)))
             / max(1.0, abs(op.inner(d, v))),
         )
-    return [_result(cfg, k, w, f"{cfg.n_samples} samples") for k, w in worst.items()]
+    return [_result(k, w, f"{cfg.n_samples} samples") for k, w in worst.items()]
 
 
 def check_linear_solver(cfg: VerifyConfig) -> list[InvariantResult]:
@@ -143,11 +139,10 @@ def check_linear_solver(cfg: VerifyConfig) -> list[InvariantResult]:
         nrm2 = nm.aniso_norm(u) ** 2
         worst_margin = min(worst_margin, lhs - bound * nrm2)
     out = [
-        _result(cfg, "linear_roundtrip", worst_rt),
-        _result(cfg, "coercivity_identity", worst_id),
+        _result("linear_roundtrip", worst_rt),
+        _result("coercivity_identity", worst_id),
         # margin must stay nonnegative: report the violation, zero if none
         _result(
-            cfg,
             "coercivity_lower_bound",
             max(0.0, -worst_margin),
             f"smallest margin {worst_margin:.3e}",
@@ -161,7 +156,7 @@ def check_nonlinear_structure(cfg: VerifyConfig) -> list[InvariantResult]:
     for u in _samples(cfg):
         s = op.apply_S(u)
         worst = max(worst, abs(op.inner(s, u)) / max(1.0, u.l2() ** 3))
-    return [_result(cfg, "nonlinear_energy_orthogonality", worst)]
+    return [_result("nonlinear_energy_orthogonality", worst)]
 
 
 def check_interpolation(cfg: VerifyConfig) -> list[InvariantResult]:
@@ -170,13 +165,13 @@ def check_interpolation(cfg: VerifyConfig) -> list[InvariantResult]:
     for u in _samples(cfg):
         for alpha, beta, theta in triples:
             worst = max(worst, nm.interpolation_slack(u, alpha, beta, theta))
-    return [_result(cfg, "interpolation_inequality", worst, "3 exponent triples")]
+    return [_result("interpolation_inequality", worst, "3 exponent triples")]
 
 
-def _failed(cfg, names, stage: str, error: Exception) -> list[InvariantResult]:
+def _failed(names, stage: str, error: Exception) -> list[InvariantResult]:
     """A stage that raised fails the invariants it was to measure, and
     only those: value inf, the error as detail."""
-    return [_result(cfg, name, np.inf, f"{stage}: {error}") for name in names]
+    return [_result(name, np.inf, f"{stage}: {error}") for name in names]
 
 
 def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
@@ -188,14 +183,13 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
     except SolverError as e:
         report, failure = None, e
     if report is None:
-        results = _failed(cfg, ("energy_identity", "apriori_bound"), "homotopy_solve", failure)
+        results = _failed(("energy_identity", "apriori_bound"), "homotopy_solve", failure)
     else:
         gap = nm.energy_gap(f, report.u, cfg.mu)
         margin = report.apriori_margin
         results = [
-            _result(cfg, "energy_identity", gap, f"residual {report.residual_dual:.3e}"),
+            _result("energy_identity", gap, f"residual {report.residual_dual:.3e}"),
             _result(
-                cfg,
                 "apriori_bound",
                 max(0.0, -margin),
                 f"smallest margin {margin:.3e} along the homotopy path",
@@ -204,11 +198,10 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
     try:
         uniq = ch.verify_uniqueness(f, scfg, n_starts=3, seed=cfg.seed)
     except SolverError as e:
-        results += _failed(cfg, ("uniqueness_distance",), "verify_uniqueness", e)
+        results += _failed(("uniqueness_distance",), "verify_uniqueness", e)
     else:
         results.append(
             _result(
-                cfg,
                 "uniqueness_distance",
                 uniq.max_pairwise_l2,
                 f"S1 residual {uniq.max_s1_residual:.3e}",
@@ -216,14 +209,14 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
         )
     if report is None:
         results += _failed(
-            cfg, ("monodromy_eigenvalue", "monodromy_flatness"), "homotopy_solve", failure
+            ("monodromy_eigenvalue", "monodromy_flatness"), "homotopy_solve", failure
         )
         return results
     # monodromy around the solved field
     rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, steps=cfg.monodromy_steps)
     flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
-    results.append(_result(cfg, "monodromy_eigenvalue", abs(rho - 1.0)))
-    results.append(_result(cfg, "monodromy_flatness", flat))
+    results.append(_result("monodromy_eigenvalue", abs(rho - 1.0)))
+    results.append(_result("monodromy_flatness", flat))
     return results
 
 
@@ -257,8 +250,8 @@ def check_colehopf(cfg: VerifyConfig) -> list[InvariantResult]:
         wb = fd.truncate(back.W, W.n_t, W.n_x)
         worst_rt = max(worst_rt, (wb - W).l2() + abs(back.K - k))
     return [
-        _result(cfg, "colehopf_roundtrip", worst_rt, rt_detail),
-        _result(cfg, "chain_rule_identity", worst_chain),
+        _result("colehopf_roundtrip", worst_rt, rt_detail),
+        _result("chain_rule_identity", worst_chain),
     ]
 
 
@@ -276,7 +269,6 @@ def check_positivity(cfg: VerifyConfig) -> list[InvariantResult]:
         worst = max(worst, -float(ch.profile_values(out).min()))
     return [
         _result(
-            cfg,
             "positivity_floor",
             max(0.0, worst),
             f"{cfg.positivity_cases} random advections",

@@ -162,9 +162,9 @@ def test_verify_passes_at_default_tolerances(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_fails_on_impossible_tolerance(tmp_path, capsys):
-    cfg = verify_cfg(tmp_path, tolerances={"energy_identity": 1e-30})
-    assert run(tmp_path, "verify", cfg) == 3
+def test_verify_fails_on_impossible_tolerance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.vf.TOLERANCES, "energy_identity", 1e-30)
+    assert run(tmp_path, "verify", verify_cfg(tmp_path)) == 3
     doc = json.loads((tmp_path / "verify.json").read_text())
     failed = [r for r in doc["invariants"] if not r["passed"]]
     assert [r["name"] for r in failed] == ["energy_identity"]
@@ -193,12 +193,6 @@ def test_verify_stage_failure_fails_its_invariants_only(tmp_path, capsys, monkey
     bad = [r for r in doc["invariants"] if not r["passed"]]
     assert [r["name"] for r in bad] == failed
     assert all(r["value"] == "inf" and r["detail"] == f"{stage}: injected" for r in bad)
-    capsys.readouterr()
-
-
-def test_verify_rejects_unknown_tolerance_name(tmp_path, capsys):
-    cfg = verify_cfg(tmp_path, tolerances={"no_such_invariant": 1.0})
-    assert run(tmp_path, "verify", cfg) == 1
     capsys.readouterr()
 
 
@@ -369,7 +363,7 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("solve", None, "solver.newton_tol=-1", "config.solver.newton_tol"),
         ("solve", None, "solver.krylov_tol=0", "config.solver.krylov_tol"),
         ("solve", None, "solver.max_damping=0", "config.solver.max_damping"),
-        ("verify", None, 'tolerances={"energy_identity":"x"}', "config.tolerances.energy_identity"),
+        ("verify", None, 'tolerances={"energy_identity":"x"}', "config.tolerances"),
         ("verify", None, "seed=-1", "config.seed"),
         ("colehopf", None, "seed=-1", "config.seed"),
         ("sweep", "sweep_mu", 'sweep={"param":"n_modes","values":["a"]}', "config.sweep.values[0]"),
@@ -395,13 +389,31 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         # defaults, and a phi_file run solves nothing
         ("verify", None, "solver.newton_tl=5", "config.solver"),
         ("verify", None, "solver.newton_tol=1e-8", "config.solver"),
-        ("colehopf", None, "phi_file=phi.csv", "config.solver"),
+        ("colehopf", "solve", "phi_file=phi.csv", "config.solver"),
         # top-level keys that the command does not read, misspelt or
         # belonging to another command
         ("solve", None, "mu_=0.5", "config.mu_"),
         ("verify", None, "n_sample=2", "config.n_sample"),
         ("scale", None, "mu=5", "config.mu"),
         ("colehopf", None, "n_start=2", "config.n_start"),
+        # keys below the top level that no reader reads: the invariant
+        # tolerances are constants, and each mapping takes only the keys
+        # its command reads
+        ("verify", None, 'tolerances={"chain_rule_identity":1}', "config.tolerances"),
+        ("solve", None, 'forcing.modes=[{"n":1,"m":1,"re":0.2,"imag":-0.2}]', "config.forcing.modes[0].imag"),
+        (
+            "solve",
+            None,
+            'forcing={"decomposition":{"g_modes":[],"h_mode":[{"n":0,"m":1,"re":1}]}}',
+            "config.forcing.decomposition.h_mode",
+        ),
+        ("solve", None, "forcing.extra=1", "config.forcing.extra"),
+        ("sweep", "sweep_mu", 'sweep={"param":"mu","values":[1.0],"valus":[2]}', "config.sweep.valus"),
+        ("colehopf", None, "solver.method=bogus", "config.solver.method"),
+        ("verify", None, "outputs.field_csv_path=f.csv", "config.outputs.field_csv_path"),
+        ("colehopf", None, "outputs.field_csv_path=f.csv", "config.outputs.field_csv_path"),
+        ("colehopf", None, "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
+        ("sweep", "sweep_mu", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
@@ -637,7 +649,7 @@ def test_output_grid_past_the_array_budget_is_a_config_error(
     assert solves == []
     # with no field CSV the grid is never built, so it is not checked
     grid = {"grid_m_t": 10**8, "grid_m_x": 10**8}
-    assert cli._outputs({"outputs": grid}, (16, 16)) == (None, None, 10**8, 10**8)
+    assert cli._outputs({"outputs": grid}, "solve", (16, 16)) == (None, None, 10**8, 10**8)
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

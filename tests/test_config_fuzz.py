@@ -2,8 +2,10 @@
 single entry either runs or exits with a documented code, and an exit 1
 names the `config.` key at fault."""
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -42,11 +44,15 @@ BASES = {
         "solve_n_x": 2,
         "monodromy_steps": 8,
         "positivity_cases": 1,
-        "tolerances": {"energy_identity": 1e-9},
         "outputs": {"report_path": "report.json"},
     }),
     "colehopf": ("colehopf", dict(
-        PROBLEM, n_starts=2, seed=0, monodromy_steps=8, outputs={"report_path": "report.json"}
+        PROBLEM,
+        solver={"newton_tol": 1e-10, "max_newton": 10},
+        n_starts=2,
+        seed=0,
+        monodromy_steps=8,
+        outputs={"report_path": "report.json"},
     )),
     "colehopf-phi-file": ("colehopf", {
         "mu": 0.5, "phi_file": "phi.csv", "outputs": {"report_path": "report.json"}
@@ -117,4 +123,16 @@ def test_single_entry_mutations_end_in_a_documented_exit(name, tmp_path, monkeyp
             problems.append(f"{label}: exit {code}")
         elif code == 1 and "config." not in err:
             problems.append(f"{label}: exit 1 without a config key: {err.strip()}")
+    # an unread key added to any mapping, the top level included, exits 1
+    # naming it
+    for path in [()] + list(entries(base)):
+        if not isinstance(functools.reduce(operator.getitem, path, base), dict):
+            continue
+        with open("config.json", "w") as fh:
+            json.dump(mutated(base, path + ("unread",), 1), fh)
+        key = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        code = cli.main([command, "--config", "config.json"])
+        err = capsys.readouterr().err
+        if code != 1 or f"{key}.unread" not in err:
+            problems.append(f"{key}.unread: exit {code}: {err.strip()}")
     assert not problems, "\n".join(problems)
