@@ -58,11 +58,11 @@ from .solver import (
     solve_linearized,
 )
 from .colehopf import (
-    ColeHopfElement,
-    Kind,
     NonpositivePhiError,
     NotInS1Error,
     PeriodMap,
+    S2Element,
+    S3Element,
     antiderivative_x,
     chain_rule_defect,
     lift_s1_to_s2,

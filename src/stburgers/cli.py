@@ -30,7 +30,6 @@ import numpy as np
 from . import colehopf as ch
 from . import fields as fd
 from . import norms as nm
-from . import operators as op
 from . import scaling as sc
 from . import solver as sv
 from . import verify as vf
@@ -62,7 +61,7 @@ COMMAND_KEYS = {
     "colehopf": PROBLEM_KEYS + ("n_starts", "seed", "monodromy_steps"),
     "scale": ("period", "length", "viscosity") + PROBLEM_KEYS[1:],
 }
-PHI_FILE_KEYS = ("mu", "phi_file", "outputs")
+PHI_FILE_KEYS = ("phi_file", "outputs")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,7 @@ def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "f
     d = _mapping(spec["decomposition"], where, ("g_modes", "h_modes"))
     g = _forcing_from_modes(d, "g_modes", n_t, n_x, where)
     h = _forcing_from_modes(d, "h_modes", n_t, n_x, where, fd.Basis.NEUMANN_COSINE)
-    return op.half_derivative(g) + op.d_x(h)
+    return nm.ForcingDecomposition(g, h).reconstruct()
 
 
 def _check_mode(entry, n_t: int, n_x: int, where: str, m_min: int = 1):
@@ -419,9 +418,10 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
 def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None):
     """(report_path, field_csv_path, grid_m_t, grid_m_x) of config.outputs,
     a mapping of the OUTPUT_KEYS of `command`; None where a key is absent.
-    Given the truncation (n_t, n_x) of a solve that writes a field CSV,
-    the grid defaults to 4 (n_t + 1) x 4 (n_x + 1) and is checked against
-    MAX_ARRAY_BYTES before the solve runs."""
+    The grid keys are read only with a field CSV.  Given the truncation
+    (n_t, n_x) of a solve that writes a field CSV, the grid defaults to
+    4 (n_t + 1) x 4 (n_x + 1) and is checked against MAX_ARRAY_BYTES
+    before the solve runs."""
     o = _mapping(cfg.get("outputs", {}), "config.outputs", OUTPUT_KEYS[command])
     paths = []
     for key in ("report_path", "field_csv_path"):
@@ -435,6 +435,9 @@ def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None)
                 f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
             )
         paths.append(path)
+    for key in ("grid_m_t", "grid_m_x"):
+        if key in o and not paths[1]:
+            raise ConfigError(f"config.outputs.{key}: not read (no config.outputs.field_csv_path)")
     m_t = _count(o, "grid_m_t", None, where="config.outputs")
     m_x = _count(o, "grid_m_x", None, where="config.outputs")
     if truncation is not None and paths[1]:
@@ -498,16 +501,7 @@ def cmd_verify(cfg: dict, doc: dict) -> int:
     results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
     doc["n_samples"] = vcfg.n_samples
-    doc["invariants"] = [
-        {
-            "name": r.name,
-            "value": r.value,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    doc["invariants"] = [dataclasses.asdict(r) for r in results]
     doc["all_passed"] = all(r.passed for r in results)
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY
 
@@ -590,7 +584,6 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
-        _positive(cfg, "mu")
         g = _read_grid(path, fd.Basis.NEUMANN_COSINE, "config.phi_file")
         phi = fd.to_spectral(g, (g.m_t - 1) // 2, g.m_x - 1)
         doc["phi_min"] = ch.grid_min(phi)

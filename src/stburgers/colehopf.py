@@ -17,7 +17,6 @@ eigenfunction, the numerical face of uniqueness.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,18 +58,27 @@ class NonpositivePhiError(StburgersError, ValueError):
     """S3 representative is not strictly positive on the grid."""
 
 
-class Kind(enum.Enum):
-    S2 = "S2"
-    S3 = "S3"
+@dataclass(frozen=True)
+class S2Element:
+    """A potential (W, K) of S2; W is taken modulo constants, and the
+    representative kept has zero space-time mean."""
+
+    W: SpectralField
+    K: float
+
+    def __post_init__(self):
+        c = self.W.coeffs.copy()
+        c[self.W.n_t, 0] -= c[self.W.n_t, 0].real
+        object.__setattr__(self, "W", self.W.with_coeffs(c))
 
 
 @dataclass(frozen=True)
-class ColeHopfElement:
-    kind: Kind
-    v: SpectralField
-    W: SpectralField | None = None      # S2 representative, zero mean
-    phi: SpectralField | None = None    # S3 representative, max = 1
-    K: float | None = None              # S2/S3 eigenvalue
+class S3Element:
+    """A density (phi, K') of S3 with K' = K/(2 mu); phi is taken modulo
+    positive scaling."""
+
+    phi: SpectralField
+    K: float
 
 
 def antiderivative_x(w: SpectralField) -> SpectralField:
@@ -103,7 +111,7 @@ def _potential_residual(
 
 def lift_s1_to_s2(
     w: SpectralField, v: SpectralField, mu: float, tol: float = 1e-6
-) -> ColeHopfElement:
+) -> S2Element:
     """Map an S1 element to its S2 potential (W, K).
 
     The x-antiderivative satisfies the potential equation up to a purely
@@ -129,9 +137,7 @@ def lift_s1_to_s2(
     h[nz] = g[nz] / (2j * np.pi * n[nz])
     coeffs = wbar.coeffs.copy()
     coeffs[:, 0] -= h
-    coeffs[n_t, 0] -= coeffs[n_t, 0].real  # zero space-time mean
-    W = SpectralField(coeffs, w.n_t, w.n_x, Basis.NEUMANN_COSINE)
-    return ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k)
+    return S2Element(wbar.with_coeffs(coeffs), k)
 
 
 def _pointwise_map(u: SpectralField, fn, n_t_out: int, n_x_out: int) -> SpectralField:
@@ -185,7 +191,7 @@ def grid_max(u: SpectralField) -> float:
     return -grid_min(-1.0 * u)
 
 
-def s2_to_s3(e: ColeHopfElement, mu: float) -> ColeHopfElement:
+def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     """phi = exp(-W/(2 mu)) on a padded grid, re-projected; K' = K/(2 mu).
 
     Positivity comes from the exponential; the representative is scaled
@@ -193,8 +199,6 @@ def s2_to_s3(e: ColeHopfElement, mu: float) -> ColeHopfElement:
     is retained with three times the modes of W; the projection defect is
     measured pointwise against the exact exponential and must stay below
     PROJECTION_TOL or the truncation was too coarse for W."""
-    if e.kind is not Kind.S2:
-        raise ValueError("expected an S2 element")
     if mu <= 0:
         raise ValueError("mu must be positive")
     W = e.W
@@ -212,26 +216,21 @@ def s2_to_s3(e: ColeHopfElement, mu: float) -> ColeHopfElement:
             f"projected exponential misses its pointwise values by {defect:.3e} "
             f"(> {PROJECTION_TOL:g}); refine the truncation of W"
         )
-    return ColeHopfElement(kind=Kind.S3, v=e.v, phi=phi, K=kp)
+    return S3Element(phi, kp)
 
 
-def s3_to_s2(e: ColeHopfElement, mu: float) -> ColeHopfElement:
+def s3_to_s2(e: S3Element, mu: float) -> S2Element:
     """Inverse map W = -2 mu log(phi), mean-normalized; K = 2 mu K'.
 
     This is the true inverse of phi = exp(-W/(2 mu)); the quotient
     normalizations make the round trip an identity."""
-    if e.kind is not Kind.S3:
-        raise ValueError("expected an S3 element")
     if mu <= 0:
         raise ValueError("mu must be positive")
     phi = e.phi
     if grid_min(phi) <= 0.0:
         raise NonpositivePhiError("phi is not strictly positive on the grid")
     W = _pointwise_map(phi, lambda g: -2.0 * mu * np.log(g), phi.n_t, phi.n_x)
-    coeffs = W.coeffs.copy()
-    coeffs[W.n_t, 0] -= coeffs[W.n_t, 0].real
-    W = W.with_coeffs(coeffs)
-    return ColeHopfElement(kind=Kind.S2, v=e.v, W=W, K=2.0 * mu * e.K)
+    return S2Element(W, 2.0 * mu * e.K)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +260,6 @@ class PeriodMap:
             raise ValueError("steps must be at least 1")
         if mu <= 0:
             raise ValueError("mu must be positive")
-        self.mu = mu
-        self.steps = steps
         self.n_x = v.n_x if n_x is None else n_x
         n_x = self.n_x
         n = n_x + 1

@@ -56,7 +56,7 @@ TOLERANCES = {
     "interpolation_inequality": 1e-12,
     "energy_identity": 1e-9,
     "apriori_bound": 0.0,
-    "uniqueness_distance": 1e-6,
+    "uniqueness_distance": ch.UNIQUENESS_TOL,
     "colehopf_roundtrip": 1e-9,
     "chain_rule_identity": 1e-8,
     "positivity_floor": 1e-8,
@@ -230,16 +230,12 @@ def check_colehopf(cfg: VerifyConfig) -> list[InvariantResult]:
         seq = np.random.SeedSequence([cfg.seed, 1000 + i])
         s = int(seq.generate_state(1)[0])
         w = 0.4 * fd.random_field(s, n_t, n_x, 2.5)
-        W = ch.antiderivative_x(w)
-        c = W.coeffs.copy()
-        c[W.n_t, 0] -= c[W.n_t, 0].real
-        W = W.with_coeffs(c)
         v = 0.5 * fd.random_field(s + 1, n_t, n_x, 2.5)
-        k = float(rng.normal())
+        e2 = ch.S2Element(ch.antiderivative_x(w), float(rng.normal()))
+        W, k = e2.W, e2.K
         worst_chain = max(worst_chain, ch.chain_rule_defect(W, v, k, cfg.mu))
         if rt_detail:
             continue
-        e2 = ch.ColeHopfElement(kind=ch.Kind.S2, v=v, W=W, K=k)
         try:
             e3 = ch.s2_to_s3(e2, cfg.mu)
         except ch.ProjectionAccuracyError as e:

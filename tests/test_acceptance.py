@@ -10,9 +10,8 @@ import numpy as np
 
 from stburgers import cli
 from stburgers.colehopf import (
-    ColeHopfElement,
-    Kind,
     PeriodMap,
+    S2Element,
     antiderivative_x,
     chain_rule_defect,
     lift_s1_to_s2,
@@ -176,12 +175,9 @@ def test_criterion_7_colehopf_chain():
             worst_rt, float(np.abs(d_x(e2.W).coeffs - w.coeffs).max())
         )
         # S2 <-> S3 on a zero-mean potential with a random eigenvalue
-        W = antiderivative_x(w)
-        c = W.coeffs.copy()
-        c[W.n_t, 0] -= c[W.n_t, 0].real
-        W = W.with_coeffs(c)
-        k = float(rng.normal())
-        e3 = s2_to_s3(ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k), mu)
+        e2 = S2Element(antiderivative_x(w), float(rng.normal()))
+        W, k = e2.W, e2.K
+        e3 = s2_to_s3(e2, mu)
         back = s3_to_s2(e3, mu)
         worst_rt = max(
             worst_rt,

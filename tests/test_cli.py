@@ -211,7 +211,6 @@ def test_colehopf_phi_file_validation(tmp_path, capsys):
     good = tmp_path / "phi_good.csv"
     write_phi_csv(good, lambda t, x: 1.0 + 0.3 * np.cos(np.pi * x))
     cfg = {
-        "mu": 0.5,
         "phi_file": str(good),
         "outputs": {"report_path": str(tmp_path / "ch.json")},
     }
@@ -219,9 +218,10 @@ def test_colehopf_phi_file_validation(tmp_path, capsys):
     doc = json.loads((tmp_path / "ch.json").read_text())
     assert doc["phi_min"] > 0
 
-    for mu in (-1.0, 0.0):
+    # the positivity check reads no viscosity, so any mu is refused
+    for mu in (0.5, -1.0, 0.0):
         assert run(tmp_path, "colehopf", dict(cfg, mu=mu)) == 1
-        assert "config.mu" in capsys.readouterr().err
+        assert "config.mu: not read" in capsys.readouterr().err
 
     bad = tmp_path / "phi_bad.csv"
     write_phi_csv(bad, lambda t, x: np.cos(np.pi * x))  # changes sign
@@ -414,6 +414,10 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("colehopf", None, "outputs.field_csv_path=f.csv", "config.outputs.field_csv_path"),
         ("colehopf", None, "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
         ("sweep", "sweep_mu", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
+        # the output grid is read only with a field CSV to write
+        ("solve", "zero", "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
+        ("solve", "zero", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
+        ("scale", None, 'outputs={"report_path":"r.json","grid_m_x":9}', "config.outputs.grid_m_x"),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):
@@ -428,11 +432,11 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
 
 
 def test_one_config_error_names_every_unread_key(tmp_path, capsys):
-    # a phi_file run reads mu, phi_file and outputs alone
+    # a phi_file run reads phi_file and outputs alone
     cfg = dict(solve_cfg(tmp_path), phi_file="phi.csv", seed=0)
     assert run(tmp_path, "colehopf", cfg) == 1
     err = capsys.readouterr().err
-    assert "config.n_t, config.n_x, config.forcing, config.solver, config.seed: not read" in err
+    assert "config.mu, config.n_t, config.n_x, config.forcing, config.solver, config.seed: not read" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -647,9 +651,10 @@ def test_output_grid_past_the_array_budget_is_a_config_error(
     assert "config.outputs.grid_m_t/config.outputs.grid_m_x" in err
     assert f"needs a {name} of" in err and "Traceback" not in err
     assert solves == []
-    # with no field CSV the grid is never built, so it is not checked
+    # with no field CSV the grid is never built, so it is refused unread
     grid = {"grid_m_t": 10**8, "grid_m_x": 10**8}
-    assert cli._outputs({"outputs": grid}, "solve", (16, 16)) == (None, None, 10**8, 10**8)
+    with pytest.raises(cli.ConfigError, match="config.outputs.grid_m_t: not read"):
+        cli._outputs({"outputs": grid}, "solve", (16, 16))
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):
@@ -698,7 +703,7 @@ def test_grid_files_off_their_nodes_or_too_small_are_config_errors(tmp_path, cap
 
     sine_nodes = tmp_path / "phi_sine_nodes.csv"  # sine nodes where cosine nodes belong
     write_grid_csv(sine_nodes, np.arange(9) / 9, np.arange(1, 9) / 9, lambda t, x: 1.0 + 0.3 * x)
-    cfg = {"mu": 0.5, "phi_file": str(sine_nodes)}
+    cfg = {"phi_file": str(sine_nodes)}
     assert run(tmp_path, "colehopf", cfg) == 1
     assert "config.phi_file" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
@@ -729,9 +734,6 @@ def test_every_package_error_carries_an_exit_code():
         assert cls.exit_code in (1, 2), cls
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
 # (newton_iterations, len(lambda_path)) of each solve that a checked-in
 # solve-type config runs, one entry per sweep row
 PINNED_SOLVES = {
@@ -756,6 +758,9 @@ def test_checked_in_configs_keep_their_newton_and_lambda_counts(monkeypatch, tmp
 
     monkeypatch.setattr(cli, "_run_solve", recorded)
     monkeypatch.chdir(tmp_path)
-    command = {"zero": "solve", "manufactured": "solve", "sweep_mu": "sweep"}.get(name, name)
-    assert cli.main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+    # the command of each config comes from the map that CI runs them by
+    config = str(CONFIGS / f"{name}.json")
+    script = CONFIGS.parent / ".github" / "config-command.sh"
+    command = subprocess.run(["sh", str(script), config], capture_output=True, text=True, check=True)
+    assert cli.main([command.stdout.strip(), "--config", config]) == 0
     assert [(r.newton_iters, len(r.lambda_path)) for r in reports] == PINNED_SOLVES[name]

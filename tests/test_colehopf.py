@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stburgers.colehopf import (
-    ColeHopfElement,
-    Kind,
     NonpositivePhiError,
     NotInS1Error,
     PERIOD_MAP_BLOCK,
     PeriodMap,
+    S2Element,
+    S3Element,
     antiderivative_x,
     chain_rule_defect,
     grid_max,
@@ -25,6 +25,8 @@ from stburgers.colehopf import (
 )
 from stburgers.fields import (
     Basis,
+    SpectralField,
+    evaluate,
     random_field,
     space_eval_matrix,
     space_matrix,
@@ -39,10 +41,7 @@ from stburgers.solver import SolverConfig
 
 def zero_mean_potential(seed, n_t=4, n_x=5, amp=0.4):
     w = amp * random_field(seed, n_t, n_x, 2.5)
-    W = antiderivative_x(w)
-    c = W.coeffs.copy()
-    c[W.n_t, 0] -= c[W.n_t, 0].real
-    return W.with_coeffs(c)
+    return S2Element(antiderivative_x(w), 0.0).W
 
 
 def test_antiderivative_round_trip():
@@ -77,12 +76,35 @@ def test_lift_project_is_structurally_inverse():
     assert abs(e2.W.coeffs[e2.W.n_t, 0]) < 1e-15
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    n_t=st.integers(0, 6),
+    n_x=st.integers(0, 7),
+    mean=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_s2_element_keeps_the_zero_mean_representative(n_t, n_x, mean, seed):
+    # W is taken modulo constants: the record keeps the representative of
+    # zero space-time mean, and changes no other coefficient
+    c = random_field(seed, n_t, n_x, 1.5, Basis.NEUMANN_COSINE).coeffs.copy()
+    c[n_t, 0] += mean
+    W = SpectralField(c, n_t, n_x, Basis.NEUMANN_COSINE)
+    e = S2Element(W, 0.25)
+    assert e.W.coeffs[n_t, 0] == 0.0 and e.K == 0.25
+    grid = evaluate(e.W, 2 * n_t + 3, n_x + 3)
+    assert abs(grid.mean()) < 1e-12 * max(1.0, np.abs(grid).max())
+    rest = np.ones(c.shape, dtype=bool)
+    rest[n_t, 0] = False
+    assert np.array_equal(e.W.coeffs[rest], c[rest])
+    again = S2Element(e.W, e.K)
+    assert np.array_equal(again.W.coeffs, e.W.coeffs)
+
+
 def test_s2_s3_round_trip_is_exact():
     mu = 0.5
     for seed in range(4):
         W = zero_mean_potential(seed)
-        v = 0.5 * random_field(seed + 10, 4, 5, 2.5)
-        e2 = ColeHopfElement(kind=Kind.S2, v=v, W=W, K=0.3 * seed - 0.2)
+        e2 = S2Element(W, 0.3 * seed - 0.2)
         e3 = s2_to_s3(e2, mu)
         assert abs(grid_max(e3.phi) - 1.0) < 1e-12
         assert grid_min(e3.phi) > 0.0
@@ -104,9 +126,8 @@ def test_s2_s3_round_trip_over_random_truncations(n_t, n_x, mu, seed):
     # mu < 0.5 leave the exponential less resolved in the 3x truncation
     # of phi, and there the trip back misses W by up to a few 1e-13
     W = zero_mean_potential(seed, n_t, n_x)
-    v = 0.5 * random_field(seed + 1, n_t, n_x, 2.5)
     k = float(np.random.default_rng(seed).uniform(-1.0, 1.0))
-    e3 = s2_to_s3(ColeHopfElement(kind=Kind.S2, v=v, W=W, K=k), mu)
+    e3 = s2_to_s3(S2Element(W, k), mu)
     assert abs(grid_max(e3.phi) - 1.0) < 1e-12
     assert grid_min(e3.phi) > 0.0
     back = s3_to_s2(e3, mu)
@@ -119,8 +140,8 @@ def test_s3_quotient_normalization():
     # back: the mean normalization of W absorbs the factor
     mu = 0.4
     W = zero_mean_potential(7)
-    e3 = s2_to_s3(ColeHopfElement(kind=Kind.S2, v=zeros(4, 5), W=W, K=1.0), mu)
-    scaled = ColeHopfElement(kind=Kind.S3, v=e3.v, phi=0.37 * e3.phi, K=e3.K)
+    e3 = s2_to_s3(S2Element(W, 1.0), mu)
+    scaled = S3Element(0.37 * e3.phi, e3.K)
     w1 = s3_to_s2(e3, mu).W
     w2 = s3_to_s2(scaled, mu).W
     assert (w1 - w2).l2() < 1e-12
@@ -142,7 +163,7 @@ def test_s3_to_s2_rejects_sign_changing_phi():
     c[2, 0] = 0.1
     c[2, 1] = 1.0  # 0.1 + sqrt(2) cos(pi x) changes sign
     phi = phi.with_coeffs(c)
-    e3 = ColeHopfElement(kind=Kind.S3, v=zeros(2, 3), phi=phi, K=0.0)
+    e3 = S3Element(phi, 0.0)
     with pytest.raises(NonpositivePhiError):
         s3_to_s2(e3, mu=1.0)
 

@@ -55,7 +55,7 @@ BASES = {
         outputs={"report_path": "report.json"},
     )),
     "colehopf-phi-file": ("colehopf", {
-        "mu": 0.5, "phi_file": "phi.csv", "outputs": {"report_path": "report.json"}
+        "phi_file": "phi.csv", "outputs": {"report_path": "report.json"}
     }),
     "scale": ("scale", {
         "period": 2.0,
