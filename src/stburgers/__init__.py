@@ -20,7 +20,6 @@ from .operators import (
     apply_L,
     apply_S,
     apply_T,
-    apply_T_prime,
     d_t,
     d_x,
     d_xx,
@@ -55,7 +54,6 @@ from .solver import (
     homotopy_solve,
     newton_solve,
     solve_linear,
-    solve_linearized,
 )
 from .colehopf import (
     NonpositivePhiError,

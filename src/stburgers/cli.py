@@ -118,7 +118,12 @@ def _check(value, kind, where: str):
     """`value` as a `kind`; integers pass as floats, booleans never as
     integers, and floats must be finite."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{where}: expected a finite number, got an integer past the float range"
+            ) from None
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"{where}: expected integer, got boolean")
     if not isinstance(value, kind):
@@ -388,8 +393,10 @@ def _check_budget(where: str, what: str, *arrays: tuple[str, int]) -> None:
     `arrays` that `what` needs is over MAX_ARRAY_BYTES."""
     name, size = max(arrays, key=lambda named: named[1])
     if size > MAX_ARRAY_BYTES:
+        # an integer size past the float range has no float quotient
+        gib = f"{size / 2**30:.3g}" if size < 2**1000 else f"over 2^{size.bit_length() - 31}"
         raise ConfigError(
-            f"{where}: {what} needs a {name} of {size / 2**30:.3g} GiB, "
+            f"{where}: {what} needs a {name} of {gib} GiB, "
             f"over the {MAX_ARRAY_BYTES / 2**30:g} GiB array budget"
         )
 

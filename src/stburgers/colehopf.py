@@ -34,9 +34,9 @@ from .fields import (
     space_matrix,
     zeros,
 )
-from .operators import apply_T, d_t, d_x, d_xx
+from .operators import apply_T, d_t, d_x, d_xx, invert_L
 from .norms import dual_norm
-from .solver import SolverConfig, newton_solve, solve_linear
+from .solver import SolverConfig, newton_solve
 
 
 # the largest pointwise miss of the projected exponential of s2_to_s3, and
@@ -361,7 +361,7 @@ def verify_uniqueness(
     above UNIQUENESS_TOL flag a solver defect, not a counterexample."""
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
-    starts = [zeros(f.n_t, f.n_x, f.basis), solve_linear(f, cfg)]
+    starts = [zeros(f.n_t, f.n_x, f.basis), invert_L(f, cfg.mu)]
     i = 0
     while len(starts) < n_starts:
         starts.append(0.1 * random_field(seed + i, f.n_t, f.n_x, 2.0))

@@ -110,9 +110,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return self.with_coeffs(-self.coeffs)
-
     def l2(self) -> float:
         """L2(Q) norm via Parseval."""
         return float(np.sqrt((np.abs(self.coeffs) ** 2).sum()))
@@ -374,10 +371,10 @@ class AdvectionGrid:
     packed coordinates, since R^T R = m_t I.  r_t and s_t are contiguous
     copies of R^T and S^T: at 32x32 a product is 15% faster on them.
 
-    The advection w -> (m w)_x by the m with values g on the grid
-    (`advection_values`) is `advect` matrix-free, `matrix` as a dense
-    matrix, and `mean_block` on one time mode for the time mean of m;
-    each checks that g lies on this grid."""
+    The advection w -> (m w)_x by the m with values g = values(X_m) on
+    the grid is `advect` matrix-free, `matrix` as a dense matrix, and
+    `mean_block` on one time mode for the time mean of m; each checks
+    that g lies on this grid."""
 
     n_t: int
     n_x: int
@@ -447,16 +444,6 @@ def advection_grid(n_t: int, n_x: int) -> AdvectionGrid:
     for a in (grid.c, grid.r_t, grid.s_t):
         a.setflags(write=False)
     return grid
-
-
-def advection_values(m: SpectralField) -> np.ndarray:
-    """The real values g of m on its AdvectionGrid [t, x], which fix the
-    advection w -> (m w)_x that the grid's `advect`, `matrix` and
-    `mean_block` take; m must be a real Dirichlet-sine field."""
-    if m.basis is not Basis.DIRICHLET_SINE:
-        raise BasisMismatchError("the advection by m expects a Dirichlet-sine field")
-    _require_real(m, "the advection by m")
-    return advection_grid(m.n_t, m.n_x).values(pack(m.coeffs))
 
 
 def random_field(

@@ -132,14 +132,6 @@ def apply_T(u: SpectralField, mu: float) -> SpectralField:
     return apply_L(u, mu) + apply_S(u)
 
 
-def apply_T_prime(m: SpectralField, w: SpectralField, mu: float) -> SpectralField:
-    """Gateaux derivative of T at m: w -> L w + (m w)_x."""
-    if not m.same_layout(w):
-        raise BasisMismatchError("T'(m) requires matching layouts")
-    mw = product_cosine(m, w, m.n_t, m.n_x)
-    return apply_L(w, mu) + d_x(mw)
-
-
 def p_transform(u: SpectralField) -> SpectralField:
     """Test-function rotation P(u) = (u - H u)/sqrt(2) used for coercivity."""
     return (u - hilbert(u)) * (1.0 / np.sqrt(2.0))

@@ -51,8 +51,7 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import (
-    Basis, BasisMismatchError, SpectralField, advection_grid, advection_values, pack, truncate,
-    unpack, zeros,
+    Basis, BasisMismatchError, SpectralField, advection_grid, pack, truncate, unpack, zeros,
 )
 from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
 from .operators import apply_L, invert_L, linear_symbol
@@ -118,7 +117,9 @@ class SolveReport:
 
 
 def solve_linear(f: SpectralField, cfg: SolverConfig) -> SpectralField:
-    """The lambda = 0 entry point: exact diagonal inverse of L."""
+    """invert_L(f, cfg.mu), the lambda = 0 solution.  Nothing in the
+    package calls it; it stays only because bench/workloads.py does, and
+    goes once the benchmark calls `invert_L` itself."""
     return invert_L(f, cfg.mu)
 
 
@@ -216,20 +217,6 @@ def _linearized_matvec(packed: _Packed, g: np.ndarray):
         return z + weight * grid.advect(fluctuation, solution(z).reshape(shape)).ravel()
 
     return matvec, weight, solution
-
-
-def solve_linearized(
-    m: SpectralField, r: SpectralField, cfg: SolverConfig
-) -> SpectralField:
-    """Solve T'(m) w = r for a real w (Hermitian coefficients) to dual
-    residual KRYLOV_TOL * dual_norm(r); m must be real.  A non-Hermitian
-    r is solved for its Hermitian part, which `pack` keeps.  The solve
-    itself is `_solve_packed` on pack(r)."""
-    if not m.same_layout(r):
-        raise BasisMismatchError("T'(m) requires matching layouts")
-    g = advection_values(m)
-    x = _solve_packed(_Packed(m, cfg.mu), g, pack(r.coeffs), m.l2())
-    return r.with_coeffs(unpack(x))
 
 
 def _solve_packed(packed: _Packed, g: np.ndarray, b: np.ndarray, m_norm: float) -> np.ndarray:
@@ -521,7 +508,7 @@ def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> Solve
     last iterate's outer-shell weight (the same for v and u) is above
     TAIL_MAX, its message says the truncation is likely too coarse."""
     path = []
-    u = solve_linear(f, cfg)
+    u = invert_L(f, cfg.mu)
     path.append((0.0, dual_norm(apply_L(u, cfg.mu) - f), aniso_norm(u)))
     pending = list(HOMOTOPY_STEPS[1:])
     prev_lam = 0.0

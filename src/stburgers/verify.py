@@ -129,7 +129,7 @@ def check_linear_solver(cfg: VerifyConfig) -> list[InvariantResult]:
     worst_margin = np.inf
     bound = min(1.0, cfg.mu) / (1.0 + 1.0 / np.pi**2)
     for u in _samples(cfg):
-        back = sv.solve_linear(op.apply_L(u, cfg.mu), sv.SolverConfig(mu=cfg.mu))
+        back = op.invert_L(op.apply_L(u, cfg.mu), cfg.mu)
         worst_rt = max(worst_rt, (back - u).l2() / max(1.0, u.l2()))
         lhs = np.sqrt(2.0) * op.inner(op.apply_L(u, cfg.mu), op.p_transform(u))
         d2 = op.half_derivative(u).l2() ** 2

@@ -3,7 +3,8 @@ import pytest
 
 from stburgers.fields import random_field
 from stburgers.norms import dual_norm, gn_probe
-from stburgers.solver import SolverConfig, homotopy_solve, newton_solve, solve_linear
+from stburgers.operators import invert_L
+from stburgers.solver import SolverConfig, homotopy_solve, newton_solve
 
 MUS = (1.0, 0.1, 0.05)
 AMPS = (0.25, 1.0, 2.5)
@@ -33,7 +34,7 @@ def test_matrix(base_forcing, gn_constant):
             hom = homotopy_solve(f, cfg, c_gn=gn_constant)
             starts = [
                 newton_solve(f, None, cfg),
-                newton_solve(f, solve_linear(f, cfg), cfg),
+                newton_solve(f, invert_L(f, mu), cfg),
                 newton_solve(f, 0.1 * random_field(7, 16, 16, 2.0), cfg),
             ]
             cells[(mu, amp)] = {"f": f, "homotopy": hom, "starts": starts}

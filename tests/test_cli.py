@@ -113,6 +113,27 @@ def test_sweep_over_mu(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [{"param": "n_modes", "values": [6, 8]}, {"param": "forcing_amplitude", "values": [0.5, 2]}],
+    ids=["n_modes", "forcing_amplitude"],
+)
+def test_sweep_over_truncation_and_amplitude(tmp_path, capsys, sweep):
+    cfg = json.loads((CONFIGS / "sweep_mu.json").read_text())
+    csv = tmp_path / "rows.csv"
+    cfg.update(sweep=sweep, outputs={"report_path": str(tmp_path / "report.json"), "field_csv_path": str(csv)})
+    assert run(tmp_path, "sweep", cfg) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [r["value"] for r in rows] == sweep["values"]
+    assert all(r["success"] for r in rows)
+    assert len(csv.read_text().strip().split("\n")) == 1 + len(rows)
+    if sweep["param"] == "n_modes":
+        # the forcing lies inside both truncations, and so does the solution
+        # to the digits the l2 norm shows
+        assert rows[0]["norms"]["l2"] == pytest.approx(rows[1]["norms"]["l2"], rel=0, abs=1e-12)
+    capsys.readouterr()
+
+
 def test_sweep_row_failure_is_a_solver_failure(tmp_path, capsys):
     # one Newton iteration cannot reach the tolerance: every row fails on
     # its own, the sweep still reports them all and exits 2
@@ -278,6 +299,7 @@ def test_scale_command(tmp_path, capsys):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+HUGE = "1" + "0" * 400  # an integer that no float holds
 
 
 def run_cli(tmp_path, command, *overrides, config=None):
@@ -418,6 +440,18 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("solve", "zero", "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
         ("solve", "zero", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
         ("scale", None, 'outputs={"report_path":"r.json","grid_m_x":9}', "config.outputs.grid_m_x"),
+        # an integer past the float range, as a number or as a size
+        *(
+            pytest.param(command, None, override, key, id=f"{command}-{key}-10**400")
+            for command, override, key in (
+                ("solve", f"mu={HUGE}", "config.mu"),
+                ("scale", f"period={HUGE}", "config.period"),
+                ("solve", f"solver.newton_tol={HUGE}", "config.solver.newton_tol"),
+                ("solve", f'forcing.modes=[{{"n":1,"m":1,"re":{HUGE}}}]', "config.forcing.modes[0].re"),
+                ("solve", f"n_t={HUGE}", "config.n_t"),
+                ("solve", f"outputs.grid_m_t={HUGE}", "config.outputs.grid_m_t"),
+            )
+        ),
     ],
 )
 def test_config_gaps_are_config_errors(tmp_path, command, config, override, key):

@@ -9,7 +9,6 @@ from stburgers.fields import (
     BasisMismatchError,
     SpectralField,
     advection_grid,
-    advection_values,
     evaluate,
     pack,
     packed_time_matrix,
@@ -28,7 +27,6 @@ from stburgers.operators import (
     apply_L,
     apply_S,
     apply_T,
-    apply_T_prime,
     d_t,
     d_x,
     d_xx,
@@ -40,6 +38,17 @@ from stburgers.operators import (
     linear_symbol,
     p_transform,
 )
+
+
+def apply_T_prime(m, w, mu):
+    """The oracle of the solver's packed linearization: the Gateaux
+    derivative of T at m, w -> L w + (m w)_x, from the spectral product."""
+    return apply_L(w, mu) + d_x(product_cosine(m, w, m.n_t, m.n_x))
+
+
+def advection_values(m):
+    """The values g of m on its AdvectionGrid, which fix the advection by m."""
+    return advection_grid(m.n_t, m.n_x).values(pack(m.coeffs))
 
 
 def symbol_at(op, n, n_t=4):
@@ -538,33 +547,6 @@ def test_packed_time_matrix_is_orthogonal_on_the_product_grid():
         values = time_eval_matrix(n_t, m_t) @ unpack(x[:, None])[:, 0]
         assert np.abs(values.imag).max() <= 1e-14 * np.abs(x).sum()
         assert np.abs(r @ x - values.real).max() <= 1e-14 * np.abs(x).sum()
-
-
-def test_advection_operator_rejects_cosine_and_complex_fields(monkeypatch):
-    # every advection by m (the grid's dense matrix, matrix-free advect
-    # and the preconditioner's mean block) takes its values g from
-    # advection_values, which checks m; the dense path's packing would
-    # otherwise drop the anti-Hermitian part of m
-    with pytest.raises(BasisMismatchError):
-        advection_values(zeros(2, 2, Basis.NEUMANN_COSINE))
-    complex_m = zeros(2, 2).with_coeffs(np.full((5, 2), 1j))
-    # the GMRES path's preconditioner reads the time mean of m alone: an
-    # imaginary mean is rejected too
-    complex_mean = zeros(2, 2).with_coeffs(np.pad(np.full((1, 2), 1j), ((2, 2), (0, 0))))
-    for m in (complex_m, complex_mean):
-        with pytest.raises(ValueError, match="real field"):
-            advection_values(m)
-    with pytest.raises(ValueError, match="real field"):
-        solver.solve_linearized(complex_m, random_field(1, 2, 2, 1.0), solver.SolverConfig(mu=0.5))
-    monkeypatch.setattr(solver, "DENSE_MAX_UNKNOWNS", 0)
-    for m in (complex_m, complex_mean):
-        with pytest.raises(ValueError, match="real field"):
-            solver.solve_linearized(m, random_field(1, 2, 2, 1.0), solver.SolverConfig(mu=0.5))
-
-
-def test_advection_matrix_rejects_cosine_fields():
-    with pytest.raises(BasisMismatchError):
-        solver._Packed(zeros(2, 2), 0.5).matrix(advection_values(zeros(2, 2, Basis.NEUMANN_COSINE)))
 
 
 def test_advection_rejects_values_off_every_product_grid():

@@ -5,14 +5,17 @@ from hypothesis import example, given, settings, strategies as st
 from stburgers import fields, norms, solver
 from stburgers.fields import random_field, set_mode, truncate, zeros
 from stburgers.norms import aniso_norm, apriori_bound, dual_norm
-from stburgers.operators import apply_L, apply_T, apply_T_prime
-from stburgers.solver import (
-    SolverConfig,
-    homotopy_solve,
-    newton_solve,
-    solve_linear,
-    solve_linearized,
-)
+from stburgers.operators import apply_L, apply_T, invert_L
+from stburgers.solver import SolverConfig, homotopy_solve, newton_solve, solve_linear
+from test_operators import advection_values, apply_T_prime
+
+
+def solve_linearized(m, r, mu):
+    """The real w with T'(m) w = r, for the Hermitian part of r that
+    `pack` keeps, by the solver's own packed linearized solve."""
+    packed = solver._Packed(m, mu)
+    x = solver._solve_packed(packed, advection_values(m), fields.pack(r.coeffs), m.l2())
+    return r.with_coeffs(fields.unpack(x))
 
 
 def manufactured():
@@ -76,7 +79,7 @@ def test_solve_linearized_returns_a_real_field(monkeypatch, path):
     m = random_field(4, 6, 5, 1.5)
     r = apply_T(m, mu) - f
     forced_path(monkeypatch, path)
-    w = solve_linearized(m, r, SolverConfig(mu=mu))
+    w = solve_linearized(m, r, mu)
     assert w.hermitian_defect() == 0.0
     assert dual_norm(apply_T_prime(m, w, mu) - r) <= 1e-11 * dual_norm(r)
 
@@ -205,7 +208,7 @@ def test_refinement_carries_a_dense_solve_with_an_inexact_matrix(monkeypatch):
     monkeypatch.setattr(solver._Packed, "matrix", perturbed)
     monkeypatch.setattr(solver.np.linalg, "solve", counted_solve)
     forced_path(monkeypatch, "dense")
-    w = solve_linearized(m, r, SolverConfig(mu=mu))
+    w = solve_linearized(m, r, mu)
     assert dual_norm(apply_T_prime(m, w, mu) - r) <= solver.KRYLOV_TOL * dual_norm(r)
     assert len(builds) == 1 and len(solves) > 1
 
@@ -243,7 +246,7 @@ def test_gmres_matches_a_direct_solve(seed, restart):
     # "full": one cycle of the system's dimension; "restarted": cycles of
     # 6 inner iterations, each from zero on the residual of the sum of
     # the ones before, the restart that the refinement rounds of
-    # `solve_linearized` make
+    # `solver._solve_packed` make
     rng = np.random.default_rng(seed)
     a = np.eye(30) + 0.4 * rng.standard_normal((30, 30)) / np.sqrt(30)
     b = rng.standard_normal(30)
@@ -276,7 +279,7 @@ def test_gmres_inner_iterations_match_scipy(seed, mu):
     # applies minus the one true residual
     m = 2.0 * random_field(seed, 8, 8, 1.5)
     r = random_field(seed + 10, 8, 8, 1.0)
-    matvec, weight, _ = solver._linearized_matvec(solver._Packed(m, mu), fields.advection_values(m))
+    matvec, weight, _ = solver._linearized_matvec(solver._Packed(m, mu), advection_values(m))
     rhs = weight * fields.pack(r.coeffs).ravel()
     ours = Counted(matvec)
     x, info = solver.gmres(ours, rhs, solver.KRYLOV_TOL, rhs.size)
@@ -354,7 +357,7 @@ def test_default_config_routes_the_linearized_solve_by_size(monkeypatch, n, path
     monkeypatch.setattr(solver, "_krylov_correction", counted_krylov)
     m = 0.5 * random_field(1, n, n, 2.0)
     r = random_field(2, n, n, 2.0)
-    solve_linearized(m, r, SolverConfig(mu=1.0))
+    solve_linearized(m, r, 1.0)
     assert calls == {"dense": int(path == "dense"), "gmres": int(path == "gmres")}
 
 
@@ -370,7 +373,7 @@ def test_default_path_matches_dense_on_the_hardest_fixture_cell(monkeypatch, tes
     forced_path(monkeypatch, "dense")
     pairs = [
         (homotopy_solve(f, cfg), cell["homotopy"]),
-        (newton_solve(f, solve_linear(f, cfg), cfg), cell["starts"][1]),
+        (newton_solve(f, invert_L(f, mu), cfg), cell["starts"][1]),
     ]
     for dense, default in pairs:
         assert dense.success and default.success
@@ -537,6 +540,21 @@ def test_all_starts_reach_the_same_solution(test_matrix):
             assert rep.success, (mu, amp, rep.message)
             d = np.max(np.abs(rep.u.coeffs - hom.u.coeffs))
             assert d < 1e-8, (mu, amp, d)
+
+
+def test_newton_may_converge_on_its_last_allowed_iteration():
+    # from zero this solve takes 3 Newton iterations: allowed exactly 3,
+    # it meets the tolerance after the last one and succeeds with the
+    # same u; allowed 2, it fails
+    f = 0.4 * random_field(3, 6, 6, 2.0)
+    free = newton_solve(f, None, SolverConfig(mu=0.3))
+    assert free.success and free.newton_iters == 3
+    last = newton_solve(f, None, SolverConfig(mu=0.3, max_newton=3))
+    assert last.success and last.newton_iters == 3
+    assert np.array_equal(last.u.coeffs, free.u.coeffs)
+    short = newton_solve(f, None, SolverConfig(mu=0.3, max_newton=2))
+    assert not short.success and short.newton_iters == 2
+    assert short.message == "no convergence after 2 Newton iterations"
 
 
 def test_linear_solve_inverts_l():
