@@ -47,7 +47,7 @@ MAX_ARRAY_BYTES = 2**30
 # config error
 SOLVER_KEYS = ("method", "newton_tol", "max_newton")
 OUTPUT_KEYS = {
-    "solve": ("report_path", "field_csv_path", "grid_m_t", "grid_m_x"),
+    "solve": ("report_path", "field_csv_path"),
     "verify": ("report_path",),
     "sweep": ("report_path", "field_csv_path"),
     "colehopf": ("report_path",),
@@ -57,7 +57,7 @@ PROBLEM_KEYS = ("mu", "n_t", "n_x", "forcing", "solver", "outputs")
 COMMAND_KEYS = {
     "solve": PROBLEM_KEYS,
     "verify": tuple(f.name for f in dataclasses.fields(vf.VerifyConfig)) + ("outputs",),
-    "sweep": PROBLEM_KEYS + ("sweep", "monodromy"),
+    "sweep": PROBLEM_KEYS + ("sweep",),
     "colehopf": PROBLEM_KEYS + ("n_starts", "seed", "monodromy_steps"),
     "scale": ("period", "length", "viscosity") + PROBLEM_KEYS[1:],
 }
@@ -345,10 +345,12 @@ def read_field_csv(path: str):
 
 
 def _count(cfg: dict, key: str, default=..., where: str = "config", least: int = 1) -> int:
-    """cfg[key] as an integer of at least `least`."""
+    """cfg[key] as an integer of at least `least`, inside the float range
+    as a float key must be (`_check`)."""
     value = _get(cfg, key, int, default, where)
-    if value is not None and value < least:
+    if value < least:
         raise ConfigError(f"{where}.{key}: must be at least {least}, got {value}")
+    _check(value, float, f"{where}.{key}")
     return value
 
 
@@ -377,15 +379,18 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     return max(linear, grid, time, space, key=lambda named: named[1])
 
 
-def _truncation(cfg: dict, keys=("n_t", "n_x"), defaults=None) -> tuple[int, int]:
-    """The truncation cfg[keys] of a solve, each key required unless
-    `defaults` has it as an attribute, checked against MAX_ARRAY_BYTES
-    before any array of that size exists."""
-    n_t, n_x = (_count(cfg, key, getattr(defaults, key, ...)) for key in keys)
-    _check_budget(
-        f"config.{keys[0]}/config.{keys[1]}", f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x)
-    )
+def _truncation(cfg: dict) -> tuple[int, int]:
+    """The truncation (config.n_t, config.n_x) of a solve, checked against
+    MAX_ARRAY_BYTES before any array of that size exists."""
+    n_t, n_x = _count(cfg, "n_t"), _count(cfg, "n_x")
+    _check_budget("config.n_t/config.n_x", f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x))
     return n_t, n_x
+
+
+def _field_grid(n_t: int, n_x: int) -> tuple[int, int]:
+    """The 4 (n_t + 1) x 4 (n_x + 1) grid (m_t, m_x) of the field CSV of a
+    solution at truncation (n_t, n_x)."""
+    return 4 * (n_t + 1), 4 * (n_x + 1)
 
 
 def _check_budget(where: str, what: str, *arrays: tuple[str, int]) -> None:
@@ -423,12 +428,11 @@ def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
 
 
 def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None):
-    """(report_path, field_csv_path, grid_m_t, grid_m_x) of config.outputs,
-    a mapping of the OUTPUT_KEYS of `command`; None where a key is absent.
-    The grid keys are read only with a field CSV.  Given the truncation
-    (n_t, n_x) of a solve that writes a field CSV, the grid defaults to
-    4 (n_t + 1) x 4 (n_x + 1) and is checked against MAX_ARRAY_BYTES
-    before the solve runs."""
+    """(report_path, field_csv_path) of config.outputs, a mapping of the
+    OUTPUT_KEYS of `command`; None where a key is absent.  Given the
+    truncation (n_t, n_x) of a solve that writes a field CSV, the CSV's
+    grid (`_field_grid`) is checked against MAX_ARRAY_BYTES before the
+    solve runs."""
     o = _mapping(cfg.get("outputs", {}), "config.outputs", OUTPUT_KEYS[command])
     paths = []
     for key in ("report_path", "field_csv_path"):
@@ -442,22 +446,16 @@ def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None)
                 f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
             )
         paths.append(path)
-    for key in ("grid_m_t", "grid_m_x"):
-        if key in o and not paths[1]:
-            raise ConfigError(f"config.outputs.{key}: not read (no config.outputs.field_csv_path)")
-    m_t = _count(o, "grid_m_t", None, where="config.outputs")
-    m_x = _count(o, "grid_m_x", None, where="config.outputs")
     if truncation is not None and paths[1]:
         n_t, n_x = truncation
-        m_t, m_x = m_t or 4 * (n_t + 1), m_x or 4 * (n_x + 1)
+        m_t, m_x = _field_grid(n_t, n_x)
+        # the grid's time matrix and values are smaller than the time
+        # matrix and the dense matrix or Krylov basis of the truncation
+        # (`_largest_array`), but its space matrix can be larger
         _check_budget(
-            "config.outputs.grid_m_t/config.outputs.grid_m_x",
-            f"output grid ({m_t}, {m_x})",
-            ("time matrix", 16 * m_t * (2 * n_t + 1)),  # complex, before packing
-            ("value array", 8 * m_t * m_x),
-            ("space matrix", 8 * m_x * n_x),
+            "config.n_t/config.n_x", f"field CSV grid ({m_t}, {m_x})", ("space matrix", 8 * m_x * n_x)
         )
-    return *paths, m_t, m_x
+    return paths
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -471,7 +469,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def cmd_solve(cfg: dict, doc: dict) -> int:
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg, "solve", (n_t, n_x))
+    _, csv_path = _outputs(cfg, "solve", (n_t, n_x))
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
     result = _run_solve(cfg, forcing, scfg)
     doc["success"] = bool(result.success)
@@ -484,26 +482,19 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
+        m_t, m_x = _field_grid(n_t, n_x)
         xs = fd.space_nodes(m_x, result.u.basis)
         write_field_csv(csv_path, fd.time_nodes(m_t), xs, fd.evaluate(result.u, m_t, m_x))
     return EXIT_OK
 
 
 def cmd_verify(cfg: dict, doc: dict) -> int:
-    # every key but the seed defaults to its VerifyConfig value
+    # n_samples and mu default to their VerifyConfig values
     defaults = vf.VerifyConfig
-    n_t, n_x = _truncation(cfg, defaults=defaults)
-    solve_n_t, solve_n_x = _truncation(cfg, ("solve_n_t", "solve_n_x"), defaults)
     vcfg = vf.VerifyConfig(
         seed=_count(cfg, "seed", least=0),
         n_samples=_count(cfg, "n_samples", defaults.n_samples),
-        n_t=n_t,
-        n_x=n_x,
         mu=_positive(cfg, "mu", defaults.mu),
-        solve_n_t=solve_n_t,
-        solve_n_x=solve_n_x,
-        monodromy_steps=_count(cfg, "monodromy_steps", defaults.monodromy_steps),
-        positivity_cases=_count(cfg, "positivity_cases", defaults.positivity_cases),
     )
     results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
@@ -540,12 +531,6 @@ def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
         row["residual_dual"] = result.residual_dual
         row["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
         row["norms"] = dataclasses.asdict(nm.norm_report(result.u))
-        if local.get("monodromy", False):
-            rho, eig = ch.monodromy_leading_pair(result.u, mu)
-            row["rho"] = rho
-            row["eigfun_flatness"] = float(
-                np.abs(ch.profile_values(eig) - 1.0).max()
-            )
     except StburgersError as e:
         row["success"] = False
         row["error"] = str(e)
@@ -562,11 +547,9 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
         raise ConfigError("config.sweep.values: must be non-empty")
     for i, v in enumerate(values):
         _check(v, int if param == "n_modes" else float, f"config.sweep.values[{i}]")
-    if "monodromy" in cfg:
-        _get(cfg, "monodromy", bool)
     problems = [_sweep_problem(cfg, param, v) for v in values]
     rows = [_sweep_row(param, v, *p) for v, p in zip(values, problems)]
-    _, csv_path, _, _ = _outputs(cfg, "sweep")
+    _, csv_path = _outputs(cfg, "sweep")
     doc["param"] = param
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
@@ -600,9 +583,9 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
         return EXIT_OK
     mu, n_t, n_x, forcing = _common_problem(cfg)
     scfg = build_solver_config(cfg, mu, SOLVER_KEYS[1:])
-    n_starts = _count(cfg, "n_starts", 3, least=2)
+    n_starts = _count(cfg, "n_starts", ch.N_STARTS, least=2)
     seed = _count(cfg, "seed", 0, least=0)
-    steps = _count(cfg, "monodromy_steps", 512)
+    steps = _count(cfg, "monodromy_steps", ch.MONODROMY_STEPS)
     doc.update({"mu": mu, "n_t": n_t, "n_x": n_x})
     uniq = _stage(
         "verify_uniqueness", ch.verify_uniqueness, forcing, scfg, n_starts=n_starts, seed=seed
@@ -615,7 +598,7 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     e3 = _stage("s2_to_s3", ch.s2_to_s3, e2, mu)
     doc["K_s2"] = e2.K
     doc["K_s3"] = e3.K
-    rho, eig = ch.monodromy_leading_pair(v, mu, steps=steps)
+    rho, eig = ch.monodromy_leading_pair(v, mu, steps)
     doc["rho"] = rho
     doc["eigfun_flatness"] = float(np.abs(ch.profile_values(eig) - 1.0).max())
     tol = vf.TOLERANCES
@@ -638,7 +621,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)
     scfg = build_solver_config(cfg, mu)
-    _, csv_path, m_t, m_x = _outputs(cfg, "scale", (n_t, n_x))
+    _, csv_path = _outputs(cfg, "scale", (n_t, n_x))
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
     result = _run_solve(cfg, f, scfg)
     doc["success"] = bool(result.success)
@@ -647,7 +630,7 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     if not result.success:
         return EXIT_SOLVER
     if csv_path:
-        phys = sc.denormalize(result.u, prob, m_t=m_t, m_x=m_x)
+        phys = sc.denormalize(result.u, prob, *_field_grid(n_t, n_x))
         write_field_csv(csv_path, phys.times, phys.positions, phys.values)
     return EXIT_OK
 

@@ -39,11 +39,18 @@ from .norms import dual_norm
 from .solver import SolverConfig, newton_solve
 
 
-# the largest pointwise miss of the projected exponential of s2_to_s3, and
-# the largest l2 distance between two solutions that verify_uniqueness
-# counts as one
+# the largest relative x-dependent potential residual of an S1 element in
+# lift_s1_to_s2, the largest pointwise miss of the projected exponential
+# of s2_to_s3, and the largest l2 distance between two solutions that
+# verify_uniqueness counts as one
+S1_TOL = 1e-6
 PROJECTION_TOL = 1e-6
 UNIQUENESS_TOL = 1e-6
+# the steps of verify's period maps and the starts of its uniqueness
+# check, and the defaults of the colehopf command's monodromy_steps and
+# n_starts
+MONODROMY_STEPS = 512
+N_STARTS = 3
 
 
 class NotInS1Error(StburgersError, ValueError):
@@ -109,24 +116,22 @@ def _potential_residual(
     return SpectralField(res, n_t, 2 * n_x, Basis.NEUMANN_COSINE)
 
 
-def lift_s1_to_s2(
-    w: SpectralField, v: SpectralField, mu: float, tol: float = 1e-6
-) -> S2Element:
+def lift_s1_to_s2(w: SpectralField, v: SpectralField, mu: float) -> S2Element:
     """Map an S1 element to its S2 potential (W, K).
 
     The x-antiderivative satisfies the potential equation up to a purely
     time-dependent residual g(t); K is its time mean and the periodic
     antiderivative of g - K is subtracted to land in S2.  If the residual
-    has x-dependent content above tol (relative), w was not in S1."""
+    has x-dependent content above S1_TOL (relative), w was not in S1."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     wbar = antiderivative_x(w)
     res = _potential_residual(wbar, w, v, mu)
     scale = max(1.0, w.l2() * (1.0 + v.l2()), w.l2() ** 2)
     xdep = float(np.abs(res.coeffs[:, 1:]).max())
-    if xdep > tol * scale:
+    if xdep > S1_TOL * scale:
         raise NotInS1Error(
-            f"x-dependent potential residual {xdep:.3e} exceeds {tol * scale:.3e}"
+            f"x-dependent potential residual {xdep:.3e} exceeds {S1_TOL * scale:.3e}"
         )
     g = res.coeffs[:, 0]  # time series of the spatially constant residual
     n_t = w.n_t
@@ -312,9 +317,7 @@ def profile_values(psi: np.ndarray) -> np.ndarray:
     return b @ np.asarray(psi, dtype=float)
 
 
-def monodromy_leading_pair(
-    v: SpectralField, mu: float, steps: int = 512, n_x: int | None = None
-):
+def monodromy_leading_pair(v: SpectralField, mu: float, steps: int):
     """Leading eigenpair of the period map from its dense spectrum.
 
     Uniqueness of the time-periodic problem predicts eigenvalue one,
@@ -324,7 +327,7 @@ def monodromy_leading_pair(
     lies inside the unit disc the pair is exactly (1.0, e_0).  Returns
     (rho, cosine-coefficient profile normalized to maximum one); rho is
     NaN when the eigenvalue of largest modulus is not real."""
-    vals, vecs = np.linalg.eig(PeriodMap(v, mu, steps, n_x=n_x).matrix)
+    vals, vecs = np.linalg.eig(PeriodMap(v, mu, steps).matrix)
     k = int(np.argmax(np.abs(vals)))
     rho = float(vals[k].real) if vals[k].imag == 0.0 else float("nan")
     psi = vecs[:, k].real
@@ -352,7 +355,7 @@ def s1_residual(w: SpectralField, v: SpectralField, mu: float) -> float:
 
 
 def verify_uniqueness(
-    f: SpectralField, cfg: SolverConfig, n_starts: int = 3, seed: int = 0
+    f: SpectralField, cfg: SolverConfig, n_starts: int, seed: int
 ) -> UniquenessReport:
     """Solve T(u) = f from several starts and check all runs agree.
 

@@ -69,22 +69,14 @@ def normalize(p: PhysicalProblem) -> tuple[float, SpectralField, bool]:
     return mu, f, flip
 
 
-def denormalize(
-    u_bar: SpectralField,
-    p: PhysicalProblem,
-    m_t: int | None = None,
-    m_x: int | None = None,
-) -> PhysicalField:
-    """Physical-units solution samples u = (L/T) ubar on the physical grid.
+def denormalize(u_bar: SpectralField, p: PhysicalProblem, m_t: int, m_x: int) -> PhysicalField:
+    """Physical-units solution samples u = (L/T) ubar on the m_t x m_x
+    physical grid.
 
     If the problem required a time flip during normalization, the
     solved field is negated and time-reversed before scaling back."""
     if p.viscosity < 0:
         u_bar = -1.0 * time_reverse(u_bar)
-    if m_t is None:
-        m_t = 2 * u_bar.n_t + 1
-    if m_x is None:
-        m_x = u_bar.n_x + 1
     tbar = time_nodes(m_t)
     xbar = space_nodes(m_x, u_bar.basis)
     vals = (p.length / p.period) * evaluate(u_bar, m_t, m_x)

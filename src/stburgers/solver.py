@@ -518,7 +518,7 @@ def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> Solve
         lam = pending[0]
         report = _newton(lam * f, lam * u, replace(cfg, newton_tol=lam * cfg.newton_tol))
         if not report.success:
-            if bisections >= MAX_BISECTIONS or lam - prev_lam < 1e-6:
+            if bisections >= MAX_BISECTIONS:
                 tail = outer_shell_weight(report.u)
                 hint = (
                     f"; outer-shell weight {tail:.3g} > {TAIL_MAX:g}: "

@@ -32,13 +32,16 @@ class InvariantResult:
 class VerifyConfig:
     seed: int = 0
     n_samples: int = 100
-    n_t: int = 32
-    n_x: int = 32
     mu: float = 0.5
-    solve_n_t: int = 8
-    solve_n_x: int = 8
-    monodromy_steps: int = 512
-    positivity_cases: int = 20
+
+
+# the truncation (n_t, n_x) of the random samples, that of the solve
+# whose solution the solve invariants measure, and the number of random
+# advections of the positivity check; fixed, like the tolerances, so that
+# every run measures the gate at the same sizes
+SAMPLE_TRUNCATION = (32, 32)
+SOLVE_TRUNCATION = (8, 8)
+POSITIVITY_CASES = 20
 
 
 # each invariant's tolerance; fixed, so that no config can loosen the gate
@@ -70,7 +73,7 @@ def _samples(cfg: VerifyConfig):
     for i in range(cfg.n_samples):
         seq = np.random.SeedSequence([cfg.seed, i])
         seed = int(seq.generate_state(1)[0])
-        yield fd.random_field(seed, cfg.n_t, cfg.n_x, 1.5)
+        yield fd.random_field(seed, *SAMPLE_TRUNCATION, 1.5)
 
 
 def _result(name, value, detail="") -> InvariantResult:
@@ -175,7 +178,7 @@ def _failed(names, stage: str, error: Exception) -> list[InvariantResult]:
 
 
 def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
-    f = 0.8 * fd.random_field(cfg.seed + 1, cfg.solve_n_t, cfg.solve_n_x, 2.0)
+    f = 0.8 * fd.random_field(cfg.seed + 1, *SOLVE_TRUNCATION, 2.0)
     scfg = sv.SolverConfig(mu=cfg.mu)
     c_gn = nm.gn_probe([cfg.seed + 3], 25, n_t=16, n_x=16)
     try:
@@ -196,7 +199,7 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
             ),
         ]
     try:
-        uniq = ch.verify_uniqueness(f, scfg, n_starts=3, seed=cfg.seed)
+        uniq = ch.verify_uniqueness(f, scfg, n_starts=ch.N_STARTS, seed=cfg.seed)
     except SolverError as e:
         results += _failed(("uniqueness_distance",), "verify_uniqueness", e)
     else:
@@ -213,7 +216,7 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
         )
         return results
     # monodromy around the solved field
-    rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, steps=cfg.monodromy_steps)
+    rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, ch.MONODROMY_STEPS)
     flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
     results.append(_result("monodromy_eigenvalue", abs(rho - 1.0)))
     results.append(_result("monodromy_flatness", flat))
@@ -256,24 +259,23 @@ def check_positivity(cfg: VerifyConfig) -> list[InvariantResult]:
     psi0 = np.zeros(10)
     psi0[0] = 0.5
     psi0[1] = 0.5 / np.sqrt(2.0)  # (1 + cos(pi x))/2, nonnegative
-    for i in range(cfg.positivity_cases):
+    for i in range(POSITIVITY_CASES):
         seq = np.random.SeedSequence([cfg.seed, 2000 + i])
         s = int(seq.generate_state(1)[0])
         mu = (1.0, 0.1)[i % 2]
         v = 2.0 * fd.random_field(s, 4, 6, 2.0)
-        out = ch.PeriodMap(v, mu, 512, n_x=len(psi0) - 1).apply(psi0)
+        out = ch.PeriodMap(v, mu, ch.MONODROMY_STEPS, n_x=len(psi0) - 1).apply(psi0)
         worst = max(worst, -float(ch.profile_values(out).min()))
     return [
         _result(
             "positivity_floor",
             max(0.0, worst),
-            f"{cfg.positivity_cases} random advections",
+            f"{POSITIVITY_CASES} random advections",
         )
     ]
 
 
-def run_suite(cfg: VerifyConfig | None = None) -> list[InvariantResult]:
-    cfg = cfg or VerifyConfig()
+def run_suite(cfg: VerifyConfig) -> list[InvariantResult]:
     out: list[InvariantResult] = []
     out += check_operator_identities(cfg)
     out += check_linear_solver(cfg)

@@ -72,13 +72,12 @@ def test_csv_round_trip(tmp_path, capsys):
     csv = tmp_path / "field.csv"
     cfg = solve_cfg(tmp_path)
     cfg["outputs"]["field_csv_path"] = str(csv)
-    cfg["outputs"]["grid_m_t"] = 16
-    cfg["outputs"]["grid_m_x"] = 12
     assert run(tmp_path, "solve", cfg) == 0
     capsys.readouterr()
     times, xs, vals = cli.read_field_csv(str(csv))
-    assert times.shape == (16,) and xs.shape == (12,)
-    g = GridField(vals, 16, 12, Basis.DIRICHLET_SINE)
+    # the grid is 4 (n_t + 1) x 4 (n_x + 1)
+    assert times.shape == (20,) and xs.shape == (20,)
+    g = GridField(vals, 20, 20, Basis.DIRICHLET_SINE)
     u_rt = to_spectral(g, 4, 4)
     f = set_mode(zeros(4, 4), 1, 1, 0.2 - 0.1j)
     u_direct = newton_solve(f, None, SolverConfig(mu=1.0)).u
@@ -99,14 +98,12 @@ def test_override_mechanism(tmp_path, capsys):
 
 def test_sweep_over_mu(tmp_path, capsys):
     csv = tmp_path / "rows.csv"
-    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]}, monodromy=True)
+    cfg = solve_cfg(tmp_path, sweep={"param": "mu", "values": [1.0, 0.5]})
     cfg["outputs"]["field_csv_path"] = str(csv)
     assert run(tmp_path, "sweep", cfg) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert [r["value"] for r in doc["rows"]] == [1.0, 0.5]
     assert doc["all_succeeded"] is True
-    # the period map's constant pair is read off exactly
-    assert [(r["rho"], r["eigfun_flatness"]) for r in doc["rows"]] == [(1, 0)] * 2
     lines = csv.read_text().strip().split("\n")
     assert lines[0].startswith("value,success")
     assert len(lines) == 3
@@ -162,13 +159,7 @@ def verify_cfg(tmp_path, **extra):
     cfg = {
         "seed": 0,
         "n_samples": 3,
-        "n_t": 8,
-        "n_x": 8,
         "mu": 0.5,
-        "solve_n_t": 6,
-        "solve_n_x": 6,
-        "monodromy_steps": 128,
-        "positivity_cases": 2,
         "outputs": {"report_path": str(tmp_path / "verify.json")},
     }
     cfg.update(extra)
@@ -335,8 +326,9 @@ def test_monodromy_steps_below_one_is_a_config_error(tmp_path, command):
     ],
 )
 def test_verify_rejects_vacuous_sizes_and_nonpositive_mu(tmp_path, key, value):
-    # each of these ran the suite before: mu = -1 into a traceback, the
-    # zero counts into all_passed on invariants that held vacuously
+    # each of these ran the suite once: mu = -1 into a traceback, the
+    # zero counts into all_passed on invariants that held vacuously; the
+    # sizes are now constants, and their keys are refused unread
     proc = run_cli(tmp_path, "verify", f"{key}={value}")
     assert proc.returncode == 1
     assert f"config.{key}" in proc.stderr
@@ -392,8 +384,6 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("colehopf", None, "n_starts=1", "config.n_starts"),
         ("solve", None, "outputs.report_path=nodir/r.json", "config.outputs.report_path"),
         ("solve", None, "outputs.field_csv_path=nodir/f.csv", "config.outputs.field_csv_path"),
-        ("solve", None, "outputs.grid_m_t=-3", "config.outputs.grid_m_t"),
-        ("solve", None, "outputs.grid_m_x=0", "config.outputs.grid_m_x"),
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"re":Infinity}]', "config.forcing.modes[0].re"),
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"im":NaN}]', "config.forcing.modes[0].im"),
         ("scale", None, "viscosity=NaN", "config.viscosity"),
@@ -436,11 +426,14 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("colehopf", None, "outputs.field_csv_path=f.csv", "config.outputs.field_csv_path"),
         ("colehopf", None, "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
         ("sweep", "sweep_mu", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
-        # the output grid is read only with a field CSV to write
+        # the field CSV's grid is fixed, so its retired keys are refused
+        # with a field CSV and without one
+        ("solve", None, "outputs.grid_m_t=-3", "config.outputs.grid_m_t"),
+        ("solve", None, "outputs.grid_m_x=0", "config.outputs.grid_m_x"),
         ("solve", "zero", "outputs.grid_m_t=7", "config.outputs.grid_m_t"),
         ("solve", "zero", "outputs.grid_m_x=9", "config.outputs.grid_m_x"),
         ("scale", None, 'outputs={"report_path":"r.json","grid_m_x":9}', "config.outputs.grid_m_x"),
-        # an integer past the float range, as a number or as a size
+        # an integer past the float range, as a number or as a count
         *(
             pytest.param(command, None, override, key, id=f"{command}-{key}-10**400")
             for command, override, key in (
@@ -449,6 +442,12 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
                 ("solve", f"solver.newton_tol={HUGE}", "config.solver.newton_tol"),
                 ("solve", f'forcing.modes=[{{"n":1,"m":1,"re":{HUGE}}}]', "config.forcing.modes[0].re"),
                 ("solve", f"n_t={HUGE}", "config.n_t"),
+                ("solve", f"n_x={HUGE}", "config.n_x"),
+                ("verify", f"n_samples={HUGE}", "config.n_samples"),
+                ("verify", f"seed={HUGE}", "config.seed"),
+                ("colehopf", f"n_starts={HUGE}", "config.n_starts"),
+                ("colehopf", f"seed={HUGE}", "config.seed"),
+                ("colehopf", f"monodromy_steps={HUGE}", "config.monodromy_steps"),
                 ("solve", f"outputs.grid_m_t={HUGE}", "config.outputs.grid_m_t"),
             )
         ),
@@ -463,6 +462,43 @@ def test_config_gaps_are_config_errors(tmp_path, command, config, override, key)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert os.listdir(tmp_path) == []  # no report, no field dump
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        *(("verify", None, key) for key in (
+            "n_t", "n_x", "solve_n_t", "solve_n_x", "monodromy_steps", "positivity_cases"
+        )),
+        *((command, None, f"outputs.{key}") for command in ("solve", "scale") for key in ("grid_m_t", "grid_m_x")),
+        ("sweep", "sweep_mu", "monodromy"),
+    ],
+)
+def test_retired_settings_are_not_read(tmp_path, monkeypatch, capsys, command, config, key):
+    # the verify sizes, the field CSV's grid and the sweep's period-map
+    # rows are fixed; each value these keys once took is refused unread
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", str(CONFIGS / f"{config or command}.json"), "--override", f"{key}=8"]
+    assert cli.main(argv) == 1
+    assert f"config.{key}: not read" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "scale"])
+def test_unsuccessful_solve_exits_2_with_its_report_and_no_field_csv(tmp_path, monkeypatch, capsys, command):
+    # one Newton iteration from zero cannot reach the tolerance
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", str(CONFIGS / f"{command}.json"),
+            "--override", "solver.method=newton", "--override", "solver.max_newton=1"]
+    assert cli.main(argv) == 2
+    report = f"{command}_report.json"
+    assert os.listdir(tmp_path) == [report]
+    doc = json.loads((tmp_path / report).read_text())
+    assert doc == json.loads(capsys.readouterr().out)
+    assert doc["success"] is False and "error" not in doc
+    if command == "solve":
+        assert doc["message"] == "no convergence after 1 Newton iterations"
+        assert doc["newton_iterations"] == 1
 
 
 def test_one_config_error_names_every_unread_key(tmp_path, capsys):
@@ -595,8 +631,6 @@ def test_gmres_path_solve_runs_without_scipy(tmp_path):
         ("scale", "scale", "n_t=1000000"),
         ("sweep", "sweep_mu", "n_t=1000000"),
         ("colehopf", "colehopf", "n_t=1000000"),
-        ("verify", "verify", "n_t=1000000"),
-        ("verify", "verify", "solve_n_x=1000000"),
     ],
 )
 def test_truncation_past_the_array_budget_is_a_config_error(
@@ -613,9 +647,8 @@ def test_truncation_past_the_array_budget_is_a_config_error(
         tracemalloc.stop()
     assert code == 1
     assert peak < 2**22
-    key = "config.solve_n_t/config.solve_n_x" if "solve_n" in override else "config.n_t/config.n_x"
     err = capsys.readouterr().err
-    assert key in err and "array budget" in err
+    assert "config.n_t/config.n_x" in err and "array budget" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -655,19 +688,13 @@ def test_space_matrix_of_the_product_grid_counts_against_the_budget(monkeypatch,
     assert solves == []
 
 
-@pytest.mark.parametrize(
-    "command, overrides, name",
-    [
-        ("solve", ["outputs.grid_m_t=100000000", "outputs.grid_m_x=8"], "time matrix"),
-        ("solve", ["outputs.grid_m_x=100000000"], "value array"),
-        ("solve", ["outputs.grid_m_t=1", "outputs.grid_m_x=10000000"], "space matrix"),
-        ("scale", ["outputs.grid_m_x=100000000"], "value array"),
-    ],
-)
-def test_output_grid_past_the_array_budget_is_a_config_error(
-    tmp_path, monkeypatch, capsys, command, overrides, name
-):
-    # the field CSV's grid is built after the solve, and checked before it
+@pytest.mark.parametrize("command", ["solve", "scale"])
+def test_output_grid_past_the_array_budget_is_a_config_error(tmp_path, monkeypatch, capsys, command):
+    # the field CSV's grid is built after the solve, and checked before
+    # it: at (2, 1400) the truncation's largest array is its 47 MB space
+    # matrix, under a 52 MB budget, but the 12x5604 grid's takes 63 MB
+    assert cli._largest_array(2, 1400) == ("space matrix", 8 * 4202 * 1401)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 50 * 2**20)
     monkeypatch.chdir(tmp_path)
     solves = []
 
@@ -677,18 +704,14 @@ def test_output_grid_past_the_array_budget_is_a_config_error(
 
     monkeypatch.setattr(solver, "homotopy_solve", no_solve)
     monkeypatch.setattr(solver, "newton_solve", no_solve)
-    argv = [command, "--config", str(CONFIGS / f"{command}.json")]
-    for override in overrides:
-        argv += ["--override", override]
+    argv = [command, "--config", str(CONFIGS / f"{command}.json"), "--override", "n_t=2",
+            "--override", "n_x=1400"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "config.outputs.grid_m_t/config.outputs.grid_m_x" in err
-    assert f"needs a {name} of" in err and "Traceback" not in err
+    assert "config.n_t/config.n_x: field CSV grid (12, 5604) needs a space matrix of" in err
+    assert "Traceback" not in err
     assert solves == []
-    # with no field CSV the grid is never built, so it is refused unread
-    grid = {"grid_m_t": 10**8, "grid_m_x": 10**8}
-    with pytest.raises(cli.ConfigError, match="config.outputs.grid_m_t: not read"):
-        cli._outputs({"outputs": grid}, "solve", (16, 16))
+    assert os.listdir(tmp_path) == []
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

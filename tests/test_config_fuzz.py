@@ -14,11 +14,11 @@ from stburgers import cli
 from stburgers.fields import Basis, space_nodes, time_nodes
 
 MISSING = object()
-MUTATIONS = [MISSING, None, True, "x", -1, 0, math.nan, [], {}]
+MUTATIONS = [MISSING, None, True, "x", -1, 0, math.nan, 10**400, [], {}]
 
 MODE = {"n": 1, "m": 1, "re": 0.2, "im": -0.1}
 SOLVER = {"method": "homotopy", "newton_tol": 1e-10, "max_newton": 10}
-OUTPUTS = {"report_path": "report.json", "field_csv_path": "field.csv", "grid_m_t": 7, "grid_m_x": 5}
+OUTPUTS = {"report_path": "report.json", "field_csv_path": "field.csv"}
 PROBLEM = {"mu": 1.0, "n_t": 2, "n_x": 2, "forcing": {"modes": [MODE]}, "solver": SOLVER}
 
 BASES = {
@@ -31,19 +31,12 @@ BASES = {
     "sweep": ("sweep", dict(
         PROBLEM,
         sweep={"param": "mu", "values": [1.0, 0.5]},
-        monodromy=True,
         outputs={"report_path": "report.json", "field_csv_path": "rows.csv"},
     )),
     "verify": ("verify", {
         "seed": 0,
         "n_samples": 2,
-        "n_t": 3,
-        "n_x": 3,
         "mu": 0.5,
-        "solve_n_t": 2,
-        "solve_n_x": 2,
-        "monodromy_steps": 8,
-        "positivity_cases": 1,
         "outputs": {"report_path": "report.json"},
     }),
     "colehopf": ("colehopf", dict(

@@ -155,7 +155,7 @@ def test_round_trip_through_physical_units():
     mu, fbar, flip = normalize(p)
     rep = newton_solve(fbar, None, SolverConfig(mu=mu))
     assert rep.success
-    out = denormalize(rep.u, p)
+    out = denormalize(rep.u, p, 2 * rep.u.n_t + 1, rep.u.n_x + 1)
     assert abs(out.times.max() - 0.5 * time_nodes(2 * rep.u.n_t + 1).max()) < 1e-14
     assert np.all(out.positions > 0) and np.all(out.positions < 2.0)
     assert np.max(np.abs(out.values)) > 0
