@@ -625,6 +625,8 @@ def cmd_scale(cfg: dict, doc: dict) -> int:
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
     result = _run_solve(cfg, f, scfg)
     doc["success"] = bool(result.success)
+    doc["message"] = result.message
+    doc["newton_iterations"] = result.newton_iters
     doc["residual_dual"] = result.residual_dual
     doc["norms_normalized"] = dataclasses.asdict(nm.norm_report(result.u))
     if not result.success:

@@ -29,28 +29,37 @@ from .fields import (
 )
 
 
-def _half_derivative_symbol(n: np.ndarray) -> np.ndarray:
-    return (2 * np.pi * np.abs(n)) ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _time_symbols(n_t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The symbols [n, 1] of D^{1/2}, of its adjoint, of H and of d_t on
+    the time modes n = -n_t..n_t, read-only; built from numpy alone, so a
+    miss calls no other function of the package."""
+    n = np.arange(-n_t, n_t + 1)[:, None]
+    half = (2 * np.pi * np.abs(n)) ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
+    symbols = half, np.conj(half), -1j * np.sign(n) + 0.0j, 2j * np.pi * n
+    for symbol in symbols:
+        symbol.setflags(write=False)
+    return symbols
 
 
 def half_derivative(u: SpectralField) -> SpectralField:
     """D^{1/2}: time mode n times |2 pi n|^{1/2} e^{i sgn(n) pi/4}."""
-    return u.with_coeffs(u.coeffs * _half_derivative_symbol(u.time_modes[:, None]))
+    return u.with_coeffs(u.coeffs * _time_symbols(u.n_t)[0])
 
 
 def half_derivative_adjoint(u: SpectralField) -> SpectralField:
     """The L2 adjoint of D^{1/2}: the conjugate symbol."""
-    return u.with_coeffs(u.coeffs * np.conj(_half_derivative_symbol(u.time_modes[:, None])))
+    return u.with_coeffs(u.coeffs * _time_symbols(u.n_t)[1])
 
 
 def hilbert(u: SpectralField) -> SpectralField:
     """H: time mode n times -i sgn(n)."""
-    return u.with_coeffs(u.coeffs * (-1j * np.sign(u.time_modes[:, None]) + 0.0j))
+    return u.with_coeffs(u.coeffs * _time_symbols(u.n_t)[2])
 
 
 def d_t(u: SpectralField) -> SpectralField:
     """Time derivative: time mode n times 2 pi i n."""
-    return u.with_coeffs(u.coeffs * (2j * np.pi * u.time_modes[:, None]))
+    return u.with_coeffs(u.coeffs * _time_symbols(u.n_t)[3])
 
 
 def d_x(u: SpectralField) -> SpectralField:
@@ -81,15 +90,12 @@ def inner(u: SpectralField, v: SpectralField) -> float:
 
 @functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
 def _symbol_table(n_t: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parts 2 pi i n [n, 1] and (m pi)^2 [1, m] of L's symbol on the
-    truncation (n_t, n_x), read-only; built from numpy alone, so a miss
-    calls no other function of the package."""
-    n = np.arange(-n_t, n_t + 1)[:, None]
-    m = np.arange(1, n_x + 1)[None, :]
-    parts = 2j * np.pi * n, (m * np.pi) ** 2
-    for part in parts:
-        part.setflags(write=False)
-    return parts
+    """The parts 2 pi i n [n, 1] (d_t's symbol) and (m pi)^2 [1, m] of
+    L's symbol on the truncation (n_t, n_x), read-only; built from numpy
+    alone, so a miss calls no other function of the package."""
+    space = (np.arange(1, n_x + 1)[None, :] * np.pi) ** 2
+    space.setflags(write=False)
+    return _time_symbols(n_t)[3], space
 
 
 def linear_symbol(n_t: int, n_x: int, mu: float) -> np.ndarray:

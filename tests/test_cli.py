@@ -496,9 +496,12 @@ def test_unsuccessful_solve_exits_2_with_its_report_and_no_field_csv(tmp_path, m
     doc = json.loads((tmp_path / report).read_text())
     assert doc == json.loads(capsys.readouterr().out)
     assert doc["success"] is False and "error" not in doc
-    if command == "solve":
-        assert doc["message"] == "no convergence after 1 Newton iterations"
-        assert doc["newton_iterations"] == 1
+    # both reports say why, in the two keys right after success
+    keys = list(doc)
+    at = keys.index("success")
+    assert keys[at + 1 : at + 3] == ["message", "newton_iterations"]
+    assert doc["message"] == "no convergence after 1 Newton iterations"
+    assert doc["newton_iterations"] == 1
 
 
 def test_one_config_error_names_every_unread_key(tmp_path, capsys):

@@ -202,6 +202,32 @@ def test_linear_symbol_table_gives_the_formula_bytes(n_t, n_x, mu):
     assert not any(part.flags.writeable for part in operators._symbol_table(n_t, n_x))
 
 
+def test_time_symbol_table_gives_the_formula_bytes():
+    # D^{1/2}, its adjoint, H and d_t read their symbols from one
+    # read-only table per n_t, built on the first call; each entry is the
+    # bytes of its closed form, and so is each operator's image
+    from stburgers import operators
+
+    operators._time_symbols.cache_clear()
+    for n_t in range(41):
+        n = np.arange(-n_t, n_t + 1)[:, None]
+        half = (2 * np.pi * np.abs(n)) ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
+        refs = half, np.conj(half), -1j * np.sign(n) + 0.0j, 2j * np.pi * n
+        for _ in range(2):
+            table = operators._time_symbols(n_t)
+            assert len(table) == len(refs)
+            for symbol, ref in zip(table, refs):
+                assert symbol.tobytes() == ref.tobytes() and symbol.shape == ref.shape
+                assert not symbol.flags.writeable
+        # one miss per new n_t; the second call above was a hit
+        assert operators._time_symbols.cache_info().misses == n_t + 1
+        if n_t in (0, 3, 40):
+            u = random_field(n_t, n_t, 3, 1.0)
+            for apply, ref in zip((half_derivative, half_derivative_adjoint, hilbert, d_t), refs):
+                assert apply(u).coeffs.tobytes() == (u.coeffs * ref).tobytes()
+    assert operators._time_symbols.cache_info()[:2] == (41 + 3 * 4, 41)
+
+
 def test_linear_symbol_values():
     sym = linear_symbol(2, 3, 0.3)
     assert sym.shape == (5, 3)
