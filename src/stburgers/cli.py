@@ -13,6 +13,10 @@ an exception into an exit code: a `ConfigError` exits 1 with its message
 on stderr and no report; any other `StburgersError` writes the report so
 far with `success: false` and the `error`, and exits with the error's
 `exit_code`.
+
+Each config section has one reader, called once per run before any
+solve (a sweep reads config.forcing and config.solver once per row),
+and a swept value out of its key's range names `config.sweep.values[i]`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ COMMAND_KEYS = {
     "scale": ("period", "length", "viscosity") + PROBLEM_KEYS[1:],
 }
 PHI_FILE_KEYS = ("phi_file", "outputs")
+# the top-level keys that each sweep parameter replaces in its rows
+SWEEP_KEYS = {"mu": ("mu",), "n_modes": ("n_t", "n_x"), "forcing_amplitude": ()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +228,10 @@ def _read_grid(path: str, basis: "fd.Basis", where: str) -> "fd.GridField":
     return fd.GridField(vals, m_t, m_x, basis)
 
 
-def build_solver_config(cfg: dict, mu: float, keys=SOLVER_KEYS) -> "sv.SolverConfig":
-    """The SolverConfig of config.solver, a mapping of `keys`; each of its
-    range errors begins with the name of the setting at fault."""
+def build_solver_config(cfg: dict, mu: float, keys=SOLVER_KEYS):
+    """(solve, SolverConfig) of config.solver, a mapping of `keys`; each
+    range error begins with the name of the setting at fault, and
+    `solve(forcing)` runs Newton from zero or (the default) the homotopy."""
     s = _mapping(cfg.get("solver", {}), "config.solver", keys)
     settings = {
         key: _get(s, key, kind, where="config.solver")
@@ -232,9 +239,16 @@ def build_solver_config(cfg: dict, mu: float, keys=SOLVER_KEYS) -> "sv.SolverCon
         if key in s
     }
     try:
-        return sv.SolverConfig(mu=mu, **settings)
+        scfg = sv.SolverConfig(mu=mu, **settings)
     except ValueError as e:
         raise ConfigError(f"config.solver.{e}")
+    method = _get(s, "method", str, "homotopy", "config.solver")
+    # the solver's functions are looked up at each call
+    if method == "newton":
+        return (lambda forcing: sv.newton_solve(forcing, None, scfg)), scfg
+    if method == "homotopy":
+        return (lambda forcing: sv.homotopy_solve(forcing, scfg)), scfg
+    raise ConfigError(f"config.solver.method: unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +393,19 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     return max(linear, grid, time, space, key=lambda named: named[1])
 
 
-def _truncation(cfg: dict) -> tuple[int, int]:
+def _truncation(cfg: dict, csv_path: str | None) -> tuple[int, int]:
     """The truncation (config.n_t, config.n_x) of a solve, checked against
-    MAX_ARRAY_BYTES before any array of that size exists."""
+    MAX_ARRAY_BYTES before any array of that size exists; so is the grid
+    (`_field_grid`) of the field CSV at `csv_path`, if one is written."""
     n_t, n_x = _count(cfg, "n_t"), _count(cfg, "n_x")
-    _check_budget("config.n_t/config.n_x", f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x))
+    where = "config.n_t/config.n_x"
+    _check_budget(where, f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x))
+    if csv_path:
+        m_t, m_x = _field_grid(n_t, n_x)
+        # the grid's time matrix and values are smaller than the time
+        # matrix and the dense matrix or Krylov basis of the truncation
+        # (`_largest_array`), but its space matrix can be larger
+        _check_budget(where, f"field CSV grid ({m_t}, {m_x})", ("space matrix", 8 * m_x * n_x))
     return n_t, n_x
 
 
@@ -406,33 +428,19 @@ def _check_budget(where: str, what: str, *arrays: tuple[str, int]) -> None:
         )
 
 
-def _common_problem(cfg: dict):
-    mu = _positive(cfg, "mu")
-    n_t, n_x = _truncation(cfg)
-    forcing = build_forcing(cfg.get("forcing", {"modes": []}), n_t, n_x)
-    return mu, n_t, n_x, forcing
+def _forcing(cfg: dict, csv_path: str | None):
+    """The truncation (`_truncation`) and config.forcing of a solve."""
+    n_t, n_x = _truncation(cfg, csv_path)
+    return n_t, n_x, build_forcing(cfg.get("forcing", {"modes": []}), n_t, n_x)
 
 
-def _solve_method(cfg: dict) -> str:
-    s = _mapping(cfg.get("solver", {}), "config.solver", SOLVER_KEYS)
-    method = _get(s, "method", str, "homotopy", "config.solver")
-    if method not in ("newton", "homotopy"):
-        raise ConfigError(f"config.solver.method: unknown method {method!r}")
-    return method
+def _common_problem(cfg: dict, csv_path: str | None):
+    return (_positive(cfg, "mu"), *_forcing(cfg, csv_path))
 
 
-def _run_solve(cfg: dict, forcing, scfg) -> "sv.SolveReport":
-    if _solve_method(cfg) == "newton":
-        return sv.newton_solve(forcing, None, scfg)
-    return sv.homotopy_solve(forcing, scfg)
-
-
-def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None):
+def _outputs(cfg: dict, command: str):
     """(report_path, field_csv_path) of config.outputs, a mapping of the
-    OUTPUT_KEYS of `command`; None where a key is absent.  Given the
-    truncation (n_t, n_x) of a solve that writes a field CSV, the CSV's
-    grid (`_field_grid`) is checked against MAX_ARRAY_BYTES before the
-    solve runs."""
+    OUTPUT_KEYS of `command`; None where a key is absent."""
     o = _mapping(cfg.get("outputs", {}), "config.outputs", OUTPUT_KEYS[command])
     paths = []
     for key in ("report_path", "field_csv_path"):
@@ -446,15 +454,6 @@ def _outputs(cfg: dict, command: str, truncation: tuple[int, int] | None = None)
                 f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
             )
         paths.append(path)
-    if truncation is not None and paths[1]:
-        n_t, n_x = truncation
-        m_t, m_x = _field_grid(n_t, n_x)
-        # the grid's time matrix and values are smaller than the time
-        # matrix and the dense matrix or Krylov basis of the truncation
-        # (`_largest_array`), but its space matrix can be larger
-        _check_budget(
-            "config.n_t/config.n_x", f"field CSV grid ({m_t}, {m_x})", ("space matrix", 8 * m_x * n_x)
-        )
     return paths
 
 
@@ -466,16 +465,21 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(e)(f"{name}: {e}") from e
 
 
-def cmd_solve(cfg: dict, doc: dict) -> int:
-    mu, n_t, n_x, forcing = _common_problem(cfg)
-    scfg = build_solver_config(cfg, mu)
-    _, csv_path = _outputs(cfg, "solve", (n_t, n_x))
-    doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
-    result = _run_solve(cfg, forcing, scfg)
+def _solve_outcome(solve, forcing, doc: dict) -> "sv.SolveReport":
+    """solve(forcing), its outcome written to the keys solve and scale share."""
+    result = solve(forcing)
     doc["success"] = bool(result.success)
     doc["message"] = result.message
     doc["newton_iterations"] = result.newton_iters
     doc["residual_dual"] = result.residual_dual
+    return result
+
+
+def cmd_solve(cfg: dict, doc: dict, csv_path: str | None) -> int:
+    mu, n_t, n_x, forcing = _common_problem(cfg, csv_path)
+    solve, _ = build_solver_config(cfg, mu)
+    doc.update({"mu": mu, "n_t": n_t, "n_x": n_x, "forcing_dual_norm": nm.dual_norm(forcing)})
+    result = _solve_outcome(solve, forcing, doc)
     doc["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
     doc["lambda_path"] = [list(map(float, row)) for row in result.lambda_path]
     doc["norms"] = dataclasses.asdict(nm.norm_report(result.u))
@@ -488,7 +492,7 @@ def cmd_solve(cfg: dict, doc: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, doc: dict) -> int:
+def cmd_verify(cfg: dict, doc: dict, csv_path: None) -> int:
     # n_samples and mu default to their VerifyConfig values
     defaults = vf.VerifyConfig
     vcfg = vf.VerifyConfig(
@@ -504,32 +508,35 @@ def cmd_verify(cfg: dict, doc: dict) -> int:
     return EXIT_OK if doc["all_passed"] else EXIT_VERIFY
 
 
-def _sweep_problem(cfg: dict, param: str, value) -> tuple:
-    """The config, forcing and solver settings of one sweep row, checked
-    before any row runs (a ConfigError here ends the sweep)."""
-    local = json.loads(json.dumps(cfg))  # deep copy, JSON-safe by construction
-    if param == "mu":
-        local["mu"] = value
-    elif param == "n_modes":
-        local["n_t"] = local["n_x"] = value
-    mu, _, _, forcing = _common_problem(local)
+def _sweep_problem(cfg: dict, param: str, value, where: str) -> tuple:
+    """The forcing, solve and SolverConfig of the sweep row that sets
+    `param` to `value`, checked before any row runs; an error in a key
+    that the value replaces (SWEEP_KEYS) names the value's path `where`."""
+    _check(value, int if param == "n_modes" else float, where)
+    keys = SWEEP_KEYS[param]
+    row = {**cfg, **dict.fromkeys(keys, value)}
+    try:
+        mu, _, _, forcing = _common_problem(row, None)
+    except ConfigError as e:
+        key, _, text = str(e).partition(": ")
+        if {k.removeprefix("config.") for k in key.split("/")} <= set(keys):
+            raise ConfigError(f"{where}: {text}") from None
+        raise
     if param == "forcing_amplitude":
         forcing = float(value) * forcing
-    _solve_method(local)
-    return local, forcing, build_solver_config(local, mu)
+    return (forcing, *build_solver_config(row, mu))
 
 
-def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
-    mu = scfg.mu
+def _sweep_row(param: str, value, forcing, solve, scfg) -> dict:
     row = {"param": param, "value": value}
     try:
-        result = _run_solve(local, forcing, scfg)
+        result = solve(forcing)
         if not result.success:
             raise SolverError(result.message)
         row["success"] = True
         row["newton_iterations"] = result.newton_iters
         row["residual_dual"] = result.residual_dual
-        row["energy_gap"] = nm.energy_gap(forcing, result.u, mu)
+        row["energy_gap"] = nm.energy_gap(forcing, result.u, scfg.mu)
         row["norms"] = dataclasses.asdict(nm.norm_report(result.u))
     except StburgersError as e:
         row["success"] = False
@@ -537,19 +544,16 @@ def _sweep_row(param: str, value, local: dict, forcing, scfg) -> dict:
     return row
 
 
-def cmd_sweep(cfg: dict, doc: dict) -> int:
+def cmd_sweep(cfg: dict, doc: dict, csv_path: str | None) -> int:
     sweep = _mapping(_get(cfg, "sweep", dict), "config.sweep", ("param", "values"))
     param = _get(sweep, "param", str, where="config.sweep")
-    if param not in ("mu", "n_modes", "forcing_amplitude"):
+    if param not in SWEEP_KEYS:
         raise ConfigError(f"config.sweep.param: unknown parameter {param!r}")
     values = _get(sweep, "values", list, where="config.sweep")
     if not values:
         raise ConfigError("config.sweep.values: must be non-empty")
-    for i, v in enumerate(values):
-        _check(v, int if param == "n_modes" else float, f"config.sweep.values[{i}]")
-    problems = [_sweep_problem(cfg, param, v) for v in values]
+    problems = [_sweep_problem(cfg, param, v, f"config.sweep.values[{i}]") for i, v in enumerate(values)]
     rows = [_sweep_row(param, v, *p) for v, p in zip(values, problems)]
-    _, csv_path = _outputs(cfg, "sweep")
     doc["param"] = param
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
@@ -570,7 +574,7 @@ def cmd_sweep(cfg: dict, doc: dict) -> int:
     return EXIT_OK if doc["all_succeeded"] else EXIT_SOLVER
 
 
-def cmd_colehopf(cfg: dict, doc: dict) -> int:
+def cmd_colehopf(cfg: dict, doc: dict, csv_path: None) -> int:
     if "phi_file" in cfg:
         # validation path: a supplied phi profile is checked for positivity
         path = _get(cfg, "phi_file", str)
@@ -581,8 +585,8 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
             raise ConfigError("config.phi_file: phi is not strictly positive on the grid")
         doc["success"] = True
         return EXIT_OK
-    mu, n_t, n_x, forcing = _common_problem(cfg)
-    scfg = build_solver_config(cfg, mu, SOLVER_KEYS[1:])
+    mu, n_t, n_x, forcing = _common_problem(cfg, None)
+    _, scfg = build_solver_config(cfg, mu, SOLVER_KEYS[1:])
     n_starts = _count(cfg, "n_starts", ch.N_STARTS, least=2)
     seed = _count(cfg, "seed", 0, least=0)
     steps = _count(cfg, "monodromy_steps", ch.MONODROMY_STEPS)
@@ -610,24 +614,18 @@ def cmd_colehopf(cfg: dict, doc: dict) -> int:
     return EXIT_OK if doc["success"] else EXIT_SOLVER
 
 
-def cmd_scale(cfg: dict, doc: dict) -> int:
+def cmd_scale(cfg: dict, doc: dict, csv_path: str | None) -> int:
     period = _positive(cfg, "period")
     length = _positive(cfg, "length")
     viscosity = _get(cfg, "viscosity", float)
     if viscosity == 0.0:
         raise ConfigError("config.viscosity: must be nonzero")
-    n_t, n_x = _truncation(cfg)
-    forcing = build_forcing(cfg.get("forcing", {"modes": []}), n_t, n_x)
+    n_t, n_x, forcing = _forcing(cfg, csv_path)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
     mu, f, flip = sc.normalize(prob)
-    scfg = build_solver_config(cfg, mu)
-    _, csv_path = _outputs(cfg, "scale", (n_t, n_x))
+    solve, _ = build_solver_config(cfg, mu)
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
-    result = _run_solve(cfg, f, scfg)
-    doc["success"] = bool(result.success)
-    doc["message"] = result.message
-    doc["newton_iterations"] = result.newton_iters
-    doc["residual_dual"] = result.residual_dual
+    result = _solve_outcome(solve, f, doc)
     doc["norms_normalized"] = dataclasses.asdict(nm.norm_report(result.u))
     if not result.success:
         return EXIT_SOLVER
@@ -667,10 +665,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.override)
         phi_file = args.command == "colehopf" and "phi_file" in cfg
         _mapping(cfg, "config", PHI_FILE_KEYS if phi_file else COMMAND_KEYS[args.command])
-        report_path = _outputs(cfg, args.command)[0]
+        report_path, csv_path = _outputs(cfg, args.command)
         doc = report_header(args.command)
         try:
-            code = COMMANDS[args.command](cfg, doc)
+            code = COMMANDS[args.command](cfg, doc, csv_path)
         except ConfigError:
             raise
         except StburgersError as e:

@@ -453,7 +453,6 @@ def random_field(
     n_x: int,
     decay: float,
     basis: Basis = Basis.DIRICHLET_SINE,
-    amplitude: float = 1.0,
 ) -> SpectralField:
     """Deterministic pseudorandom field with Hermitian symmetry and
     magnitude envelope (1+|n|)^-decay (1+m)^-decay."""
@@ -467,7 +466,7 @@ def random_field(
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     raw[0] = raw[0].real  # n = 0 row is real
     n = np.arange(0, n_t + 1)[:, None].astype(float)
-    upper = amplitude * raw * (1.0 + n) ** (-decay) * env_m[None, :] / SQRT2
+    upper = raw * (1.0 + n) ** (-decay) * env_m[None, :] / SQRT2
     coeffs = np.empty((2 * n_t + 1, cols), dtype=complex)
     coeffs[n_t:] = upper
     coeffs[:n_t] = upper[1:][::-1].conj()

@@ -174,7 +174,7 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
     return ForcingDecomposition(g=g, h=h)
 
 
-def gn_probe(seeds, n_samples: int, n_t: int = 32, n_x: int = 32) -> float:
+def gn_probe(seeds, n_samples: int, n_t: int, n_x: int) -> float:
     """Sampled Gagliardo-Nirenberg constant ||u^2|| / (||u|| ||u_x||).
 
     Returns the max ratio over n_samples random fields of decay 2 per

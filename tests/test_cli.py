@@ -389,7 +389,23 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("scale", None, "viscosity=NaN", "config.viscosity"),
         # sweep rows are checked before any runs
         ("sweep", "sweep_mu", 'n_t="x"', "config.n_t"),
-        ("sweep", "sweep_mu", 'sweep={"param":"mu","values":[1.0,-1]}', "config.mu"),
+        # a bad sweep value is named by its own path, not by the key it
+        # replaces in its row; a key it does not replace keeps its name
+        ("sweep", "sweep_mu", 'sweep={"param":"mu","values":[1.0,-1]}', "config.sweep.values[1]"),
+        ("sweep", "sweep_mu", "sweep.values=[1.0,-0.5]", "config.sweep.values[1]: must be positive"),
+        (
+            "sweep",
+            "sweep_mu",
+            'sweep={"param":"n_modes","values":[4,0]}',
+            "config.sweep.values[1]: must be at least 1",
+        ),
+        (
+            "sweep",
+            "sweep_mu",
+            'sweep={"param":"n_modes","values":[4,100000]}',
+            "config.sweep.values[1]: truncation (100000, 100000) needs",
+        ),
+        ("sweep", "sweep_mu", 'sweep={"param":"n_modes","values":[1]}', "config.forcing.modes[2]: mode (n=1, m=2)"),
         ("sweep", "sweep_mu", 'solver={"method":"x"}', "config.solver.method"),
         # keys that no command takes, misspelt or retired
         ("solve", None, "solver.newton_tl=5", "config.solver.newton_tl"),
@@ -794,6 +810,38 @@ def test_every_package_error_carries_an_exit_code():
         assert cls.exit_code in (1, 2), cls
 
 
+def config_command(config: str) -> str:
+    """The command of the checked-in config `config`, by the map that CI
+    runs them by."""
+    script = CONFIGS.parent / ".github" / "config-command.sh"
+    proc = subprocess.run(["sh", str(script), config], capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
+def test_each_config_section_is_read_once(monkeypatch, tmp_path, name):
+    # every mapping of a config has one reader, called once per run; a
+    # sweep reads its problem sections (config.forcing, config.solver)
+    # once per row
+    reads = []
+    mapping = cli._mapping
+
+    def recorded(value, where, keys):
+        reads.append(where)
+        return mapping(value, where, keys)
+
+    monkeypatch.setattr(cli, "_mapping", recorded)
+    monkeypatch.chdir(tmp_path)
+    config = str(CONFIGS / f"{name}.json")
+    command = config_command(config)
+    assert cli.main([command, "--config", config]) == 0
+    rows = len(json.loads(Path(config).read_text())["sweep"]["values"]) if command == "sweep" else 1
+    counts = {where: reads.count(where) for where in reads}
+    per_row = {where for where in counts if where == "config.solver" or where.startswith("config.forcing")}
+    assert counts == {where: rows if where in per_row else 1 for where in counts}
+    assert {"config", "config.outputs"} <= set(counts)
+
+
 # (newton_iterations, len(lambda_path)) of each solve that a checked-in
 # solve-type config runs, one entry per sweep row
 PINNED_SOLVES = {
@@ -810,17 +858,17 @@ def test_checked_in_configs_keep_their_newton_and_lambda_counts(monkeypatch, tmp
     # a change to the Newton iteration that only moves roundoff leaves
     # every count of the checked-in configs where it is
     reports = []
-    run_solve = cli._run_solve
 
-    def recorded(*args):
-        reports.append(run_solve(*args))
-        return reports[-1]
+    def recording(solve):
+        def recorded(*args):
+            reports.append(solve(*args))
+            return reports[-1]
 
-    monkeypatch.setattr(cli, "_run_solve", recorded)
+        return recorded
+
+    for method in ("newton_solve", "homotopy_solve"):
+        monkeypatch.setattr(solver, method, recording(getattr(solver, method)))
     monkeypatch.chdir(tmp_path)
-    # the command of each config comes from the map that CI runs them by
     config = str(CONFIGS / f"{name}.json")
-    script = CONFIGS.parent / ".github" / "config-command.sh"
-    command = subprocess.run(["sh", str(script), config], capture_output=True, text=True, check=True)
-    assert cli.main([command.stdout.strip(), "--config", config]) == 0
+    assert cli.main([config_command(config), "--config", config]) == 0
     assert [(r.newton_iters, len(r.lambda_path)) for r in reports] == PINNED_SOLVES[name]

@@ -232,7 +232,7 @@ def test_gn_ratio_matches_probe_sample():
 
 def test_gn_probe_validates_sample_count():
     with pytest.raises(ValueError):
-        gn_probe([0], 0)
+        gn_probe([0], 0, n_t=8, n_x=8)
 
 
 def test_energy_gap_zero_on_exact_solution():
