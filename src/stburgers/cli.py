@@ -622,7 +622,16 @@ def cmd_scale(cfg: dict, doc: dict, csv_path: str | None) -> int:
         raise ConfigError("config.viscosity: must be nonzero")
     n_t, n_x, forcing = _forcing(cfg, csv_path)
     prob = sc.PhysicalProblem(period=period, length=length, viscosity=viscosity, forcing=forcing)
-    mu, f, flip = sc.normalize(prob)
+    try:
+        mu, f, flip = sc.normalize(prob)
+        in_range = 0.0 < mu < np.inf and 0.0 < period**2 / length < np.inf
+    except ArithmeticError:  # a division by zero or an overflow of **
+        in_range = False
+    if not in_range:
+        raise ConfigError(
+            "config.period/config.length/config.viscosity: the normalized viscosity "
+            "nu T / L^2 or forcing scale T^2 / L is zero or not finite"
+        )
     solve, _ = build_solver_config(cfg, mu)
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})
     result = _solve_outcome(solve, f, doc)

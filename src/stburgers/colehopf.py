@@ -27,6 +27,7 @@ from .fields import (
     BasisMismatchError,
     SQRT2,
     SpectralField,
+    _mode_symbols,
     analyse,
     evaluate,
     product_cosine,
@@ -94,11 +95,11 @@ def antiderivative_x(w: SpectralField) -> SpectralField:
     Lands in the cosine family; d_x of the result reproduces w."""
     if w.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("antiderivative_x expects a Dirichlet-sine field")
-    m = np.arange(1, w.n_x + 1).astype(float)
+    m_pi = w.symbols.m_pi
     cols = np.zeros((w.coeffs.shape[0], w.n_x + 1), dtype=complex)
     # int_0^x sqrt(2) sin(m pi y) dy = sqrt(2)/(m pi) - (1/(m pi)) sqrt(2) cos(m pi x)
-    cols[:, 1:] = -w.coeffs / (m * np.pi)[None, :]
-    cols[:, 0] = (w.coeffs * (SQRT2 / (m * np.pi))[None, :]).sum(axis=1)
+    cols[:, 1:] = -w.coeffs / m_pi
+    cols[:, 0] = (w.coeffs * (SQRT2 / m_pi)).sum(axis=1)
     return SpectralField(cols, w.n_t, w.n_x, Basis.NEUMANN_COSINE)
 
 
@@ -134,12 +135,11 @@ def lift_s1_to_s2(w: SpectralField, v: SpectralField, mu: float) -> S2Element:
             f"x-dependent potential residual {xdep:.3e} exceeds {S1_TOL * scale:.3e}"
         )
     g = res.coeffs[:, 0]  # time series of the spatially constant residual
-    n_t = w.n_t
-    k = float(g[n_t].real)
-    n = np.arange(-n_t, n_t + 1).astype(float)
+    k = float(g[w.n_t].real)
+    d_t_symbol = w.symbols.d_t[:, 0]
     h = np.zeros_like(g)
-    nz = n != 0
-    h[nz] = g[nz] / (2j * np.pi * n[nz])
+    nz = d_t_symbol != 0
+    h[nz] = g[nz] / d_t_symbol[nz]
     coeffs = wbar.coeffs.copy()
     coeffs[:, 0] -= h
     return S2Element(wbar.with_coeffs(coeffs), k)
@@ -273,16 +273,16 @@ class PeriodMap:
         bs = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)      # sine eval
         bc = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)      # cosine eval
         bv = space_matrix(v.n_x, m_x, mid, Basis.DIRICHLET_SINE)    # v eval
-        m = np.arange(n) * np.pi
+        symbols = _mode_symbols(v.n_t, n_x, Basis.NEUMANN_COSINE)
         # cosine mode m differentiates to -m*pi times sine mode m
         grad = np.zeros((m_x, n))
-        grad[:, 1:] = bs * -m[1:]
+        grad[:, 1:] = bs * -symbols.m_pi[0, 1:]
         # the advection matrix at time k is (vgrid[k] @ q).reshape(n, n),
         # sum over nodes x of analysis[i, x] vgrid[k, x] grad[x, j]
         q = ((bc / m_x)[:, :, None] * grad[:, None, :]).reshape(m_x, n * n)
         dt = 1.0 / steps
-        freqs = 2j * np.pi * np.arange(-v.n_t, v.n_t + 1)
-        diff = np.diag(mu * -(m**2))
+        freqs = symbols.d_t[:, 0]
+        diff = np.diag(mu * -symbols.space_weight[0])
         eye = np.eye(n)
         self.matrix = eye
         for lo in range(0, steps, PERIOD_MAP_BLOCK):

@@ -16,17 +16,18 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StburgersError
 
 SQRT2 = np.sqrt(2.0)
-# layouts each transform cache holds before it evicts the least recently
+# layouts each per-layout cache holds before it evicts the least recently
 # used one; configs/verify.json (its Cole-Hopf chain included) uses 10
 # time and 24 space layouts (0.31 MB in all), and with configs/colehopf.json
-# run in the same process 14 and 31 (0.54 MB); either way the time
-# symbols (operators._time_symbols) hold n_t = 4, 8, 16 and 32 (7.9 kB)
+# run in the same process 14 and 31 (0.54 MB); either way one advection
+# grid (12 kB) and 9 mode-symbol layouts (_mode_symbols, 68 kB)
 TRANSFORM_CACHE_SIZE = 64
 
 
@@ -51,6 +52,37 @@ def space_mode_numbers(n_x: int, basis: Basis) -> np.ndarray:
     if basis is Basis.DIRICHLET_SINE:
         return np.arange(1, n_x + 1)
     return np.arange(0, n_x + 1)
+
+
+class ModeSymbols(NamedTuple):
+    """The diagonal multipliers on the modes of one truncation, read-only:
+    time symbols on the time modes [n, 1], space ones on [1, m]."""
+
+    half: np.ndarray  # D^{1/2}: |2 pi n|^{1/2} e^{i sgn(n) pi/4}
+    half_adjoint: np.ndarray  # its adjoint: the conjugate
+    hilbert: np.ndarray  # H: -i sgn(n)
+    d_t: np.ndarray  # 2 pi i n
+    time_weight: np.ndarray  # 2 pi |n|, the weight of |D^{1/2} u|^2
+    m_pi: np.ndarray  # m pi, the factor of d_x
+    space_weight: np.ndarray  # (m pi)^2, the weight of |u_x|^2
+    aniso: np.ndarray  # 1 + 2 pi |n| + (m pi)^2 [n, m], the anisotropic weight
+
+
+@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
+def _mode_symbols(n_t: int, n_x: int, basis: Basis) -> ModeSymbols:
+    """The ModeSymbols of the truncation (n_t, n_x) of `basis`; built from
+    numpy alone, so a miss calls no other function of the package."""
+    n = np.arange(-n_t, n_t + 1)[:, None]
+    first = 1 if basis is Basis.DIRICHLET_SINE else 0
+    m_pi = np.arange(first, n_x + 1)[None, :] * np.pi
+    wt, wx = 2 * np.pi * np.abs(n), m_pi ** 2
+    half = wt ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
+    table = ModeSymbols(
+        half, np.conj(half), -1j * np.sign(n) + 0.0j, 2j * np.pi * n, wt, m_pi, wx, 1.0 + wt + wx
+    )
+    for entry in table:
+        entry.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -85,6 +117,10 @@ class SpectralField:
     @property
     def space_modes(self) -> np.ndarray:
         return space_mode_numbers(self.n_x, self.basis)
+
+    @property
+    def symbols(self) -> ModeSymbols:
+        return _mode_symbols(self.n_t, self.n_x, self.basis)
 
     def same_layout(self, other: "SpectralField") -> bool:
         return (
@@ -439,8 +475,8 @@ def advection_grid(n_t: int, n_x: int) -> AdvectionGrid:
     mid = Basis.NEUMANN_COSINE
     r = packed_time_matrix(n_t, m_t)
     s = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)
-    k = np.arange(1, n_x + 1)
-    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-np.pi * k / (m_t * m_x))
+    k_pi = _mode_symbols(n_t, n_x, Basis.DIRICHLET_SINE).m_pi
+    c = space_matrix(n_x, m_x, mid, mid)[:, 1:] * (-k_pi / (m_t * m_x))
     grid = AdvectionGrid(n_t, n_x, r, s, c, np.ascontiguousarray(r.T), np.ascontiguousarray(s.T))
     for a in (grid.c, grid.r_t, grid.s_t):
         a.setflags(write=False)

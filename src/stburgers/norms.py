@@ -10,14 +10,12 @@ dual norm of a forcing is exact rather than estimated.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StburgersError
 from .fields import (
-    TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
     SpectralField,
@@ -43,28 +41,9 @@ class NormReport:
     aniso: float
 
 
-@functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
-def _weight_table(n_t: int, n_x: int, basis: Basis) -> tuple[np.ndarray, ...]:
-    """(2 pi |n|, (m pi)^2, aniso weight) on the truncation (n_t, n_x) of
-    `basis`, read-only; built from numpy alone, so a miss calls no other
-    function of the package."""
-    n = np.abs(np.arange(-n_t, n_t + 1))[:, None].astype(float)
-    first = 1 if basis is Basis.DIRICHLET_SINE else 0
-    m = np.arange(first, n_x + 1)[None, :].astype(float)
-    wt, wx = 2 * np.pi * n, (m * np.pi) ** 2
-    table = wt, wx, 1.0 + wt + wx
-    for part in table:
-        part.setflags(write=False)
-    return table
-
-
-def _diagonal_weights(u: SpectralField):
-    return _weight_table(u.n_t, u.n_x, u.basis)[:2]
-
-
 def aniso_weight(u: SpectralField) -> np.ndarray:
     """w(n, m) = 1 + 2 pi |n| + (m pi)^2 on the truncation of u, read-only."""
-    return _weight_table(u.n_t, u.n_x, u.basis)[2]
+    return u.symbols.aniso
 
 
 def aniso_norm(u: SpectralField) -> float:
@@ -99,7 +78,7 @@ def l4_norm(u: SpectralField) -> float:
 def norm_report(u: SpectralField) -> NormReport:
     if u.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("norm_report expects a Dirichlet-sine field")
-    wt, wx = _diagonal_weights(u)
+    wt, wx = u.symbols.time_weight, u.symbols.space_weight
     sq = np.abs(u.coeffs) ** 2
     l2 = float(np.sqrt(sq.sum()))
     half_dt = float(np.sqrt((wt * sq).sum()))
@@ -144,9 +123,9 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
     # order of decreasing multiplier gain sqrt(2 pi n): n descending,
     # then m
     n = np.arange(n_t, 0, -1)
-    m_pi = np.arange(1, n_x + 1) * np.pi
+    m_pi = f.symbols.m_pi
     c = f.coeffs[n_t + n]
-    gmode = c / (np.sqrt(2 * np.pi * n)[:, None] * np.exp(1j * np.pi / 4))
+    gmode = c / f.symbols.half[n_t + n]
     mass = 2.0 * np.abs(gmode) ** 2  # both +-n rows
     nonzero = c != 0
     # the greedy walk fills the eps budget in that order
@@ -168,7 +147,7 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
     hc[n_t + n, 1:] = np.where(rest, hmode, 0.0)
     hc[n_t - n, 1:] = np.where(rest, hmode.conj(), 0.0)
     # n = 0 row always rides the h channel (zero half-derivative multiplier)
-    hc[n_t, 1:] = -f.coeffs[n_t] / m_pi
+    hc[n_t, 1:] = -f.coeffs[n_t] / m_pi[0]
     g = SpectralField(gc, n_t, n_x, Basis.DIRICHLET_SINE)
     h = SpectralField(hc, n_t, n_x, Basis.NEUMANN_COSINE)
     return ForcingDecomposition(g=g, h=h)
@@ -198,8 +177,7 @@ def gn_probe(seeds, n_samples: int, n_t: int, n_x: int) -> float:
 
 def gn_ratio(u: SpectralField) -> float:
     """Ratio ||u^2||_L2 / (||u|| ||u_x||) for a single field."""
-    _, wx = _diagonal_weights(u)
-    ux = float(np.sqrt((wx * np.abs(u.coeffs) ** 2).sum()))
+    ux = float(np.sqrt((u.symbols.space_weight * np.abs(u.coeffs) ** 2).sum()))
     if ux == 0.0:
         raise DegenerateSampleError("field has zero x-derivative")
     return product_cosine(u, u).l2() / (aniso_norm(u) * ux)
@@ -234,11 +212,9 @@ def interpolation_slack(
     to roundoff for every field; the returned value clips at zero."""
     if alpha < 0 or beta < 0 or not 0.0 <= theta <= 1.0:
         raise ValueError("need alpha, beta >= 0 and theta in [0, 1]")
-    n = np.abs(u.time_modes)[:, None].astype(float)
-    m = u.space_modes[None, :].astype(float)
     sq = np.abs(u.coeffs) ** 2
-    wt = (2 * np.pi * n) ** (2 * alpha)
-    wx = (m * np.pi) ** (2 * beta)
+    wt = u.symbols.time_weight ** (2 * alpha)
+    wx = u.symbols.m_pi ** (2 * beta)
     lhs = (wt ** (1 - theta) * wx**theta * sq).sum()
     rhs = (wt * sq).sum() ** (1 - theta) * (wx * sq).sum() ** theta
     return max(0.0, (lhs - rhs) / max(rhs, 1e-300))
@@ -246,7 +222,6 @@ def interpolation_slack(
 
 def energy_gap(f: SpectralField, u: SpectralField, mu: float) -> float:
     """Relative defect of the energy identity mu ||u_x||^2 = <f, u>."""
-    _, wx = _diagonal_weights(u)
-    ux2 = float((wx * np.abs(u.coeffs) ** 2).sum())
+    ux2 = float((u.symbols.space_weight * np.abs(u.coeffs) ** 2).sum())
     fu = inner(f, u)
     return abs(mu * ux2 - fu) / max(1.0, abs(fu))

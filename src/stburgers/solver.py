@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import SolverError
 from .fields import (
-    Basis, BasisMismatchError, SpectralField, advection_grid, pack, truncate, unpack, zeros,
+    Basis, BasisMismatchError, SpectralField, _mode_symbols, advection_grid, pack, truncate, unpack,
+    zeros,
 )
 from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
 from .operators import apply_L, invert_L, linear_symbol
@@ -129,7 +130,7 @@ class _Packed:
     the AdvectionGrid of the product, the symbol of L and the dual
     weights W, 1 / sqrt(aniso_weight) laid out as `pack` lays out rows, so
     |W pack(r)|_2 = dual_norm(r) for Hermitian r.  L and W are read from
-    the cached tables of `linear_symbol` and `aniso_weight`.  The packed
+    the truncation's mode table (`fields.ModeSymbols`).  The packed
     layout of L lives here alone: `apply_L` applies it and `matrix` writes
     it into the dense T'(m)."""
 
@@ -202,7 +203,8 @@ def _linearized_matvec(packed: _Packed, g: np.ndarray):
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"mean-advection preconditioner failed: {exc}") from exc
-    scale = 1.0 / (2j * np.pi * np.arange(h)[:, None] + d)  # [n, eigenvalue]
+    d_t = _mode_symbols(grid.n_t, grid.n_x, Basis.DIRICHLET_SINE).d_t[grid.n_t :]  # n >= 0
+    scale = 1.0 / (d_t + d)  # [n, eigenvalue]
     weight = packed.weight.ravel()
     fluctuation = g - g.mean(axis=0)
 

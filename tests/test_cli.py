@@ -387,6 +387,12 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"re":Infinity}]', "config.forcing.modes[0].re"),
         ("solve", None, 'forcing.modes=[{"n":1,"m":1,"im":NaN}]', "config.forcing.modes[0].im"),
         ("scale", None, "viscosity=NaN", "config.viscosity"),
+        # a normalized problem past the float range: mu = nu T / L^2 by
+        # zero, L^2 and the forcing scale T^2 / L overflowing
+        *(
+            ("scale", None, override, "config.period/config.length/config.viscosity")
+            for override in ("length=1e-200", "length=1e200", "period=1e300")
+        ),
         # sweep rows are checked before any runs
         ("sweep", "sweep_mu", 'n_t="x"', "config.n_t"),
         # a bad sweep value is named by its own path, not by the key it

@@ -387,3 +387,80 @@ def test_layout_cache_size_is_bounded():
     assert missed(13) == 0
     assert missed(14) == 1
     assert np.array_equal(packed_time_matrix(1, 3), packed_time_oracle(1, 3))
+
+
+def no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_mode_symbols_are_their_closed_forms_read_only(monkeypatch):
+    # every diagonal multiplier of a truncation is read from one read-only
+    # table per layout (n_t, n_x, basis), built on the first call from
+    # numpy alone, so a wrapper counting the package's calls sees the same
+    # calls whether or not the table was cached; each entry is the bytes
+    # of its closed form, and so is the image of each time multiplier
+    from stburgers.operators import d_t, half_derivative, half_derivative_adjoint, hilbert
+
+    fields._mode_symbols.cache_clear()
+    for n_t in range(41):
+        for basis in Basis:
+            n_x = 1 + n_t % 7
+            with monkeypatch.context() as patch:
+                patch.setattr(fields, "space_mode_numbers", no_call)
+                table = fields._mode_symbols(n_t, n_x, basis)
+            assert fields.zeros(n_t, n_x, basis).symbols is table
+            n = np.arange(-n_t, n_t + 1)[:, None]
+            m = fields.space_mode_numbers(n_x, basis)[None, :]
+            half = (2 * np.pi * np.abs(n)) ** 0.5 * np.exp(1j * np.sign(n) * 0.5 * np.pi / 2)
+            refs = fields.ModeSymbols(
+                half=half,
+                half_adjoint=np.conj(half),
+                hilbert=-1j * np.sign(n) + 0.0j,
+                d_t=2j * np.pi * n,
+                time_weight=2 * np.pi * np.abs(n).astype(float),
+                m_pi=m.astype(float) * np.pi,
+                space_weight=(m * np.pi) ** 2,
+                aniso=1.0 + 2 * np.pi * np.abs(n) + (m * np.pi) ** 2,
+            )
+            for entry, ref in zip(table, refs):
+                assert entry.tobytes() == ref.tobytes() and entry.shape == ref.shape
+                assert entry.dtype == ref.dtype and not entry.flags.writeable
+            if n_t in (0, 3, 40):
+                u = random_field(n_t, n_t, n_x, 1.0, basis=basis)
+                ops = half_derivative, half_derivative_adjoint, hilbert, d_t
+                for apply, ref in zip(ops, refs):
+                    assert apply(u).coeffs.tobytes() == (u.coeffs * ref).tobytes()
+    # one miss per layout: every later call was a hit
+    assert fields._mode_symbols.cache_info().misses == 41 * 2
+
+
+def test_the_package_caches_are_the_declared_ones():
+    # the package's lru tables, each bounded by TRANSFORM_CACHE_SIZE: a
+    # caller that counts the package's calls across runs clears exactly
+    # these, so a new table is a deliberate change to this list
+    import importlib
+    import inspect
+    import pkgutil
+
+    import stburgers
+
+    found = {}
+    for info in pkgutil.iter_modules(stburgers.__path__):
+        module = importlib.import_module(f"stburgers.{info.name}")
+        scopes = [(info.name, module)] + [
+            (f"{info.name}.{name}", cls)
+            for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+        ]
+        for prefix, scope in scopes:
+            for name, obj in vars(scope).items():
+                if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                    found[f"{prefix}.{name}"] = obj
+    assert set(found) == {
+        "fields.space_matrix",
+        "fields.packed_time_matrix",
+        "fields.advection_grid",
+        "fields._mode_symbols",
+    }
+    for cache in found.values():
+        assert cache.cache_info().maxsize == TRANSFORM_CACHE_SIZE

@@ -16,6 +16,7 @@ from stburgers.fields import (
 from stburgers.norms import (
     DegenerateSampleError,
     aniso_norm,
+    aniso_weight,
     apriori_bound,
     decompose_forcing,
     dual_norm,
@@ -249,27 +250,23 @@ def test_energy_gap_detects_wrong_field():
     assert energy_gap(f, u, mu) > 1e-3
 
 
-def no_call(*args, **kwargs):
-    raise AssertionError("called")
-
-
 @pytest.mark.parametrize("basis", list(Basis))
 @pytest.mark.parametrize("n_t, n_x", [(0, 1), (3, 5), (8, 2)])
-def test_weight_table_is_the_weight_formula_read_only(monkeypatch, n_t, n_x, basis):
-    # the cached table gives the bytes of the direct formula; a miss
-    # builds it from numpy alone, so a wrapper counting the package's
-    # calls sees the same calls whether or not the table was cached
-    from stburgers import fields, norms
-
+def test_weight_table_is_the_weight_formula_read_only(n_t, n_x, basis):
+    # the norms read their weights from the truncation's mode table: the
+    # anisotropic weight is its read-only entry, and each norm gives the
+    # bytes of the direct formula
     u = random_field(n_t + n_x, n_t, n_x, 1.0, basis=basis)
-    norms._weight_table.cache_clear()
-    monkeypatch.setattr(fields, "space_mode_numbers", no_call)
-    wt, wx = norms._diagonal_weights(u)
-    w = norms.aniso_weight(u)
-    monkeypatch.undo()
     n = np.abs(u.time_modes)[:, None].astype(float)
     m = u.space_modes[None, :].astype(float)
-    for got, ref in ((wt, 2 * np.pi * n), (wx, (m * np.pi) ** 2), (w, 1.0 + 2 * np.pi * n + (m * np.pi) ** 2)):
-        assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
-        assert not got.flags.writeable
-    assert norms.aniso_weight(u) is w
+    wt, wx = 2 * np.pi * n, (m * np.pi) ** 2
+    w = aniso_weight(u)
+    assert w is u.symbols.aniso and not w.flags.writeable
+    assert w.tobytes() == (1.0 + wt + wx).tobytes()
+    sq = np.abs(u.coeffs) ** 2
+    assert aniso_norm(u) == float(np.sqrt((w * sq).sum()))
+    assert dual_norm(u) == float(np.sqrt((sq / w).sum()))
+    if basis is Basis.DIRICHLET_SINE:
+        report = norm_report(u)
+        assert report.half_dt == float(np.sqrt((wt * sq).sum()))
+        assert report.dx == float(np.sqrt((wx * sq).sum()))
