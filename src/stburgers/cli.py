@@ -376,6 +376,22 @@ def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
     return value
 
 
+def _normal_viscosity(mu: float) -> bool:
+    """Whether mu * pi**2, the diffusion rate of the first sine mode, is a
+    normal float; below that the symbol of L loses its bits, and the
+    solve runs on NaN."""
+    return sys.float_info.min <= mu * np.pi**2 <= sys.float_info.max
+
+
+def _viscosity(cfg: dict, default) -> float:
+    """config.mu as a positive float whose mu * pi**2 is normal; default
+    as for `_get`."""
+    mu = _positive(cfg, "mu", default)
+    if not _normal_viscosity(mu):
+        raise ConfigError(f"config.mu: mu * pi**2 must be a normal float, got mu = {mu}")
+    return mu
+
+
 def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     """(name, bytes) of the largest array that a solve at truncation
     (n_t, n_x) allocates: the real dense matrix of T'(m) or the Krylov
@@ -435,7 +451,7 @@ def _forcing(cfg: dict, csv_path: str | None):
 
 
 def _common_problem(cfg: dict, csv_path: str | None):
-    return (_positive(cfg, "mu"), *_forcing(cfg, csv_path))
+    return (_viscosity(cfg, ...), *_forcing(cfg, csv_path))
 
 
 def _outputs(cfg: dict, command: str):
@@ -498,7 +514,7 @@ def cmd_verify(cfg: dict, doc: dict, csv_path: None) -> int:
     vcfg = vf.VerifyConfig(
         seed=_count(cfg, "seed", least=0),
         n_samples=_count(cfg, "n_samples", defaults.n_samples),
-        mu=_positive(cfg, "mu", defaults.mu),
+        mu=_viscosity(cfg, defaults.mu),
     )
     results = _stage("run_suite", vf.run_suite, vcfg)
     doc["seed"] = vcfg.seed
@@ -631,6 +647,11 @@ def cmd_scale(cfg: dict, doc: dict, csv_path: str | None) -> int:
         raise ConfigError(
             "config.period/config.length/config.viscosity: the normalized viscosity "
             "nu T / L^2 or forcing scale T^2 / L is zero or not finite"
+        )
+    if not _normal_viscosity(mu):
+        raise ConfigError(
+            "config.period/config.length/config.viscosity: the normalized viscosity "
+            f"nu T / L^2 = {mu:.3g} leaves mu * pi**2 outside the normal floats"
         )
     solve, _ = build_solver_config(cfg, mu)
     doc.update({"mu": mu, "flip": flip, "period": period, "length": length})

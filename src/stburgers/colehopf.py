@@ -13,6 +13,10 @@ The substitution phi = exp(-W/(2 mu)) converts the quadratic potential
 equation into linear advection-diffusion; the monodromy of that linear
 flow over one period has leading eigenvalue one with constant
 eigenfunction, the numerical face of uniqueness.
+
+The maps between S2 and S3, their quotients and the chain-rule defect
+also act on a stack of fields (see `fields`): an S2Element or
+S3Element then holds a stack and one K per field.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .fields import (
     SQRT2,
     SpectralField,
     _mode_symbols,
+    _owned,
+    _per_field,
     analyse,
     evaluate,
     product_cosine,
@@ -59,7 +65,10 @@ class NotInS1Error(StburgersError, ValueError):
 
 
 class ProjectionAccuracyError(StburgersError, ValueError):
-    """Re-projected exponential field fails its own equation residual."""
+    """Re-projected exponential field fails its own equation residual;
+    `sample` is the index of the first field of a stack that fails."""
+
+    sample = 0
 
 
 class NonpositivePhiError(StburgersError, ValueError):
@@ -69,15 +78,16 @@ class NonpositivePhiError(StburgersError, ValueError):
 @dataclass(frozen=True)
 class S2Element:
     """A potential (W, K) of S2; W is taken modulo constants, and the
-    representative kept has zero space-time mean."""
+    representative kept has zero space-time mean.  For a stack W, K holds
+    one value per field."""
 
     W: SpectralField
     K: float
 
     def __post_init__(self):
         c = self.W.coeffs.copy()
-        c[self.W.n_t, 0] -= c[self.W.n_t, 0].real
-        object.__setattr__(self, "W", self.W.with_coeffs(c))
+        c[..., self.W.n_t, 0] -= c[..., self.W.n_t, 0].real
+        object.__setattr__(self, "W", self.W._own(c))
 
 
 @dataclass(frozen=True)
@@ -92,15 +102,16 @@ class S3Element:
 def antiderivative_x(w: SpectralField) -> SpectralField:
     """Modal antiderivative int_0^x w(t, y) dy with value 0 at x = 0.
 
-    Lands in the cosine family; d_x of the result reproduces w."""
+    Lands in the cosine family; d_x of the result reproduces w.  Per
+    field of a stack."""
     if w.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("antiderivative_x expects a Dirichlet-sine field")
     m_pi = w.symbols.m_pi
-    cols = np.zeros((w.coeffs.shape[0], w.n_x + 1), dtype=complex)
+    cols = np.zeros(w.coeffs.shape[:-1] + (w.n_x + 1,), dtype=complex)
     # int_0^x sqrt(2) sin(m pi y) dy = sqrt(2)/(m pi) - (1/(m pi)) sqrt(2) cos(m pi x)
-    cols[:, 1:] = -w.coeffs / m_pi
-    cols[:, 0] = (w.coeffs * (SQRT2 / m_pi)).sum(axis=1)
-    return SpectralField(cols, w.n_t, w.n_x, Basis.NEUMANN_COSINE)
+    cols[..., 1:] = -w.coeffs / m_pi
+    cols[..., 0] = (w.coeffs * (SQRT2 / m_pi)).sum(axis=-1)
+    return _owned(cols, w.n_t, w.n_x, Basis.NEUMANN_COSINE)
 
 
 def _potential_residual(
@@ -114,7 +125,7 @@ def _potential_residual(
     lin = d_t(wbar) - mu * d_xx(wbar)
     res = 0.5 * quad.coeffs + adv.coeffs
     res[:, : n_x + 1] += lin.coeffs
-    return SpectralField(res, n_t, 2 * n_x, Basis.NEUMANN_COSINE)
+    return _owned(res, n_t, 2 * n_x, Basis.NEUMANN_COSINE)
 
 
 def lift_s1_to_s2(w: SpectralField, v: SpectralField, mu: float) -> S2Element:
@@ -142,14 +153,15 @@ def lift_s1_to_s2(w: SpectralField, v: SpectralField, mu: float) -> S2Element:
     h[nz] = g[nz] / d_t_symbol[nz]
     coeffs = wbar.coeffs.copy()
     coeffs[:, 0] -= h
-    return S2Element(wbar.with_coeffs(coeffs), k)
+    return S2Element(wbar._own(coeffs), k)
 
 
 def _pointwise_map(u: SpectralField, fn, n_t_out: int, n_x_out: int) -> SpectralField:
     """Apply fn pointwise on a twice-oversampled grid and re-project.
 
     The result is only as accurate as the target truncation allows; the
-    caller monitors the equation residual of the projection."""
+    caller monitors the equation residual of the projection.  Per field
+    of a stack."""
     m_t = 2 * (2 * n_t_out + 1)
     m_x = 2 * (n_x_out + 1)
     vals = fn(evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE))
@@ -163,9 +175,11 @@ def chain_rule_defect(W: SpectralField, v: SpectralField, k: float, mu: float) -
 
     where r = W_t - mu W_xx + (W_x)^2/2 + v W_x - K is the S2 equation
     residual of (W, K).  Exact for arbitrary smooth (W, v, K); the defect
-    only measures the truncation of the projected exponential."""
+    only measures the truncation of the projected exponential.  Per field
+    of two stacks W and v, with k an array of one K per field."""
     if mu <= 0:
         raise ValueError("mu must be positive")
+    k = np.asarray(k, dtype=float)
     n_t_p = 4 * W.n_t
     n_x_p = 4 * W.n_x
     phi = _pointwise_map(W, lambda g: np.exp(-g / (2.0 * mu)), n_t_p, n_x_p)
@@ -180,19 +194,21 @@ def chain_rule_defect(W: SpectralField, v: SpectralField, k: float, mu: float) -
     w = d_x(W)
     vg = ev(v)
     wg = ev(w)
-    rg = ev(d_t(W)) - mu * ev(d_xx(W)) + 0.5 * wg**2 + vg * wg - k
+    rg = ev(d_t(W)) - mu * ev(d_xx(W)) + 0.5 * wg**2 + vg * wg - k[..., None, None]
     lhs = ev(lin) + vg * ev(phix)
     rhs = -(1.0 / (2.0 * mu)) * rg * ev(phi)
-    return float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
+    axes = (-2, -1)
+    return _per_field(np.abs(lhs - rhs).max(axis=axes) / np.maximum(1.0, np.abs(rhs).max(axis=axes)))
 
 
-def grid_min(u: SpectralField) -> float:
+def grid_min(u: SpectralField):
+    """The least value of u on a 4x oversampled grid, per field."""
     m_t = max(4 * (2 * u.n_t + 1), 8)
     m_x = max(4 * (u.n_x + 1), 8)
-    return float(evaluate(u, m_t, m_x).min())
+    return _per_field(evaluate(u, m_t, m_x).min(axis=(-2, -1)))
 
 
-def grid_max(u: SpectralField) -> float:
+def grid_max(u: SpectralField):
     return -grid_min(-1.0 * u)
 
 
@@ -203,7 +219,8 @@ def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     to maximum one.  The exponential leaves any fixed truncation, so phi
     is retained with three times the modes of W; the projection defect is
     measured pointwise against the exact exponential and must stay below
-    PROJECTION_TOL or the truncation was too coarse for W."""
+    PROJECTION_TOL or the truncation was too coarse for W.  Per field of
+    a stack; the error names the first field that fails."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     W = e.W
@@ -214,13 +231,16 @@ def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     m_t = 4 * (2 * phi.n_t + 1)
     m_x = 4 * (phi.n_x + 2)
     mid = Basis.NEUMANN_COSINE  # midpoint nodes
-    exact = np.exp(-evaluate(W, m_t, m_x, mid) / (2.0 * mu)) / top
-    defect = float(np.abs(evaluate(phi, m_t, m_x, mid) - exact).max())
-    if defect > PROJECTION_TOL:
-        raise ProjectionAccuracyError(
-            f"projected exponential misses its pointwise values by {defect:.3e} "
+    exact = np.exp(-evaluate(W, m_t, m_x, mid) / (2.0 * mu)) / np.asarray(top)[..., None, None]
+    defect = np.abs(evaluate(phi, m_t, m_x, mid) - exact).max(axis=(-2, -1)).ravel()
+    failed = np.flatnonzero(defect > PROJECTION_TOL)
+    if failed.size:
+        error = ProjectionAccuracyError(
+            f"projected exponential misses its pointwise values by {defect[failed[0]]:.3e} "
             f"(> {PROJECTION_TOL:g}); refine the truncation of W"
         )
+        error.sample = int(failed[0])
+        raise error
     return S3Element(phi, kp)
 
 
@@ -228,11 +248,12 @@ def s3_to_s2(e: S3Element, mu: float) -> S2Element:
     """Inverse map W = -2 mu log(phi), mean-normalized; K = 2 mu K'.
 
     This is the true inverse of phi = exp(-W/(2 mu)); the quotient
-    normalizations make the round trip an identity."""
+    normalizations make the round trip an identity.  Per field of a
+    stack."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     phi = e.phi
-    if grid_min(phi) <= 0.0:
+    if np.any(grid_min(phi) <= 0.0):
         raise NonpositivePhiError("phi is not strictly positive on the grid")
     W = _pointwise_map(phi, lambda g: -2.0 * mu * np.log(g), phi.n_t, phi.n_x)
     return S2Element(W, 2.0 * mu * e.K)

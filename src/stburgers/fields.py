@@ -9,6 +9,15 @@ in time.  The space bases are L2(0,1)-orthonormal:
     NeumannCosine:  q_0(x) = 1,  q_m(x) = sqrt(2) cos(m pi x),  m = 1..n_x
 
 so Parseval holds with unit weights and all norm formulas are diagonal.
+
+A SpectralField may also hold a stack of fields of one layout along
+leading sample axes.  The functions that say so act on each field of a
+stack and give, bit for bit, the stack of their results on the single
+fields: the stacked products (R X) B^T and R^T (V B) are one BLAS call
+per field, and the per-field sums over the two trailing axes of a
+contiguous stack add in the order of a single field's sum.  A per-field
+value is a float for a single field and an array of the leading shape
+for a stack.
 """
 
 from __future__ import annotations
@@ -85,13 +94,29 @@ def _mode_symbols(n_t: int, n_x: int, basis: Basis) -> ModeSymbols:
     return table
 
 
+def _per_field(x):
+    """A per-field value: a float for a single field, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _float_power(x, p):
+    """x ** p with Python's float power, per field: numpy's array power
+    rounds some last bits differently (x ** 2 in about 1 of 1200 draws)."""
+    if np.ndim(x) == 0:
+        return x ** p
+    return np.array([v ** p for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Coefficient array indexed by (time mode n, space mode m).
+    """Coefficient array indexed by (time mode n, space mode m), of shape
+    (..., 2 n_t + 1, cols): leading axes, if any, index the fields of a
+    stack.
 
     Row i holds time mode n = i - n_t, so rows run n = -n_t..n_t.
     Hermitian symmetry coeffs[-n, m] = conj(coeffs[n, m]) encodes that
-    the field is real valued.
+    the field is real valued.  The constructor keeps a read-only copy of
+    its array.
     """
 
     coeffs: np.ndarray
@@ -99,14 +124,13 @@ class SpectralField:
     n_x: int
     basis: Basis = Basis.DIRICHLET_SINE
 
+    # numpy defers to the field, so (array of per-field scalars) * field
+    # is __rmul__
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        expected = (2 * self.n_t + 1, space_columns(self.n_x, self.basis))
-        if c.shape != expected:
-            raise ValueError(
-                f"coefficient array has shape {c.shape}, expected {expected}"
-            )
-        c = c.copy()
+        c = np.asarray(self.coeffs, dtype=complex).copy()
+        _check_shape(c, self.n_t, self.n_x, self.basis)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -132,27 +156,59 @@ class SpectralField:
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(coeffs, self.n_t, self.n_x, self.basis)
 
+    def _own(self, coeffs: np.ndarray) -> "SpectralField":
+        """with_coeffs without the copy, for a fresh array; see _owned."""
+        return _owned(coeffs, self.n_t, self.n_x, self.basis)
+
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if not self.same_layout(other):
             raise BasisMismatchError("field layouts differ")
-        return self.with_coeffs(self.coeffs + other.coeffs)
+        return self._own(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if not self.same_layout(other):
             raise BasisMismatchError("field layouts differ")
-        return self.with_coeffs(self.coeffs - other.coeffs)
+        return self._own(self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return self.with_coeffs(self.coeffs * float(scalar))
+    def __mul__(self, scalar) -> "SpectralField":
+        """The field times a real scalar; a stack also takes one scalar
+        per field, an array of its leading shape."""
+        return self._own(self.coeffs * np.asarray(scalar, dtype=float)[..., None, None])
 
     __rmul__ = __mul__
 
-    def l2(self) -> float:
-        """L2(Q) norm via Parseval."""
-        return float(np.sqrt((np.abs(self.coeffs) ** 2).sum()))
+    def l2(self):
+        """L2(Q) norm via Parseval, per field."""
+        return _per_field(np.sqrt((np.abs(self.coeffs) ** 2).sum(axis=(-2, -1))))
 
     def hermitian_defect(self) -> float:
-        return float(np.abs(self.coeffs[::-1].conj() - self.coeffs).max())
+        return float(np.abs(self.coeffs[..., ::-1, :].conj() - self.coeffs).max())
+
+
+def _check_shape(c: np.ndarray, n_t: int, n_x: int, basis: Basis) -> None:
+    expected = (2 * n_t + 1, space_columns(n_x, basis))
+    if c.shape[-2:] != expected:
+        raise ValueError(f"coefficient array has shape {c.shape}, expected {expected}")
+
+
+def _owned(coeffs: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:
+    """SpectralField(coeffs, n_t, n_x, basis) without its copy: the field
+    takes over `coeffs`, a fresh complex array that nothing else holds,
+    and freezes it in place.  Every operator result is built this way."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    _check_shape(coeffs, n_t, n_x, basis)
+    coeffs.setflags(write=False)
+    u = object.__new__(SpectralField)
+    u.__dict__.update(coeffs=coeffs, n_t=n_t, n_x=n_x, basis=basis)
+    return u
+
+
+def stack(fields) -> SpectralField:
+    """The fields, all of one layout, as one stack along a new leading axis."""
+    u = fields[0]
+    if not all(u.same_layout(f) for f in fields):
+        raise BasisMismatchError("stacked fields must share a layout")
+    return _owned(np.stack([f.coeffs for f in fields]), u.n_t, u.n_x, u.basis)
 
 
 @dataclass(frozen=True)
@@ -241,8 +297,9 @@ def packed_time_matrix(n_t: int, m_t: int) -> np.ndarray:
 
 def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
     """Real values (R @ pack(c)) @ B.T of u on the m_t x m_x grid of the
-    node family `nodes` (by default the family of u's own basis); like
-    `pack`, it drops an anti-Hermitian part of the coefficients c."""
+    node family `nodes` (by default the family of u's own basis), per
+    field of a stack; like `pack`, it drops an anti-Hermitian part of the
+    coefficients c."""
     r = packed_time_matrix(u.n_t, m_t)
     b = space_matrix(u.n_x, m_x, u.basis if nodes is None else nodes, u.basis)
     return (r @ pack(u.coeffs)) @ b.T
@@ -250,32 +307,33 @@ def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -
 
 def analyse(values: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:
     """Exactly Hermitian analysis unpack(R^T (values B)) / (m_t w) of real
-    grid values on the node family of `basis`; the exact inverse of
-    `evaluate` on band-limited fields."""
-    m_t, m_x = values.shape
+    grid values on the node family of `basis`, per grid of a stack of
+    grids; the exact inverse of `evaluate` on band-limited fields."""
+    m_t, m_x = values.shape[-2:]
     r = packed_time_matrix(n_t, m_t)
     b = space_matrix(n_x, m_x, basis, basis)
     # discrete orthogonality weight: sum_i b_j(x_i)^2 = m_x+1 on sine
     # nodes and m_x on midpoint cosine nodes, for every basis function
     w = (m_x + 1) if basis is Basis.DIRICHLET_SINE else m_x
-    return SpectralField(unpack(r.T @ (values @ b) / (m_t * w)), n_t, n_x, basis)
+    x = r.T @ (values @ b)
+    x /= m_t * w
+    return _owned(unpack(x), n_t, n_x, basis)
 
 
 def zeros(n_t: int, n_x: int, basis: Basis = Basis.DIRICHLET_SINE) -> SpectralField:
     shape = (2 * n_t + 1, space_columns(n_x, basis))
-    return SpectralField(np.zeros(shape, dtype=complex), n_t, n_x, basis)
+    return _owned(np.zeros(shape, dtype=complex), n_t, n_x, basis)
 
 
 def truncate(u: SpectralField, n_t: int, n_x: int) -> SpectralField:
-    """Change the truncation of a field, dropping or zero-padding modes."""
-    out = zeros(n_t, n_x, u.basis)
-    coeffs = out.coeffs.copy()
+    """Change the truncation of a field, dropping or zero-padding modes;
+    per field of a stack."""
+    rows, cols = 2 * n_t + 1, space_columns(n_x, u.basis)
+    coeffs = np.zeros(u.coeffs.shape[:-2] + (rows, cols), dtype=complex)
     dt = min(n_t, u.n_t)
-    dx = min(space_columns(n_x, u.basis), space_columns(u.n_x, u.basis))
-    coeffs[n_t - dt : n_t + dt + 1, :dx] = u.coeffs[
-        u.n_t - dt : u.n_t + dt + 1, :dx
-    ]
-    return SpectralField(coeffs, n_t, n_x, u.basis)
+    dx = min(cols, space_columns(u.n_x, u.basis))
+    coeffs[..., n_t - dt : n_t + dt + 1, :dx] = u.coeffs[..., u.n_t - dt : u.n_t + dt + 1, :dx]
+    return _owned(coeffs, n_t, n_x, u.basis)
 
 
 def set_mode(
@@ -294,7 +352,7 @@ def set_mode(
     c = field.coeffs.copy()
     c[field.n_t + n, col] = value
     c[field.n_t - n, col] = np.conj(value)
-    return field.with_coeffs(c)
+    return field._own(c)
 
 
 def to_grid(u: SpectralField, m_t: int, m_x: int) -> GridField:
@@ -346,6 +404,7 @@ def product_cosine(
     modes up to n_x(u)+n_x(v) and time modes up to n_t(u)+n_t(v); the
     result is exact (to rounding) for any output truncation inside that
     band.  Grid sizes are padded so no aliasing reaches the retained modes.
+    Per field of two stacks.
     """
     if u.basis is not Basis.DIRICHLET_SINE or v.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("product_cosine expects Dirichlet-sine inputs")
@@ -357,31 +416,33 @@ def product_cosine(
         n_x_out = 2 * u.n_x
     m_t, m_x = _product_grid(u.n_t, u.n_x, n_t_out, n_x_out)
     # real values on the grid; evaluate drops an anti-Hermitian part
-    gu = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
-    gv = gu if v is u else evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
-    return analyse(gu * gv, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
+    g = evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE)
+    g *= g if v is u else evaluate(v, m_t, m_x, Basis.NEUMANN_COSINE)
+    return analyse(g, n_t_out, n_x_out, Basis.NEUMANN_COSINE)
 
 
 def pack(c: np.ndarray) -> np.ndarray:
-    """Real coordinates of the Hermitian part of a coefficient array.
+    """Real coordinates of the Hermitian part of a coefficient array, or
+    of each array of a stack (..., 2 n_t + 1, cols).
 
     Rows n >= 0 of h = (c[n] + conj(c[-n])) / 2 give, in one real array
     of c's shape, the row Re h[0], then the rows sqrt(2) Re h[n] and then
     sqrt(2) Im h[n] for n = 1..n_t.  The weights make pack an isometry on
     Hermitian arrays, |pack(c)|_2 = |c|_2, and its adjoint is `unpack`;
     the anti-Hermitian part of c is dropped."""
-    n_t = c.shape[0] // 2
-    h = 0.5 * (c[n_t:] + c[n_t::-1].conj())
-    h[1:] *= SQRT2
-    return np.concatenate([h.real, h[1:].imag])
+    n_t = c.shape[-2] // 2
+    h = 0.5 * (c[..., n_t:, :] + c[..., n_t::-1, :].conj())
+    h[..., 1:, :] *= SQRT2
+    return np.concatenate([h.real, h[..., 1:, :].imag], axis=-2)
 
 
 def unpack(x: np.ndarray) -> np.ndarray:
-    """The Hermitian coefficient array whose `pack` is the real array x."""
-    n_t = x.shape[0] // 2
-    upper = x[: n_t + 1].astype(complex)
-    upper[1:] = (x[1 : n_t + 1] + 1j * x[n_t + 1 :]) / SQRT2
-    return np.concatenate([upper[:0:-1].conj(), upper])
+    """The Hermitian coefficient array whose `pack` is the real array x,
+    per array of a stack."""
+    n_t = x.shape[-2] // 2
+    upper = x[..., : n_t + 1, :].astype(complex)
+    upper[..., 1:, :] = (x[..., 1 : n_t + 1, :] + 1j * x[..., n_t + 1 :, :]) / SQRT2
+    return np.concatenate([upper[..., :0:-1, :].conj(), upper], axis=-2)
 
 
 def _require_real(u: SpectralField, what: str) -> None:
@@ -506,4 +567,4 @@ def random_field(
     coeffs = np.empty((2 * n_t + 1, cols), dtype=complex)
     coeffs[n_t:] = upper
     coeffs[:n_t] = upper[1:][::-1].conj()
-    return SpectralField(coeffs, n_t, n_x, basis)
+    return _owned(coeffs, n_t, n_x, basis)

@@ -20,6 +20,9 @@ from .fields import (
     BasisMismatchError,
     SpectralField,
     GridField,
+    _float_power,
+    _owned,
+    _per_field,
     grid_quadrature,
     product_cosine,
     random_field,
@@ -46,8 +49,9 @@ def aniso_weight(u: SpectralField) -> np.ndarray:
     return u.symbols.aniso
 
 
-def aniso_norm(u: SpectralField) -> float:
-    return float(np.sqrt((aniso_weight(u) * np.abs(u.coeffs) ** 2).sum()))
+def aniso_norm(u: SpectralField):
+    """The anisotropic norm, per field of a stack."""
+    return _per_field(np.sqrt((aniso_weight(u) * np.abs(u.coeffs) ** 2).sum(axis=(-2, -1))))
 
 
 def outer_shell_weight(u: SpectralField) -> float:
@@ -148,8 +152,8 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
     hc[n_t - n, 1:] = np.where(rest, hmode.conj(), 0.0)
     # n = 0 row always rides the h channel (zero half-derivative multiplier)
     hc[n_t, 1:] = -f.coeffs[n_t] / m_pi[0]
-    g = SpectralField(gc, n_t, n_x, Basis.DIRICHLET_SINE)
-    h = SpectralField(hc, n_t, n_x, Basis.NEUMANN_COSINE)
+    g = _owned(gc, n_t, n_x, Basis.DIRICHLET_SINE)
+    h = _owned(hc, n_t, n_x, Basis.NEUMANN_COSINE)
     return ForcingDecomposition(g=g, h=h)
 
 
@@ -209,15 +213,17 @@ def interpolation_slack(
         sum wt^(1-theta) wx^theta |c|^2 <= (sum wt|c|^2)^(1-theta) (sum wx|c|^2)^theta
 
     with wt = (2 pi |n|)^(2 alpha), wx = (m pi)^(2 beta).  Nonpositive up
-    to roundoff for every field; the returned value clips at zero."""
+    to roundoff for every field; the returned value clips at zero.  Per
+    field of a stack."""
     if alpha < 0 or beta < 0 or not 0.0 <= theta <= 1.0:
         raise ValueError("need alpha, beta >= 0 and theta in [0, 1]")
     sq = np.abs(u.coeffs) ** 2
     wt = u.symbols.time_weight ** (2 * alpha)
     wx = u.symbols.m_pi ** (2 * beta)
-    lhs = (wt ** (1 - theta) * wx**theta * sq).sum()
-    rhs = (wt * sq).sum() ** (1 - theta) * (wx * sq).sum() ** theta
-    return max(0.0, (lhs - rhs) / max(rhs, 1e-300))
+    axes = (-2, -1)
+    lhs = (wt ** (1 - theta) * wx**theta * sq).sum(axis=axes)
+    rhs = _float_power((wt * sq).sum(axis=axes), 1 - theta) * _float_power((wx * sq).sum(axis=axes), theta)
+    return _per_field(np.maximum(0.0, (lhs - rhs) / np.maximum(rhs, 1e-300)))
 
 
 def energy_gap(f: SpectralField, u: SpectralField, mu: float) -> float:

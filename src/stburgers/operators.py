@@ -12,6 +12,8 @@ Burgers splitting
 
 is realized on coefficient arrays, with dual-space objects represented
 through the L2(Q) pairing in the same orthonormal modal coordinates.
+The multipliers, the space derivatives, `inner` and `apply_S` act on
+each field of a stack (see `fields`).
 """
 
 from __future__ import annotations
@@ -23,28 +25,30 @@ from .fields import (
     BasisMismatchError,
     SpectralField,
     _mode_symbols,
+    _owned,
+    _per_field,
     product_cosine,
 )
 
 
 def half_derivative(u: SpectralField) -> SpectralField:
     """D^{1/2}: time mode n times |2 pi n|^{1/2} e^{i sgn(n) pi/4}."""
-    return u.with_coeffs(u.coeffs * u.symbols.half)
+    return u._own(u.coeffs * u.symbols.half)
 
 
 def half_derivative_adjoint(u: SpectralField) -> SpectralField:
     """The L2 adjoint of D^{1/2}: the conjugate symbol."""
-    return u.with_coeffs(u.coeffs * u.symbols.half_adjoint)
+    return u._own(u.coeffs * u.symbols.half_adjoint)
 
 
 def hilbert(u: SpectralField) -> SpectralField:
     """H: time mode n times -i sgn(n)."""
-    return u.with_coeffs(u.coeffs * u.symbols.hilbert)
+    return u._own(u.coeffs * u.symbols.hilbert)
 
 
 def d_t(u: SpectralField) -> SpectralField:
     """Time derivative: time mode n times 2 pi i n."""
-    return u.with_coeffs(u.coeffs * u.symbols.d_t)
+    return u._own(u.coeffs * u.symbols.d_t)
 
 
 def d_x(u: SpectralField) -> SpectralField:
@@ -52,24 +56,26 @@ def d_x(u: SpectralField) -> SpectralField:
     m_pi = u.symbols.m_pi
     if u.basis is Basis.DIRICHLET_SINE:
         # d/dx sqrt(2) sin(m pi x) = m pi sqrt(2) cos(m pi x)
-        cols = u.n_x + 1
-        coeffs = np.zeros((u.coeffs.shape[0], cols), dtype=complex)
-        coeffs[:, 1:] = u.coeffs * m_pi
-        return SpectralField(coeffs, u.n_t, u.n_x, Basis.NEUMANN_COSINE)
+        coeffs = np.zeros(u.coeffs.shape[:-1] + (u.n_x + 1,), dtype=complex)
+        coeffs[..., 1:] = u.coeffs * m_pi
+        return _owned(coeffs, u.n_t, u.n_x, Basis.NEUMANN_COSINE)
     # d/dx sqrt(2) cos(m pi x) = -m pi sqrt(2) sin(m pi x)
-    coeffs = -u.coeffs[:, 1:] * m_pi[:, 1:]
-    return SpectralField(coeffs, u.n_t, u.n_x, Basis.DIRICHLET_SINE)
+    coeffs = -u.coeffs[..., 1:] * m_pi[:, 1:]
+    return _owned(coeffs, u.n_t, u.n_x, Basis.DIRICHLET_SINE)
 
 
 def d_xx(u: SpectralField) -> SpectralField:
-    return u.with_coeffs(u.coeffs * -u.symbols.space_weight)
+    return u._own(u.coeffs * -u.symbols.space_weight)
 
 
-def inner(u: SpectralField, v: SpectralField) -> float:
-    """L2(Q) inner product of two real fields in the same basis."""
-    if not u.same_layout(v):
+def inner(u: SpectralField, v: SpectralField):
+    """L2(Q) inner product of two real fields in the same basis, per field
+    of two stacks of one shape: one np.vdot per field."""
+    if not u.same_layout(v) or u.coeffs.shape != v.coeffs.shape:
         raise BasisMismatchError("inner product requires matching layouts")
-    return float(np.vdot(v.coeffs, u.coeffs).real)
+    lead, field = u.coeffs.shape[:-2], u.coeffs.shape[-2:]
+    pairs = zip(v.coeffs.reshape(-1, *field), u.coeffs.reshape(-1, *field))
+    return _per_field(np.array([np.vdot(a, b).real for a, b in pairs]).reshape(lead))
 
 
 def linear_symbol(n_t: int, n_x: int, mu: float) -> np.ndarray:
@@ -85,7 +91,7 @@ def apply_L(u: SpectralField, mu: float) -> SpectralField:
     if u.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("L acts on Dirichlet-sine fields")
     lam = linear_symbol(u.n_t, u.n_x, mu)
-    return u.with_coeffs(u.coeffs * lam)
+    return u._own(u.coeffs * lam)
 
 
 def invert_L(f: SpectralField, mu: float) -> SpectralField:
@@ -93,7 +99,7 @@ def invert_L(f: SpectralField, mu: float) -> SpectralField:
     if f.basis is not Basis.DIRICHLET_SINE:
         raise BasisMismatchError("L acts on Dirichlet-sine fields")
     lam = linear_symbol(f.n_t, f.n_x, mu)
-    return f.with_coeffs(f.coeffs / lam)
+    return f._own(f.coeffs / lam)
 
 
 def apply_S(u: SpectralField) -> SpectralField:

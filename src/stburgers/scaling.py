@@ -53,7 +53,7 @@ class PhysicalField:
 
 def time_reverse(u: SpectralField) -> SpectralField:
     """Coefficients of u(-t, x): time-mode rows reversed."""
-    return u.with_coeffs(u.coeffs[::-1].copy())
+    return u._own(u.coeffs[::-1].copy())
 
 
 def normalize(p: PhysicalProblem) -> tuple[float, SpectralField, bool]:

@@ -372,7 +372,7 @@ def _newton(f: SpectralField, u0: SpectralField, cfg: SolverConfig) -> SolveRepo
         raise BasisMismatchError("field layouts differ")
     packed = _Packed(f, cfg.mu)
     rhs = pack(f.coeffs)
-    skew = dual_norm(f.with_coeffs(0.5 * (f.coeffs - f.coeffs[::-1].conj())))
+    skew = dual_norm(f._own(0.5 * (f.coeffs - f.coeffs[::-1].conj())))
 
     def evaluate(x):
         # the iterate's values g on the grid, which are those of the
@@ -382,7 +382,7 @@ def _newton(f: SpectralField, u0: SpectralField, cfg: SolverConfig) -> SolveRepo
         return g, res, math.hypot(packed.dual(res), skew)
 
     def report(x, rd, iters, message=""):
-        u = u0 if x is start else u0.with_coeffs(unpack(x))
+        u = u0 if x is start else u0._own(unpack(x))
         return SolveReport(
             u=u, residual_dual=rd, newton_iters=iters, lambda_path=history,
             success=not message, message=message,
@@ -533,7 +533,7 @@ def _homotopy(f: SpectralField, cfg: SolverConfig, bound: float | None) -> Solve
             pending.insert(0, 0.5 * (prev_lam + lam))
             bisections += 1
             continue
-        u = report.u.with_coeffs(report.u.coeffs / lam)
+        u = report.u._own(report.u.coeffs / lam)
         last = report
         path.append((lam, report.residual_dual / lam, aniso_norm(u)))
         prev_lam = lam

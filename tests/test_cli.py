@@ -413,6 +413,14 @@ def test_colehopf_stage_failure_is_a_solver_failure(tmp_path, capsys, monkeypatc
         ),
         ("sweep", "sweep_mu", 'sweep={"param":"n_modes","values":[1]}', "config.forcing.modes[2]: mode (n=1, m=2)"),
         ("sweep", "sweep_mu", 'solver={"method":"x"}', "config.solver.method"),
+        # a viscosity whose mu * pi**2 is subnormal or overflows: the
+        # symbol of L loses its bits and the solve ran on NaN
+        ("solve", None, "mu=1e-310", "config.mu: mu * pi**2 must be a normal float"),
+        ("solve", None, "mu=1e308", "config.mu: mu * pi**2 must be a normal float"),
+        ("verify", None, "mu=1e-310", "config.mu"),
+        ("colehopf", None, "mu=1e-310", "config.mu"),
+        ("sweep", "sweep_mu", "sweep.values=[1.0,1e-310]", "config.sweep.values[1]: mu * pi**2"),
+        ("scale", None, "viscosity=1e-320", "config.viscosity: the normalized viscosity"),
         # keys that no command takes, misspelt or retired
         ("solve", None, "solver.newton_tl=5", "config.solver.newton_tl"),
         ("solve", None, "outputs.report_pth=x.json", "config.outputs.report_pth"),

@@ -1,11 +1,19 @@
 """The verify suite draws each sample once and measures every sample
-invariant on it; its results equal those of one loop over the samples
-per check, the suite's former layout, kept here as the oracle."""
+invariant on it, a block of samples at a time; its results equal those
+of one loop over the samples per check, the suite's former layout, kept
+here as the oracle.  Its Cole-Hopf check, also a block of cases at a
+time, equals the former loop over the cases one at a time."""
+
+import re
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stburgers import colehopf as ch
+from stburgers import fields as fd
 from stburgers import norms as nm
 from stburgers import operators as op
 from stburgers import verify as vf
@@ -111,6 +119,38 @@ def oracle(cfg):
     )
 
 
+def colehopf_oracle(cfg):
+    """The Cole-Hopf invariants by one loop over the cases, one case at a
+    time, the check's former layout."""
+    worst_rt = 0.0
+    worst_chain = 0.0
+    rt_detail = ""
+    rng = np.random.default_rng(cfg.seed + 2)
+    n_t, n_x = 4, 5
+    for i in range(min(cfg.n_samples, 100)):
+        seq = np.random.SeedSequence([cfg.seed, 1000 + i])
+        s = int(seq.generate_state(1)[0])
+        w = 0.4 * fd.random_field(s, n_t, n_x, 2.5)
+        v = 0.5 * fd.random_field(s + 1, n_t, n_x, 2.5)
+        e2 = ch.S2Element(ch.antiderivative_x(w), float(rng.normal()))
+        W, k = e2.W, e2.K
+        worst_chain = max(worst_chain, ch.chain_rule_defect(W, v, k, cfg.mu))
+        if rt_detail:
+            continue
+        try:
+            e3 = ch.s2_to_s3(e2, cfg.mu)
+        except ch.ProjectionAccuracyError as e:
+            worst_rt, rt_detail = np.inf, f"s2_to_s3: {e}"
+            continue
+        back = ch.s3_to_s2(e3, cfg.mu)
+        wb = fd.truncate(back.W, W.n_t, W.n_x)
+        worst_rt = max(worst_rt, (wb - W).l2() + abs(back.K - k))
+    return [
+        vf._result("colehopf_roundtrip", worst_rt, rt_detail),
+        vf._result("chain_rule_identity", worst_chain),
+    ]
+
+
 def _bits(results):
     return [(r.name, r.value.hex(), r.tolerance, r.passed, r.detail) for r in results]
 
@@ -119,21 +159,101 @@ def _assert_one_pass_is_the_oracle(cfg):
     results = vf.run_suite(cfg)
     assert sorted(r.name for r in results) == sorted(vf.TOLERANCES)
     assert _bits(results[:N_SAMPLE_INVARIANTS]) == _bits(oracle(cfg))
+    assert _bits(results[N_SAMPLE_INVARIANTS : N_SAMPLE_INVARIANTS + 2]) == _bits(colehopf_oracle(cfg))
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    n_samples=st.integers(1, 6),
+    n_samples=st.integers(1, 25),
     mu=st.floats(0.05, 2.0),
 )
 def test_one_pass_gives_the_bits_of_the_four_loops(seed, n_samples, mu):
+    # up to four blocks of samples, the last one ragged
     _assert_one_pass_is_the_oracle(vf.VerifyConfig(seed=seed, n_samples=n_samples, mu=mu))
 
 
 def test_one_pass_gives_the_bits_of_the_four_loops_at_the_default_config():
     # 100 samples, the count the verify command runs by default
     _assert_one_pass_is_the_oracle(vf.VerifyConfig())
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_samples=st.integers(1, 25),
+    block=st.integers(1, 11),
+    mu=st.sampled_from([0.01, 0.03, 0.1, 1.0]),
+)
+def test_any_block_size_gives_the_bits_of_the_loops(seed, n_samples, block, mu):
+    # the round trip fails at the first case at mu = 0.01, and at mu = 0.03
+    # often at a later one (case 3, 9, 1 or 2 at seeds 0, 1, 5 and 7)
+    cfg = vf.VerifyConfig(seed=seed, n_samples=n_samples, mu=mu)
+    with mock.patch.object(vf, "BLOCK", block):
+        assert _bits(vf._sample_results(cfg)) == _bits(oracle(cfg))
+        assert _bits(vf.check_colehopf(cfg)) == _bits(colehopf_oracle(cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_block_gives_each_sample_the_values_it_gives_alone(seed):
+    # each per-sample value, not only the largest, of one block of 25
+    cfg = vf.VerifyConfig(seed=seed, n_samples=25, mu=0.3)
+    samples = list(vf._samples(cfg))
+
+    def values(u):
+        d = op.half_derivative(u)
+        return {
+            **vf.check_operator_identities(u, d),
+            **vf.check_linear_solver(u, d, cfg.mu),
+            **vf.check_nonlinear_structure(u),
+            **vf.check_interpolation(u),
+        }
+
+    alone = [values(u) for u in samples]
+    block = values(fd.stack(samples))
+    assert sorted(block) == sorted(vf.SAMPLE_INVARIANTS)
+    for name, together in block.items():
+        assert [float(x).hex() for x in together] == [float(a[name]).hex() for a in alone], name
+
+
+def _projection_defects(cfg):
+    """The pointwise miss of each Cole-Hopf case's projected exponential,
+    to the three digits of its error message."""
+    misses = []
+    with mock.patch.object(ch, "PROJECTION_TOL", -1.0):
+        for w, _, k in vf._colehopf_cases(cfg):
+            with pytest.raises(ch.ProjectionAccuracyError) as info:
+                ch.s2_to_s3(ch.S2Element(ch.antiderivative_x(w), k), cfg.mu)
+            misses.append(float(re.search(r"by (\S+) ", str(info.value)).group(1)))
+    return misses
+
+
+def test_a_round_trip_that_fails_inside_a_block_is_the_first_failure(monkeypatch):
+    # a tolerance between the largest miss of the cases before case j and
+    # the miss of case j, which lies inside a block: case j fails first
+    cfg = vf.VerifyConfig(seed=3, n_samples=4 * vf.BLOCK, mu=0.5)
+    misses = _projection_defects(cfg)
+    j = next(
+        j for j in range(1, len(misses))
+        if j % vf.BLOCK and misses[j] > 1.1 * max(misses[:j])
+    )
+    monkeypatch.setattr(ch, "PROJECTION_TOL", (misses[j] * max(misses[:j])) ** 0.5)
+    seen = []
+    s3_to_s2 = ch.s3_to_s2
+
+    def spied(e, mu):
+        seen.extend(np.ravel(e.K).tolist())
+        return s3_to_s2(e, mu)
+
+    monkeypatch.setattr(ch, "s3_to_s2", spied)
+    results = vf.check_colehopf(cfg)
+    ks = [k for _, _, k in vf._colehopf_cases(cfg)]
+    # no case after the failing one goes round; those before it do
+    assert sorted(seen) == sorted(k / (2.0 * cfg.mu) for k in ks[:j])
+    assert results[0].value == np.inf and not results[0].passed
+    assert results[0].detail.startswith("s2_to_s3: projected exponential misses")
+    monkeypatch.setattr(ch, "s3_to_s2", s3_to_s2)
+    assert _bits(results) == _bits(colehopf_oracle(cfg))
 
 
 def test_the_samples_are_drawn_once_per_suite(monkeypatch):
