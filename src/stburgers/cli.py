@@ -321,14 +321,21 @@ def report_header(command: str) -> dict:
     }
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write the `header` cells and then each row of cells to `path`,
+    the file of config.outputs.field_csv_path, one comma-joined line each."""
+    lines = (",".join(cells) + "\n" for cells in itertools.chain([header], rows))
+    _write_output(path, "field_csv_path", lines)
+
+
 def write_field_csv(path: str, times, xs, values) -> None:
     """Write values[i, j] at (times[i], xs[j]) as a `t,x,u` dump."""
     rows = (
-        f"{t:.17g},{x:.17g},{values[i, j]:.17g}\n"
+        (f"{t:.17g}", f"{x:.17g}", f"{values[i, j]:.17g}")
         for i, t in enumerate(times)
         for j, x in enumerate(xs)
     )
-    _write_output(path, "field_csv_path", itertools.chain(["t,x,u\n"], rows))
+    _write_csv(path, ("t", "x", "u"), rows)
 
 
 def read_field_csv(path: str):
@@ -456,7 +463,9 @@ def _common_problem(cfg: dict, csv_path: str | None):
 
 def _outputs(cfg: dict, command: str):
     """(report_path, field_csv_path) of config.outputs, a mapping of the
-    OUTPUT_KEYS of `command`; None where a key is absent."""
+    OUTPUT_KEYS of `command`; None where a key is absent.  The two must
+    be distinct files, also through links, or one write would overwrite
+    the other."""
     o = _mapping(cfg.get("outputs", {}), "config.outputs", OUTPUT_KEYS[command])
     paths = []
     for key in ("report_path", "field_csv_path"):
@@ -470,6 +479,11 @@ def _outputs(cfg: dict, command: str):
                 f"config.outputs.{key}: cannot write {path!r} (not a file in a writable directory)"
             )
         paths.append(path)
+    if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise ConfigError(
+            f"config.outputs.field_csv_path: {paths[1]!r} is the file of "
+            f"config.outputs.report_path ({paths[0]!r}); the two must be distinct files"
+        )
     return paths
 
 
@@ -560,6 +574,19 @@ def _sweep_row(param: str, value, forcing, solve, scfg) -> dict:
     return row
 
 
+def _sweep_cells(row: dict) -> tuple:
+    """The cells of a sweep row in its rows CSV; empty where it failed."""
+    norms = row.get("norms", {})
+    return (
+        _fmt(float(row["value"])),
+        "1" if row["success"] else "0",
+        str(row.get("newton_iterations", "")),
+        _fmt(row["residual_dual"]) if "residual_dual" in row else "",
+        _fmt(norms["l2"]) if norms else "",
+        _fmt(norms["aniso"]) if norms else "",
+    )
+
+
 def cmd_sweep(cfg: dict, doc: dict, csv_path: str | None) -> int:
     sweep = _mapping(_get(cfg, "sweep", dict), "config.sweep", ("param", "values"))
     param = _get(sweep, "param", str, where="config.sweep")
@@ -574,19 +601,8 @@ def cmd_sweep(cfg: dict, doc: dict, csv_path: str | None) -> int:
     doc["rows"] = rows
     doc["all_succeeded"] = all(r["success"] for r in rows)
     if csv_path:
-        lines = ["value,success,newton_iterations,residual_dual,l2,aniso\n"]
-        for r in rows:
-            norms = r.get("norms", {})
-            cells = [
-                _fmt(float(r["value"])),
-                "1" if r["success"] else "0",
-                str(r.get("newton_iterations", "")),
-                _fmt(r["residual_dual"]) if "residual_dual" in r else "",
-                _fmt(norms["l2"]) if norms else "",
-                _fmt(norms["aniso"]) if norms else "",
-            ]
-            lines.append(",".join(cells) + "\n")
-        _write_output(csv_path, "field_csv_path", lines)
+        header = ("value", "success", "newton_iterations", "residual_dual", "l2", "aniso")
+        _write_csv(csv_path, header, map(_sweep_cells, rows))
     return EXIT_OK if doc["all_succeeded"] else EXIT_SOLVER
 
 

@@ -36,6 +36,7 @@ from .fields import (
     _per_field,
     analyse,
     evaluate,
+    evaluate_at,
     product_cosine,
     random_field,
     space_matrix,
@@ -75,7 +76,7 @@ class NonpositivePhiError(StburgersError, ValueError):
     """S3 representative is not strictly positive on the grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class S2Element:
     """A potential (W, K) of S2; W is taken modulo constants, and the
     representative kept has zero space-time mean.  For a stack W, K holds
@@ -90,7 +91,7 @@ class S2Element:
         object.__setattr__(self, "W", self.W._own(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class S3Element:
     """A density (phi, K') of S3 with K' = K/(2 mu); phi is taken modulo
     positive scaling."""
@@ -208,10 +209,6 @@ def grid_min(u: SpectralField):
     return _per_field(evaluate(u, m_t, m_x).min(axis=(-2, -1)))
 
 
-def grid_max(u: SpectralField):
-    return -grid_min(-1.0 * u)
-
-
 def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     """phi = exp(-W/(2 mu)) on a padded grid, re-projected; K' = K/(2 mu).
 
@@ -225,7 +222,7 @@ def s2_to_s3(e: S2Element, mu: float) -> S3Element:
         raise ValueError("mu must be positive")
     W = e.W
     phi = _pointwise_map(W, lambda g: np.exp(-g / (2.0 * mu)), 3 * W.n_t, 3 * W.n_x)
-    top = grid_max(phi)
+    top = -grid_min(-1.0 * phi)
     phi = (1.0 / top) * phi
     kp = e.K / (2.0 * mu)
     m_t = 4 * (2 * phi.n_t + 1)
@@ -263,8 +260,10 @@ def s3_to_s2(e: S3Element, mu: float) -> S2Element:
 # Period (monodromy) map of the linear advection-diffusion flow
 
 
-# Steps whose propagators are formed and multiplied together at once;
-# bounds the period map's temporaries at a few block x (n_x+1)^2 floats.
+# Steps whose propagators are formed and multiplied together at once,
+# and whose times v is evaluated at at once (`evaluate_at`); bounds the
+# period map's temporaries at a few block x (n_x+1)^2 floats, whatever
+# the number of steps.
 PERIOD_MAP_BLOCK = 64
 
 
@@ -293,7 +292,6 @@ class PeriodMap:
         mid = Basis.NEUMANN_COSINE  # midpoint nodes
         bs = space_matrix(n_x, m_x, mid, Basis.DIRICHLET_SINE)      # sine eval
         bc = space_matrix(n_x, m_x, mid, Basis.NEUMANN_COSINE)      # cosine eval
-        bv = space_matrix(v.n_x, m_x, mid, Basis.DIRICHLET_SINE)    # v eval
         symbols = _mode_symbols(v.n_t, n_x, Basis.NEUMANN_COSINE)
         # cosine mode m differentiates to -m*pi times sine mode m
         grad = np.zeros((m_x, n))
@@ -302,15 +300,12 @@ class PeriodMap:
         # sum over nodes x of analysis[i, x] vgrid[k, x] grad[x, j]
         q = ((bc / m_x)[:, :, None] * grad[:, None, :]).reshape(m_x, n * n)
         dt = 1.0 / steps
-        freqs = symbols.d_t[:, 0]
         diff = np.diag(mu * -symbols.space_weight[0])
         eye = np.eye(n)
         self.matrix = eye
         for lo in range(0, steps, PERIOD_MAP_BLOCK):
             hi = min(lo + PERIOD_MAP_BLOCK, steps)
-            times = np.arange(lo, hi + 1) * dt
-            e = np.exp(freqs[None, :] * times[:, None])
-            vgrid = ((e @ v.coeffs) @ bv.T).real  # (hi-lo+1, m_x)
+            vgrid = evaluate_at(v, np.arange(lo, hi + 1) * dt, m_x, mid)  # (hi-lo+1, m_x)
             a = diff - (vgrid @ q).reshape(-1, n, n)
             props = np.linalg.solve(eye - 0.5 * dt * a[1:], eye + 0.5 * dt * a[:-1])
             self.matrix = _chain_product(props) @ self.matrix

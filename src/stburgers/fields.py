@@ -36,7 +36,8 @@ SQRT2 = np.sqrt(2.0)
 # used one; configs/verify.json (its Cole-Hopf chain included) uses 10
 # time and 24 space layouts (0.31 MB in all), and with configs/colehopf.json
 # run in the same process 14 and 31 (0.54 MB); either way one advection
-# grid (12 kB) and 9 mode-symbol layouts (_mode_symbols, 68 kB)
+# grid (12 kB) and 9 mode-symbol layouts (_mode_symbols, 68 kB); the
+# period map's times (`evaluate_at`) take no time layout
 TRANSFORM_CACHE_SIZE = 64
 
 
@@ -107,7 +108,7 @@ def _float_power(x, p):
     return np.array([v ** p for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Coefficient array indexed by (time mode n, space mode m), of shape
     (..., 2 n_t + 1, cols): leading axes, if any, index the fields of a
@@ -116,7 +117,8 @@ class SpectralField:
     Row i holds time mode n = i - n_t, so rows run n = -n_t..n_t.
     Hermitian symmetry coeffs[-n, m] = conj(coeffs[n, m]) encodes that
     the field is real valued.  The constructor keeps a read-only copy of
-    its array.
+    its array.  Fields compare by identity; compare `coeffs` to compare
+    values.
     """
 
     coeffs: np.ndarray
@@ -211,7 +213,7 @@ def stack(fields) -> SpectralField:
     return _owned(np.stack([f.coeffs for f in fields]), u.n_t, u.n_x, u.basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Real values on the tensor collocation grid.
 
@@ -289,10 +291,15 @@ def packed_time_matrix(n_t: int, m_t: int) -> np.ndarray:
     splits coefficients.  R x are the values in time of unpack(x),
     unpack(R^T g) is E^H g for real g, and R^T R = m_t I when
     m_t > 2 n_t."""
-    e = time_eval_matrix(n_t, m_t)[:, n_t:]
-    r = np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+    r = _packed_rows(time_eval_matrix(n_t, m_t)[:, n_t:])
     r.setflags(write=False)
     return r
+
+
+def _packed_rows(e: np.ndarray) -> np.ndarray:
+    """The packed time rows [1, sqrt 2 Re e[t, n], -sqrt 2 Im e[t, n]],
+    n = 1..n_t, of the exponentials e[t, n] = exp(2 pi i n t), n = 0..n_t."""
+    return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
 
 
 def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -> np.ndarray:
@@ -303,6 +310,16 @@ def evaluate(u: SpectralField, m_t: int, m_x: int, nodes: Basis | None = None) -
     r = packed_time_matrix(u.n_t, m_t)
     b = space_matrix(u.n_x, m_x, u.basis if nodes is None else nodes, u.basis)
     return (r @ pack(u.coeffs)) @ b.T
+
+
+def evaluate_at(u: SpectralField, times: np.ndarray, m_x: int, nodes: Basis) -> np.ndarray:
+    """`evaluate` at the given times in place of a time grid's nodes, per
+    field of a stack: the values at a few of a long grid's times, say one
+    block of them, without that grid's whole time matrix.  Uncached; at
+    the nodes of a grid it gives evaluate's bits."""
+    e = np.exp(2j * np.pi * np.arange(u.n_t + 1) * np.asarray(times)[:, None])
+    b = space_matrix(u.n_x, m_x, nodes, u.basis)
+    return (_packed_rows(e) @ pack(u.coeffs)) @ b.T
 
 
 def analyse(values: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:

@@ -44,14 +44,9 @@ class NormReport:
     aniso: float
 
 
-def aniso_weight(u: SpectralField) -> np.ndarray:
-    """w(n, m) = 1 + 2 pi |n| + (m pi)^2 on the truncation of u, read-only."""
-    return u.symbols.aniso
-
-
 def aniso_norm(u: SpectralField):
     """The anisotropic norm, per field of a stack."""
-    return _per_field(np.sqrt((aniso_weight(u) * np.abs(u.coeffs) ** 2).sum(axis=(-2, -1))))
+    return _per_field(np.sqrt((u.symbols.aniso * np.abs(u.coeffs) ** 2).sum(axis=(-2, -1))))
 
 
 def outer_shell_weight(u: SpectralField) -> float:
@@ -93,8 +88,7 @@ def norm_report(u: SpectralField) -> NormReport:
 
 def dual_norm(f: SpectralField) -> float:
     """Exact norm of f in the dual of the chosen anisotropic space."""
-    w = aniso_weight(f)
-    return float(np.sqrt((np.abs(f.coeffs) ** 2 / w).sum()))
+    return float(np.sqrt((np.abs(f.coeffs) ** 2 / f.symbols.aniso).sum()))
 
 
 @dataclass(frozen=True)

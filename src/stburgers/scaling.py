@@ -42,7 +42,7 @@ class PhysicalProblem:
             raise ValueError("viscosity must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalField:
     """Solution samples in physical units on a tensor grid."""
 

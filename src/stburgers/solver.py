@@ -9,7 +9,7 @@ and that one g gives both its residual,
 T(u) - f = L X + (1 / 2) R^T ((g * g) C) - pack(f), and the next
 linearization T'(u), the advection by the field with values g.
 The dual norm of a residual is |W res|_2, W the diagonal
-1 / sqrt(aniso_weight) in packed layout.
+1 / sqrt(ModeSymbols.aniso) in packed layout.
 
 The linearized equations T'(m) w = r are solved to a dual-residual gate.
 The size of the system picks how a correction is found: small systems
@@ -54,7 +54,7 @@ from .fields import (
     Basis, BasisMismatchError, SpectralField, _mode_symbols, advection_grid, pack, truncate, unpack,
     zeros,
 )
-from .norms import aniso_norm, aniso_weight, apriori_bound, dual_norm, outer_shell_weight
+from .norms import aniso_norm, apriori_bound, dual_norm, outer_shell_weight
 from .operators import apply_L, invert_L, linear_symbol
 
 
@@ -128,7 +128,7 @@ class _Packed:
     """The parts of T on the packed (`pack`) coordinates X of the
     truncation of a Dirichlet-sine field u, (2 n_t + 1) x n_x real arrays:
     the AdvectionGrid of the product, the symbol of L and the dual
-    weights W, 1 / sqrt(aniso_weight) laid out as `pack` lays out rows, so
+    weights W, 1 / sqrt(ModeSymbols.aniso) laid out as `pack` lays out rows, so
     |W pack(r)|_2 = dual_norm(r) for Hermitian r.  L and W are read from
     the truncation's mode table (`fields.ModeSymbols`).  The packed
     layout of L lives here alone: `apply_L` applies it and `matrix` writes
@@ -140,7 +140,7 @@ class _Packed:
         sym = linear_symbol(n_t, u.n_x, mu)[n_t:]  # n >= 0
         self.diffusion = np.concatenate([sym.real, sym.real[1:]])
         self.frequency = sym.imag[1:]
-        root = np.sqrt(aniso_weight(u)[n_t:])  # even in n
+        root = np.sqrt(u.symbols.aniso[n_t:])  # even in n
         self.weight = 1.0 / np.concatenate([root, root[1:]])
 
     def apply_L(self, x: np.ndarray) -> np.ndarray:

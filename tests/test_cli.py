@@ -585,6 +585,33 @@ def test_dangling_report_link_fails_before_any_sweep_row(tmp_path, monkeypatch, 
     assert not (tmp_path / "sweep_rows.csv").exists()
 
 
+@pytest.mark.parametrize("command, config", [("solve", "solve"), ("sweep", "sweep_mu")])
+@pytest.mark.parametrize("link", [False, True])
+def test_outputs_naming_one_file_are_a_config_error(tmp_path, monkeypatch, capsys, command, config, link):
+    # the report would overwrite the field (or rows) CSV: refused before
+    # any solve, whether both keys name the file or the CSV's key names a
+    # link to the report
+    monkeypatch.chdir(tmp_path)
+    csv = "out.txt"
+    if link:
+        (tmp_path / "link.txt").symlink_to(tmp_path / "out.txt")
+        csv = "link.txt"
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    monkeypatch.setattr(solver, "homotopy_solve", no_solve)
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"),
+            "--override", "outputs.report_path=out.txt", "--override", f"outputs.field_csv_path={csv}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config.outputs.field_csv_path:" in err and "must be distinct files" in err
+    assert solves == []
+    assert sorted(os.listdir(tmp_path)) == (["link.txt"] if link else [])
+
+
 def test_verify_defaults_are_verify_config_defaults(tmp_path, monkeypatch, capsys):
     seen = []
 
@@ -745,6 +772,19 @@ def test_output_grid_past_the_array_budget_is_a_config_error(tmp_path, monkeypat
     assert "Traceback" not in err
     assert solves == []
     assert os.listdir(tmp_path) == []
+
+
+def test_monodromy_steps_hold_no_array_of_their_own(tmp_path, monkeypatch):
+    # the period map evaluates v a block of steps at a time, so no array
+    # grows with monodromy_steps: at 1000 steps, whose time matrix alone
+    # would take 272 kB, a 256 kB budget still covers configs/colehopf.json
+    assert cli._largest_array(8, 8)[1] < 2**18 < 16 * 1000 * (2 * 8 + 1)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 2**18)
+    monkeypatch.chdir(tmp_path)
+    argv = ["colehopf", "--config", str(CONFIGS / "colehopf.json"), "--override", "monodromy_steps=1000"]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "colehopf_report.json").read_text())
+    assert doc["rho"] == 1.0 and doc["eigfun_flatness"] == 0.0
 
 
 def write_grid_csv(path, times, xs, fn, rng=None):

@@ -14,7 +14,6 @@ from stburgers.colehopf import (
     S3Element,
     antiderivative_x,
     chain_rule_defect,
-    grid_max,
     grid_min,
     lift_s1_to_s2,
     monodromy_leading_pair,
@@ -108,7 +107,7 @@ def test_s2_s3_round_trip_is_exact():
         W = zero_mean_potential(seed)
         e2 = S2Element(W, 0.3 * seed - 0.2)
         e3 = s2_to_s3(e2, mu)
-        assert abs(grid_max(e3.phi) - 1.0) < 1e-12
+        assert abs(-grid_min(-1.0 * e3.phi) - 1.0) < 1e-12
         assert grid_min(e3.phi) > 0.0
         back = s3_to_s2(e3, mu)
         diff = truncate(back.W, W.n_t, W.n_x) - W
@@ -130,7 +129,7 @@ def test_s2_s3_round_trip_over_random_truncations(n_t, n_x, mu, seed):
     W = zero_mean_potential(seed, n_t, n_x)
     k = float(np.random.default_rng(seed).uniform(-1.0, 1.0))
     e3 = s2_to_s3(S2Element(W, k), mu)
-    assert abs(grid_max(e3.phi) - 1.0) < 1e-12
+    assert abs(-grid_min(-1.0 * e3.phi) - 1.0) < 1e-12
     assert grid_min(e3.phi) > 0.0
     back = s3_to_s2(e3, mu)
     assert (truncate(back.W, n_t, n_x) - W).l2() < 1e-12
@@ -239,6 +238,36 @@ def test_period_map_matches_step_oracle(n_x, v_n_t, v_n_x, mu, steps, seed):
     e0 = np.zeros(n_x + 1)
     e0[0] = 1.0
     assert np.array_equal(pmap.matrix[:, 0], e0)  # constants are fixed points
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0])
+@pytest.mark.parametrize("steps", [1, 2, B - 1, B, B + 1, 100, 512])
+def test_period_map_matches_the_complex_evaluation(steps, mu):
+    # the oracle evaluates v by the complex time matrix exp(2 pi i n t);
+    # v layouts with n_t = 0..8, also where steps < 2 n_t + 1, and maps
+    # whose last block is ragged (65, 100)
+    for v_n_t in range(9):
+        v = 2.0 * random_field(v_n_t, v_n_t, 2 + v_n_t % 5, 2.0)
+        ref = step_oracle(v, mu, steps, 6, np.eye(7))
+        got = PeriodMap(v, mu, steps, n_x=6).matrix
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_period_map_outputs_stay_exact(seed):
+    # what the reports print of the period map is exact: the pair of a
+    # map whose other eigenvalues lie in the unit disc and verify's floor
+    from stburgers.verify import VerifyConfig, check_positivity
+
+    v = 2.0 * random_field(seed, 4, 6, 2.0)
+    e0 = np.zeros(7)
+    e0[0] = 1.0
+    for mu in (0.1, 1.0):
+        rho, psi = monodromy_leading_pair(v, mu, colehopf.MONODROMY_STEPS)
+        assert rho == 1.0
+        assert np.array_equal(psi, e0)
+    (floor,) = check_positivity(VerifyConfig(seed=seed))
+    assert floor.value == 0.0
 
 
 def test_profile_projection_round_trip():

@@ -14,6 +14,7 @@ from stburgers.fields import (
     advection_grid,
     analyse,
     evaluate,
+    evaluate_at,
     grid_quadrature,
     pack,
     packed_time_matrix,
@@ -25,6 +26,7 @@ from stburgers.fields import (
     space_matrix,
     space_nodes,
     time_eval_matrix,
+    time_nodes,
     to_grid,
     to_spectral,
     truncate,
@@ -140,6 +142,28 @@ def test_evaluate_matches_the_complex_formula(n_t, n_x, basis, nodes, hermitian,
     got = evaluate(SpectralField(c, n_t, n_x, basis), m_t, m_x, nodes)
     assert got.dtype == float and got.shape == (m_t, m_x)
     assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), np.abs(c).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 12),
+    n_x=st.integers(1, 12),
+    basis=st.sampled_from(list(Basis)),
+    nodes=st.sampled_from(list(Basis)),
+    m_t=st.integers(1, 70),
+    m_x=st.integers(1, 20),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_evaluate_at_is_evaluate_at_any_times(n_t, n_x, basis, nodes, m_t, m_x, seed):
+    # at a grid's nodes it gives evaluate's bits, and at other times the
+    # values of the pointwise formula
+    u = random_field(seed, n_t, n_x, 1.0, basis)
+    assert np.array_equal(evaluate_at(u, time_nodes(m_t), m_x, nodes), evaluate(u, m_t, m_x, nodes))
+    times = np.random.default_rng(seed).uniform(0.0, 1.0, 5)
+    n = np.arange(-n_t, n_t + 1)
+    ref = ((np.exp(2j * np.pi * np.outer(times, n)) @ u.coeffs) @ space_matrix(n_x, m_x, nodes, basis).T).real
+    got = evaluate_at(u, times, m_x, nodes)
+    assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,3 +488,27 @@ def test_the_package_caches_are_the_declared_ones():
     }
     for cache in found.values():
         assert cache.cache_info().maxsize == TRANSFORM_CACHE_SIZE
+
+
+def test_records_of_arrays_compare_by_identity():
+    # a frozen dataclass's generated == compares its arrays with ==, whose
+    # truth value is ambiguous, and its hash hashes them; each record that
+    # holds arrays compares by identity instead, and hashes
+    import dataclasses
+
+    from stburgers.colehopf import S2Element, S3Element, antiderivative_x
+    from stburgers.scaling import PhysicalField
+
+    u = random_field(1, 3, 4, 2.0)
+    w = antiderivative_x(u)
+    records = [
+        u,
+        to_grid(u, 9, 6),
+        PhysicalField(np.arange(3.0), np.arange(2.0), np.zeros((3, 2))),
+        S2Element(w, 0.5),
+        S3Element(w, 0.5),
+    ]
+    for r in records:
+        twin = dataclasses.replace(r)
+        assert r == r and r != twin and not (r == twin)
+        assert len({r, twin, r}) == 2

@@ -16,7 +16,6 @@ from stburgers.fields import (
 from stburgers.norms import (
     DegenerateSampleError,
     aniso_norm,
-    aniso_weight,
     apriori_bound,
     decompose_forcing,
     dual_norm,
@@ -94,11 +93,10 @@ def test_dual_norm_single_mode():
 
 def test_dual_norm_is_suprising_pairing():
     # the maximizer of <f, u>/||u|| is u = W^{-1} f; verify the sup form
-    from stburgers.norms import aniso_weight
     from stburgers.operators import inner
 
     f = random_field(1, 5, 5, 1.0)
-    w = aniso_weight(f)
+    w = f.symbols.aniso
     u = f.with_coeffs(f.coeffs / w)
     assert abs(inner(f, u) / aniso_norm(u) - dual_norm(f)) < 1e-12
 
@@ -260,8 +258,8 @@ def test_weight_table_is_the_weight_formula_read_only(n_t, n_x, basis):
     n = np.abs(u.time_modes)[:, None].astype(float)
     m = u.space_modes[None, :].astype(float)
     wt, wx = 2 * np.pi * n, (m * np.pi) ** 2
-    w = aniso_weight(u)
-    assert w is u.symbols.aniso and not w.flags.writeable
+    w = u.symbols.aniso
+    assert not w.flags.writeable
     assert w.tobytes() == (1.0 + wt + wx).tobytes()
     sq = np.abs(u.coeffs) ** 2
     assert aniso_norm(u) == float(np.sqrt((w * sq).sum()))

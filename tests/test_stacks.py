@@ -74,6 +74,8 @@ def test_field_layer_stacks_are_per_field(seed, lead, n_t, n_x, basis):
     m_t, m_x = 2 * n_t + 3, n_x + 4
     _check(lambda u: fd.evaluate(u, m_t, m_x), singles, stack, lead)
     _check(lambda u: fd.evaluate(u, m_t, m_x, Basis.NEUMANN_COSINE), singles, stack, lead)
+    times = np.array([0.1, 0.35, 1.0])
+    _check(lambda u: fd.evaluate_at(u, times, m_x, Basis.NEUMANN_COSINE), singles, stack, lead)
     _check(lambda u: fd.analyse(fd.evaluate(u, m_t, m_x), n_t, n_x, basis), singles, stack, lead)
     for t, x in ((n_t + 2, n_x + 1), (max(n_t - 1, 0), max(n_x - 1, 1))):
         _check(lambda u: fd.truncate(u, t, x), singles, stack, lead)
@@ -109,7 +111,7 @@ def test_colehopf_stacks_are_per_field(seed, lead, n_t, n_x, mu):
     e2 = [ch.S2Element(u, kk) for u, kk in zip(W[0], k[0])], ch.S2Element(W[1], k[1])
     _check(lambda u: ch._pointwise_map(u, np.exp, 2 * n_t + 1, n_x + 2), *W, lead)
     _check(ch.grid_min, *W, lead)
-    _check(ch.grid_max, *W, lead)
+    _check(lambda u: -ch.grid_min(-1.0 * u), *W, lead)
     _check(lambda u, v, k: ch.chain_rule_defect(u, v, k, mu), *W, lead, v, k)
     if mu < 0.5:
         return  # the projection often fails: see test_s2_to_s3_names_the_first_failing_field
