@@ -42,8 +42,8 @@ from .errors import EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, ConfigError, SolverError,
 # how far the nodes of a grid file may lie from the grid it must be on
 NODE_TOL = 1e-9
 # the most bytes one array of a run may take (1 GiB); a truncation whose
-# largest array (`_largest_array`) needs more is a config error, raised
-# before anything of that size is allocated
+# largest array (`_largest_array`, and `_chain_arrays` for colehopf) needs
+# more is a config error, raised before anything of that size is allocated
 MAX_ARRAY_BYTES = 2**30
 # the keys of config.solver (colehopf reads all but method), the keys of
 # config.outputs and the top-level keys that each command reads (a
@@ -403,8 +403,10 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     """(name, bytes) of the largest array that a solve at truncation
     (n_t, n_x) allocates: the real dense matrix of T'(m) or the Krylov
     basis, whichever the solve uses, the real values of a product on its
-    padded grid, the complex time matrix that its packed one is built
-    from, or the real space matrix of the product grid of `apply_S`."""
+    padded grid, a bound on the time tables of that grid (twice its
+    packed real time matrix, which bounds the complex exponentials that
+    matrix is formed from), or the real space matrix of the product grid
+    of `apply_S`."""
     n = (2 * n_t + 1) * n_x
     if n <= sv.DENSE_MAX_UNKNOWNS:
         linear = ("dense matrix", 8 * n * n)
@@ -416,6 +418,24 @@ def _largest_array(n_t: int, n_x: int) -> tuple[str, int]:
     return max(linear, grid, time, space, key=lambda named: named[1])
 
 
+def _chain_arrays(n_t: int, n_x: int) -> tuple[tuple[str, int], ...]:
+    """(name, bytes) of the largest arrays of the Cole-Hopf chain of a
+    colehopf run at truncation (n_t, n_x), beside its solves: `s2_to_s3`
+    measures phi (three times the modes of W) on a 4 (6 n_t + 1) x
+    4 (3 n_x + 2) grid (`grid_min` on at least 8 times), with its values,
+    phi's space matrix and phi's time tables (bounded by the complex
+    exponentials of its 3 n_t + 1 modes n >= 0); the period map's
+    advection table has max(2 (n_x + 1), PERIOD_MAP_BLOCK + 1) rows of
+    (n_x + 1)^2 reals."""
+    m_t, m_x, n = max(4 * (6 * n_t + 1), 8), 4 * (3 * n_x + 2), n_x + 1
+    return (
+        ("check grid", 8 * m_t * m_x),
+        ("time matrix", 16 * m_t * (3 * n_t + 1)),
+        ("space matrix", 8 * m_x * (3 * n_x + 1)),
+        ("period-map table", 8 * max(2 * n, ch.PERIOD_MAP_BLOCK + 1) * n * n),
+    )
+
+
 def _truncation(cfg: dict, csv_path: str | None) -> tuple[int, int]:
     """The truncation (config.n_t, config.n_x) of a solve, checked against
     MAX_ARRAY_BYTES before any array of that size exists; so is the grid
@@ -425,10 +445,11 @@ def _truncation(cfg: dict, csv_path: str | None) -> tuple[int, int]:
     _check_budget(where, f"truncation ({n_t}, {n_x})", _largest_array(n_t, n_x))
     if csv_path:
         m_t, m_x = _field_grid(n_t, n_x)
-        # the grid's time matrix and values are smaller than the time
-        # matrix and the dense matrix or Krylov basis of the truncation
-        # (`_largest_array`), but its space matrix can be larger
-        _check_budget(where, f"field CSV grid ({m_t}, {m_x})", ("space matrix", 8 * m_x * n_x))
+        # the grid's time tables are smaller than the truncation's
+        # (`_largest_array`), but its space matrix can be larger, and so
+        # can its values at a few modes
+        grid = f"field CSV grid ({m_t}, {m_x})"
+        _check_budget(where, grid, ("space matrix", 8 * m_x * n_x), ("values", 8 * m_t * m_x))
     return n_t, n_x
 
 
@@ -618,6 +639,8 @@ def cmd_colehopf(cfg: dict, doc: dict, csv_path: None) -> int:
         doc["success"] = True
         return EXIT_OK
     mu, n_t, n_x, forcing = _common_problem(cfg, None)
+    what = f"Cole-Hopf chain at truncation ({n_t}, {n_x})"
+    _check_budget("config.n_t/config.n_x", what, *_chain_arrays(n_t, n_x))
     _, scfg = build_solver_config(cfg, mu, SOLVER_KEYS[1:])
     n_starts = _count(cfg, "n_starts", ch.N_STARTS, least=2)
     seed = _count(cfg, "seed", 0, least=0)

@@ -259,18 +259,10 @@ def space_eval_matrix(n_x: int, nodes: np.ndarray, basis: Basis) -> np.ndarray:
     return b
 
 
-def time_eval_matrix(n_t: int, m_t: int) -> np.ndarray:
-    """Matrix E with E[j, i] = exp(2 pi i n_i t_j), n_i = i - n_t."""
-    t = time_nodes(m_t)[:, None]
-    n = np.arange(-n_t, n_t + 1)[None, :]
-    return np.exp(2j * np.pi * n * t)
-
-
 # The transform caches: each basis matrix is built once per layout, kept
-# read-only and evicted least recently used first.  Each builder looks
-# its eval matrix up in the module globals at call time, so a wrapper set
-# on `space_eval_matrix` or `time_eval_matrix` (as bench/tracer.py sets)
-# sees every cache miss.
+# read-only and evicted least recently used first.  `space_matrix` looks
+# `space_eval_matrix` up in the module globals at call time, so a wrapper
+# set on it (as bench/tracer.py sets) sees every space cache miss.
 
 
 @functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
@@ -285,20 +277,22 @@ def space_matrix(n_x: int, m_x: int, nodes: Basis, basis: Basis) -> np.ndarray:
 
 @functools.lru_cache(maxsize=TRANSFORM_CACHE_SIZE)
 def packed_time_matrix(n_t: int, m_t: int) -> np.ndarray:
-    """R for the time layout (n_t, m_t): R[t] = [1, sqrt 2 cos(2 pi n t),
-    -sqrt 2 sin(2 pi n t)], n = 1..n_t, the time matrix of packed
-    coordinates, that is, E restricted to modes n >= 0 and split as `pack`
-    splits coefficients.  R x are the values in time of unpack(x),
-    unpack(R^T g) is E^H g for real g, and R^T R = m_t I when
-    m_t > 2 n_t."""
-    r = _packed_rows(time_eval_matrix(n_t, m_t)[:, n_t:])
+    """R for the time layout (n_t, m_t): the packed time rows
+    (`_packed_rows`) at the nodes of the m_t-point time grid.  R x are
+    the values in time of unpack(x), unpack(R^T g) is E^H g for real g,
+    E[t, n] = exp(2 pi i n t) on all modes n = -n_t..n_t, and R^T R =
+    m_t I when m_t > 2 n_t."""
+    r = _packed_rows(n_t, time_nodes(m_t))
     r.setflags(write=False)
     return r
 
 
-def _packed_rows(e: np.ndarray) -> np.ndarray:
-    """The packed time rows [1, sqrt 2 Re e[t, n], -sqrt 2 Im e[t, n]],
-    n = 1..n_t, of the exponentials e[t, n] = exp(2 pi i n t), n = 0..n_t."""
+def _packed_rows(n_t: int, times: np.ndarray) -> np.ndarray:
+    """The time matrix of packed coordinates at the given times:
+    R[t] = [1, sqrt 2 Re e[t, n], -sqrt 2 Im e[t, n]], n = 1..n_t, of the
+    exponentials e[t, n] = exp(2 pi i n t) of the modes n = 0..n_t alone,
+    split as `pack` splits coefficients."""
+    e = np.exp(2j * np.pi * np.arange(n_t + 1) * np.asarray(times)[:, None])
     return np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
 
 
@@ -317,9 +311,8 @@ def evaluate_at(u: SpectralField, times: np.ndarray, m_x: int, nodes: Basis) -> 
     field of a stack: the values at a few of a long grid's times, say one
     block of them, without that grid's whole time matrix.  Uncached; at
     the nodes of a grid it gives evaluate's bits."""
-    e = np.exp(2j * np.pi * np.arange(u.n_t + 1) * np.asarray(times)[:, None])
     b = space_matrix(u.n_x, m_x, nodes, u.basis)
-    return (_packed_rows(e) @ pack(u.coeffs)) @ b.T
+    return (_packed_rows(u.n_t, times) @ pack(u.coeffs)) @ b.T
 
 
 def analyse(values: np.ndarray, n_t: int, n_x: int, basis: Basis) -> SpectralField:
@@ -390,17 +383,6 @@ def to_spectral(g: GridField, n_t: int, n_x: int) -> SpectralField:
             f"grid {g.m_t}x{g.m_x} too small for truncation ({n_t}, {n_x})"
         )
     return analyse(g.values, n_t, n_x, g.basis)
-
-
-def grid_quadrature(g: GridField) -> float:
-    """Integral over Q of the grid function.
-
-    Exact for band-limited integrands (time modes < m_t; Dirichlet-node
-    grids integrate cosine content up to 2*m_x+1 by the trapezoid rule
-    with vanishing endpoints, Neumann-node grids up to 2*m_x-1 by the
-    midpoint rule)."""
-    w = (g.m_x + 1) if g.basis is Basis.DIRICHLET_SINE else g.m_x
-    return float(g.values.sum() / (g.m_t * w))
 
 
 def _product_grid(n_t: int, n_x: int, n_t_out: int, n_x_out: int) -> tuple[int, int]:
@@ -585,3 +567,10 @@ def random_field(
     coeffs[n_t:] = upper
     coeffs[:n_t] = upper[1:][::-1].conj()
     return _owned(coeffs, n_t, n_x, basis)
+
+
+def sub_seed(seed: int, k: int) -> int:
+    """The seed of field k of the random family of `seed`: the first word
+    of numpy's SeedSequence([seed, k]), so that fields k and k + 1, or
+    the families of seeds s and s + 1, give unrelated draws."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])

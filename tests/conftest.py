@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
-from stburgers.fields import random_field
+from stburgers.fields import random_field, time_nodes
 from stburgers.norms import dual_norm, gn_probe
 from stburgers.operators import invert_L
 from stburgers.solver import SolverConfig, homotopy_solve, newton_solve
 
 MUS = (1.0, 0.1, 0.05)
 AMPS = (0.25, 1.0, 2.5)
+
+
+def complex_time_rows(n_t, times):
+    """The complex time matrix E at the given times, E[j, i] =
+    exp(2 pi i n_i t_j) on all modes n_i = i - n_t: the oracle of the
+    packed time rows, which form the modes n >= 0 alone."""
+    n = np.arange(-n_t, n_t + 1)[None, :]
+    return np.exp(2j * np.pi * n * np.asarray(times)[:, None])
+
+
+def time_eval_matrix(n_t, m_t):
+    """E at the nodes t_j = j / m_t of the m_t-point time grid."""
+    return complex_time_rows(n_t, time_nodes(m_t))
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stburgers import cli
+from stburgers import cli, fields
 from stburgers import colehopf as ch
 from stburgers import solver
 from stburgers.errors import SolverError
@@ -926,3 +927,121 @@ def test_checked_in_configs_keep_their_newton_and_lambda_counts(monkeypatch, tmp
     config = str(CONFIGS / f"{name}.json")
     assert cli.main([config_command(config), "--config", config]) == 0
     assert [(r.newton_iters, len(r.lambda_path)) for r in reports] == PINNED_SOLVES[name]
+
+
+# a forcing that every truncation holds
+FORCING_AT_EVERY_SIZE = '{"modes": [{"n": 0, "m": 1, "re": 0.3}, {"n": 1, "m": 1, "re": 0.2, "im": -0.1}]}'
+
+
+def test_cole_hopf_chain_past_the_array_budget_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # at 24x2 the solve's largest array is 150 kB, but s2_to_s3 measures
+    # phi (72x6 modes) on a 580x32 grid, whose time table of the 73 modes
+    # n >= 0 takes 0.68 MB: under a 512 kB budget the chain is refused
+    # before any solve, while configs/colehopf.json (8x8, 163 kB) runs
+    assert cli._largest_array(24, 2)[1] < 2**19
+    assert max(size for _, size in cli._chain_arrays(24, 2)) == 16 * 580 * 73
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 2**19)
+    monkeypatch.chdir(tmp_path)
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ch, "verify_uniqueness", no_solve)
+        argv = ["colehopf", "--config", str(CONFIGS / "colehopf.json"), "--override", "n_t=24",
+                "--override", "n_x=2"]
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config.n_t/config.n_x: Cole-Hopf chain at truncation (24, 2) needs a time matrix of" in err
+    assert "Traceback" not in err
+    assert solves == [] and os.listdir(tmp_path) == []
+    assert cli.main(["colehopf", "--config", str(CONFIGS / "colehopf.json")]) == 0
+
+
+def test_period_map_table_counts_against_the_array_budget(monkeypatch, capsys):
+    # at (1, 410) the solve's largest array is a 4.9 MB Krylov basis and
+    # s2_to_s3's a 48 MB space matrix, but the period map's advection
+    # table of 2 (n_x + 1) x (n_x + 1)^2 reals takes 1.1 GB: refused
+    # before any solve under the real 1 GiB budget
+    assert cli._largest_array(1, 410) == ("Krylov basis", 8 * 501 * 1230)
+    assert max(cli._chain_arrays(1, 410), key=lambda named: named[1]) == ("period-map table", 16 * 411**3)
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("not run")
+
+    monkeypatch.setattr(ch, "verify_uniqueness", no_solve)
+    argv = ["colehopf", "--config", str(CONFIGS / "colehopf.json"), "--override", "n_t=1",
+            "--override", "n_x=410", "--override", f"forcing={FORCING_AT_EVERY_SIZE}",
+            "--override", "outputs={}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config.n_t/config.n_x: Cole-Hopf chain at truncation (1, 410) needs a period-map table of" in err
+    assert solves == []
+
+
+def _budget_and_largest_array(argv):
+    """(the largest array that cli.main(argv) checks against the budget,
+    the largest array that the transform builders, `evaluate`,
+    `evaluate_at` and `analyse` return); the packed time rows count the
+    complex exponentials that they are formed from too."""
+    budget, built = [0], [0]
+
+    def note(nbytes):
+        built[0] = max(built[0], nbytes)
+
+    def checked(where, what, *arrays):
+        budget[0] = max([budget[0]] + [size for _, size in arrays])
+        return check_budget(where, what, *arrays)
+
+    def rows(n_t, times):
+        note(16 * len(times) * (n_t + 1))
+        return note_result(packed_rows(n_t, times))
+
+    def note_result(out):
+        note(out.coeffs.nbytes if isinstance(out, fields.SpectralField) else out.nbytes)
+        return out
+
+    check_budget, packed_rows = cli._check_budget, fields._packed_rows
+    names = ("_packed_rows", "space_eval_matrix", "evaluate", "evaluate_at", "analyse")
+    originals = {name: getattr(fields, name) for name in names}
+    wrapped = {"_packed_rows": rows}
+    for name in names[1:]:
+        fn = originals[name]
+        wrapped[name] = lambda *args, _fn=fn, **kwargs: note_result(_fn(*args, **kwargs))
+    for cache in (fields.packed_time_matrix, fields.space_matrix, fields.advection_grid):
+        cache.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_check_budget", checked)
+        # every module that holds a name, the package's re-imports too
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("stburgers"):
+                for name in names:
+                    if getattr(module, name, None) is originals[name]:
+                        patch.setattr(module, name, wrapped[name])
+        code = cli.main(argv)
+    for cache in (fields.packed_time_matrix, fields.space_matrix, fields.advection_grid):
+        cache.cache_clear()
+    assert code != 1 and built[0] > 0
+    return budget[0], built[0]
+
+
+@settings(max_examples=5, deadline=None)
+@given(n_t=st.integers(1, 24), n_x=st.integers(1, 8))
+@pytest.mark.parametrize("command", ["solve", "scale", "colehopf"])
+def test_the_array_budget_bounds_every_array_built(tmp_path_factory, command, n_t, n_x):
+    # the estimate that a run checks against MAX_ARRAY_BYTES is at least
+    # every array its transforms build: the solve's, the field CSV's and
+    # the Cole-Hopf chain's
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp(command))
+    try:
+        argv = [command, "--config", str(CONFIGS / f"{command}.json"), "--override", f"n_t={n_t}",
+                "--override", f"n_x={n_x}", "--override", f"forcing={FORCING_AT_EVERY_SIZE}"]
+        budget, built = _budget_and_largest_array(argv)
+    finally:
+        os.chdir(cwd)
+    assert built <= budget, (command, n_t, n_x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import complex_time_rows
 from stburgers import colehopf
 from stburgers.colehopf import (
     NonpositivePhiError,
@@ -205,7 +206,7 @@ def step_oracle(v, mu, steps, n_x, psi):
         deriv[mm - 1, mm] = -mm * np.pi
     dt = 1.0 / steps
     times = np.arange(steps + 1) * dt
-    e = np.exp(2j * np.pi * np.arange(-v.n_t, v.n_t + 1)[None, :] * times[:, None])
+    e = complex_time_rows(v.n_t, times)
     vgrid = ((e @ v.coeffs) @ bv.T).real
     eye = np.eye(n_x + 1)
     mats = [

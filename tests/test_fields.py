@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import time_eval_matrix
 from stburgers import fields
 from stburgers.fields import (
     SQRT2,
     TRANSFORM_CACHE_SIZE,
     Basis,
     BasisMismatchError,
-    GridField,
     ResolutionError,
     SpectralField,
     advection_grid,
     analyse,
     evaluate,
     evaluate_at,
-    grid_quadrature,
     pack,
     packed_time_matrix,
     product_cosine,
@@ -25,7 +24,6 @@ from stburgers.fields import (
     space_eval_matrix,
     space_matrix,
     space_nodes,
-    time_eval_matrix,
     time_nodes,
     to_grid,
     to_spectral,
@@ -72,7 +70,8 @@ def test_resolution_error():
 def test_parseval():
     u = random_field(4, 5, 6, 1.0)
     g = to_grid(u, 64, 63)
-    l2_grid = np.sqrt(grid_quadrature(GridField(g.values**2, g.m_t, g.m_x, g.basis)))
+    # the trapezoid rule with vanishing endpoints on the sine nodes
+    l2_grid = np.sqrt((g.values**2).sum() / (g.m_t * (g.m_x + 1)))
     assert abs(l2_grid - u.l2()) < 1e-13 * max(1.0, u.l2())
 
 
@@ -367,18 +366,29 @@ def test_cached_matrices_equal_the_eval_matrices(monkeypatch):
     for n_x, m_x, nodes, basis in space_layouts:
         b = space_matrix(n_x, m_x, nodes, basis)
         assert np.array_equal(b, space_eval_matrix(n_x, space_nodes(m_x, nodes), basis))
-    # a miss calls the eval matrix through the module globals, so a
+    # a space miss calls the eval matrix through the module globals, so a
     # wrapper set there (as a tracer sets) sees every build
     builds = []
 
-    def counted(*args):
-        builds.append(args)
-        return time_eval_matrix(*args)
+    def counted(n_x, nodes, basis):
+        builds.append((n_x, len(nodes), basis))
+        return space_eval_matrix(n_x, nodes, basis)
 
-    monkeypatch.setattr(fields, "time_eval_matrix", counted)
-    packed_time_matrix(2, 7)
-    packed_time_matrix(2, 7)
-    assert builds == [(2, 7)]
+    monkeypatch.setattr(fields, "space_eval_matrix", counted)
+    space_matrix(2, 7, sine, cosine)
+    space_matrix(2, 7, sine, cosine)
+    assert builds == [(2, 7, cosine)]
+
+
+def test_packed_time_matrix_is_the_packed_complex_time_matrix():
+    # the packed rows form the modes n >= 0 alone, and give the bits of
+    # the columns n >= 0 of the complex E over all 2 n_t + 1 modes
+    for n_t in range(40):
+        for m_t in range(1, 135, 7):
+            e = time_eval_matrix(n_t, m_t)[:, n_t:]
+            oracle = np.concatenate([e[:, :1].real, SQRT2 * e[:, 1:].real, -SQRT2 * e[:, 1:].imag], axis=1)
+            assert np.array_equal(fields._packed_rows(n_t, time_nodes(m_t)), oracle), (n_t, m_t)
+            assert np.array_equal(packed_time_matrix(n_t, m_t), oracle), (n_t, m_t)
 
 
 def test_cached_matrices_are_read_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import time_eval_matrix
 from stburgers.fields import (
     Basis,
     BasisMismatchError,
@@ -17,7 +18,6 @@ from stburgers.fields import (
     set_mode,
     space_eval_matrix,
     space_matrix,
-    time_eval_matrix,
     unpack,
     zeros,
 )

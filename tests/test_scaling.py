@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import time_eval_matrix
 from stburgers.fields import (
     random_field,
     set_mode,
     space_eval_matrix,
     space_nodes,
-    time_eval_matrix,
     time_nodes,
     zeros,
 )

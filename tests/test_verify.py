@@ -267,3 +267,44 @@ def test_the_samples_are_drawn_once_per_suite(monkeypatch):
     monkeypatch.setattr(vf, "_samples", counted)
     vf.run_suite(vf.VerifyConfig(n_samples=2))
     assert len(drawn) == 1
+
+
+def _with_nan_at(fn, index):
+    """fn with the per-field value `index` of its array result set to NaN."""
+
+    def planted(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out.reshape(-1)[index] = np.nan
+        return out
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "module, function, name, check",
+    [
+        (nm, "interpolation_slack", "interpolation_inequality", vf._sample_results),
+        (nm, "aniso_norm", "coercivity_lower_bound", vf._sample_results),
+        (ch, "chain_rule_defect", "chain_rule_identity", vf.check_colehopf),
+        (ch, "profile_values", "positivity_floor", vf.check_positivity),
+    ],
+    ids=["interpolation_inequality", "coercivity_lower_bound", "chain_rule_identity", "positivity_floor"],
+)
+def test_an_invariant_that_reads_nan_fails(monkeypatch, module, function, name, check):
+    # a NaN per-case value (or margin) inside a block must not be folded
+    # away by max or min, nor clipped away at zero
+    cfg = vf.VerifyConfig(seed=0, n_samples=3, mu=0.5)
+    clean = {r.name: r for r in check(cfg)}[name]
+    assert clean.passed
+    monkeypatch.setattr(module, function, _with_nan_at(getattr(module, function), 1))
+    result = {r.name: r for r in check(cfg)}[name]
+    assert np.isnan(result.value) and not result.passed
+
+
+def test_a_nan_anywhere_in_a_fold_gives_nan():
+    nan = float("nan")
+    for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan]):
+        assert np.isnan(vf._fold(0.0, values, max))
+        assert np.isnan(vf._fold(np.inf, values, min))
+    assert vf._fold(0.0, [-1.0, 0.5, -0.0], max) == 0.5
+    assert vf._fold(0.0, -0.0, max) == 0.0 and not np.signbit(vf._fold(0.0, -0.0, max))
