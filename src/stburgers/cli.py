@@ -150,7 +150,8 @@ def _mapping(value, where: str, keys) -> dict:
     return value
 
 
-def build_forcing(spec, n_t: int, n_x: int, where: str = "config.forcing") -> "fd.SpectralField":
+def build_forcing(spec, n_t: int, n_x: int) -> "fd.SpectralField":
+    where = "config.forcing"
     spec = _mapping(spec, where, ("modes", "grid_file", "decomposition"))
     keys = list(spec)
     if len(keys) != 1:
@@ -365,21 +366,21 @@ def read_field_csv(path: str):
 # Subcommands
 
 
-def _count(cfg: dict, key: str, default=..., where: str = "config", least: int = 1) -> int:
+def _count(cfg: dict, key: str, default=..., least: int = 1) -> int:
     """cfg[key] as an integer of at least `least`, inside the float range
     as a float key must be (`_check`)."""
-    value = _get(cfg, key, int, default, where)
+    value = _get(cfg, key, int, default)
     if value < least:
-        raise ConfigError(f"{where}.{key}: must be at least {least}, got {value}")
-    _check(value, float, f"{where}.{key}")
+        raise ConfigError(f"config.{key}: must be at least {least}, got {value}")
+    _check(value, float, f"config.{key}")
     return value
 
 
-def _positive(cfg: dict, key: str, default=..., where: str = "config") -> float:
+def _positive(cfg: dict, key: str, default=...) -> float:
     """cfg[key] as a positive float."""
-    value = _get(cfg, key, float, default, where)
+    value = _get(cfg, key, float, default)
     if value <= 0.0:
-        raise ConfigError(f"{where}.{key}: must be positive, got {value}")
+        raise ConfigError(f"config.{key}: must be positive, got {value}")
     return value
 
 
@@ -551,7 +552,7 @@ def cmd_verify(cfg: dict, doc: dict, csv_path: None) -> int:
         n_samples=_count(cfg, "n_samples", defaults.n_samples),
         mu=_viscosity(cfg, defaults.mu),
     )
-    results = _stage("run_suite", vf.run_suite, vcfg)
+    results = vf.run_suite(vcfg)
     doc["seed"] = vcfg.seed
     doc["n_samples"] = vcfg.n_samples
     doc["invariants"] = [dataclasses.asdict(r) for r in results]

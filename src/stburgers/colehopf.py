@@ -66,10 +66,7 @@ class NotInS1Error(StburgersError, ValueError):
 
 
 class ProjectionAccuracyError(StburgersError, ValueError):
-    """Re-projected exponential field fails its own equation residual;
-    `sample` is the index of the first field of a stack that fails."""
-
-    sample = 0
+    """Re-projected exponential field fails its own equation residual."""
 
 
 class NonpositivePhiError(StburgersError, ValueError):
@@ -217,7 +214,7 @@ def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     is retained with three times the modes of W; the projection defect is
     measured pointwise against the exact exponential and must stay below
     PROJECTION_TOL or the truncation was too coarse for W.  Per field of
-    a stack; the error names the first field that fails."""
+    a stack; the error gives the miss of the first field that fails."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     W = e.W
@@ -230,14 +227,12 @@ def s2_to_s3(e: S2Element, mu: float) -> S3Element:
     mid = Basis.NEUMANN_COSINE  # midpoint nodes
     exact = np.exp(-evaluate(W, m_t, m_x, mid) / (2.0 * mu)) / np.asarray(top)[..., None, None]
     defect = np.abs(evaluate(phi, m_t, m_x, mid) - exact).max(axis=(-2, -1)).ravel()
-    failed = np.flatnonzero(defect > PROJECTION_TOL)
+    failed = np.flatnonzero(~(defect <= PROJECTION_TOL))  # a NaN miss fails
     if failed.size:
-        error = ProjectionAccuracyError(
+        raise ProjectionAccuracyError(
             f"projected exponential misses its pointwise values by {defect[failed[0]]:.3e} "
             f"(> {PROJECTION_TOL:g}); refine the truncation of W"
         )
-        error.sample = int(failed[0])
-        raise error
     return S3Element(phi, kp)
 
 
@@ -250,7 +245,7 @@ def s3_to_s2(e: S3Element, mu: float) -> S2Element:
     if mu <= 0:
         raise ValueError("mu must be positive")
     phi = e.phi
-    if np.any(grid_min(phi) <= 0.0):
+    if not np.all(grid_min(phi) > 0.0):  # a NaN value fails
         raise NonpositivePhiError("phi is not strictly positive on the grid")
     W = _pointwise_map(phi, lambda g: -2.0 * mu * np.log(g), phi.n_t, phi.n_x)
     return S2Element(W, 2.0 * mu * e.K)

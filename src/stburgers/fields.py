@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,6 +107,16 @@ def _float_power(x, p):
     if np.ndim(x) == 0:
         return x ** p
     return np.array([v ** p for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _fold(worst: float, values, fold) -> float:
+    """worst folded with each per-field value in turn, as a loop over the
+    fields would fold them one at a time, except that a NaN value makes
+    the result NaN (the builtin max and min keep whichever NaN or number
+    comes first), so that a bound or invariant that reads NaN fails."""
+    for value in np.ravel(values).tolist():
+        worst = value if math.isnan(value) else fold(worst, value)
+    return worst
 
 
 @dataclass(frozen=True, eq=False)

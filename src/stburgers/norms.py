@@ -20,6 +20,7 @@ from .fields import (
     BasisMismatchError,
     SpectralField,
     _float_power,
+    _fold,
     _owned,
     _per_field,
     product_cosine,
@@ -164,7 +165,7 @@ def gn_probe(seeds, n_samples: int, n_t: int, n_x: int) -> float:
     for seed in seeds:
         for i in range(n_samples):
             try:
-                best = max(best, gn_ratio(random_field(sub_seed(seed, i), n_t, n_x, 2.0)))
+                best = _fold(best, gn_ratio(random_field(sub_seed(seed, i), n_t, n_x, 2.0)), max)
             except DegenerateSampleError:
                 pass  # zero x-derivative: the ratio is undefined
     if best == -np.inf:

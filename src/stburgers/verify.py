@@ -8,7 +8,6 @@ backend of the `verify` CLI command and of the acceptance tests."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import fields as fd
 from . import norms as nm
 from . import operators as op
 from . import solver as sv
-from .errors import SolverError
+from .errors import SolverError, StburgersError
 
 
 @dataclass(frozen=True)
@@ -107,16 +106,6 @@ def _blocks(items):
         yield block
 
 
-def _fold(worst: float, values, fold) -> float:
-    """worst folded with each per-field value in turn, as a loop over the
-    fields would fold them one at a time, except that a NaN value makes
-    the result NaN (the builtin max and min keep whichever NaN or number
-    comes first), so that an invariant that reads NaN fails."""
-    for value in np.ravel(values).tolist():
-        worst = value if math.isnan(value) else fold(worst, value)
-    return worst
-
-
 def _result(name, value, detail="") -> InvariantResult:
     tol = TOLERANCES[name]
     return InvariantResult(name, float(value), tol, bool(value <= tol), detail)
@@ -199,10 +188,10 @@ def _sample_results(cfg: VerifyConfig) -> list[InvariantResult]:
             **check_interpolation(u),
         }
         for name, value in values.items():
-            worst[name] = _fold(worst[name], value, min if name == "coercivity_lower_bound" else max)
+            worst[name] = fd._fold(worst[name], value, min if name == "coercivity_lower_bound" else max)
     margin = worst["coercivity_lower_bound"]
     # margin must stay nonnegative: report the violation, zero if none
-    worst["coercivity_lower_bound"] = _fold(0.0, -margin, max)
+    worst["coercivity_lower_bound"] = fd._fold(0.0, -margin, max)
     details = dict.fromkeys(OPERATOR_IDENTITIES, f"{cfg.n_samples} samples")
     details["coercivity_lower_bound"] = f"smallest margin {margin:.3e}"
     details["interpolation_inequality"] = "3 exponent triples"
@@ -222,43 +211,33 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
     try:
         report = sv.homotopy_solve(f, scfg, c_gn=c_gn)
     except SolverError as e:
-        report, failure = None, e
-    if report is None:
-        results = _failed(("energy_identity", "apriori_bound"), "homotopy_solve", failure)
+        names = ("energy_identity", "apriori_bound", "monodromy_eigenvalue", "monodromy_flatness")
+        solved = _failed(names, "homotopy_solve", e)
     else:
         gap = nm.energy_gap(f, report.u, cfg.mu)
         margin = report.apriori_margin
-        results = [
+        # monodromy around the solved field
+        rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, ch.MONODROMY_STEPS)
+        flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
+        solved = [
             _result("energy_identity", gap, f"residual {report.residual_dual:.3e}"),
             _result(
                 "apriori_bound",
-                _fold(0.0, -margin, max),
+                fd._fold(0.0, -margin, max),
                 f"smallest margin {margin:.3e} along the homotopy path",
             ),
+            _result("monodromy_eigenvalue", abs(rho - 1.0)),
+            _result("monodromy_flatness", flat),
         ]
     try:
         uniq = ch.verify_uniqueness(f, scfg, n_starts=ch.N_STARTS, seed=cfg.seed)
     except SolverError as e:
-        results += _failed(("uniqueness_distance",), "verify_uniqueness", e)
+        unique = _failed(("uniqueness_distance",), "verify_uniqueness", e)
     else:
-        results.append(
-            _result(
-                "uniqueness_distance",
-                uniq.max_pairwise_l2,
-                f"S1 residual {uniq.max_s1_residual:.3e}",
-            )
-        )
-    if report is None:
-        results += _failed(
-            ("monodromy_eigenvalue", "monodromy_flatness"), "homotopy_solve", failure
-        )
-        return results
-    # monodromy around the solved field
-    rho, eig = ch.monodromy_leading_pair(report.u, cfg.mu, ch.MONODROMY_STEPS)
-    flat = float(np.abs(ch.profile_values(eig) - 1.0).max())
-    results.append(_result("monodromy_eigenvalue", abs(rho - 1.0)))
-    results.append(_result("monodromy_flatness", flat))
-    return results
+        residual = f"S1 residual {uniq.max_s1_residual:.3e}"
+        unique = [_result("uniqueness_distance", uniq.max_pairwise_l2, residual)]
+    # in report order: the solve's two, uniqueness, the monodromy's two
+    return solved[:2] + unique + solved[2:]
 
 
 def _colehopf_cases(cfg: VerifyConfig):
@@ -272,36 +251,34 @@ def _colehopf_cases(cfg: VerifyConfig):
         yield w, v, float(rng.normal())
 
 
-def _round_trip(e2: ch.S2Element, mu: float):
-    """The round-trip distance of each case of the stack e2."""
-    back = ch.s3_to_s2(ch.s2_to_s3(e2, mu), mu)
-    W = e2.W
-    return (fd.truncate(back.W, W.n_t, W.n_x) - W).l2() + abs(back.K - e2.K)
-
-
 def check_colehopf(cfg: VerifyConfig) -> list[InvariantResult]:
     """The S2 -> S3 -> S2 round trip and the chain rule, a block of cases
-    at a time.  The first case whose exponential misses PROJECTION_TOL
-    fails the round trip, and no later case goes round; the chain rule
-    goes on."""
+    at a time.  A block whose round trip raises fails the round trip, with
+    the map that raised and its error as detail, and no later block goes
+    round; the chain rule goes on.  The map named is the block's: when a
+    case fails `s3_to_s2` and a later case of its block misses the
+    projection, the detail names `s2_to_s3`, which runs first on the
+    whole block."""
     worst_rt = 0.0
     worst_chain = 0.0
     rt_detail = ""
     for block in _blocks(_colehopf_cases(cfg)):
         w, v, k = zip(*block)
         e2 = ch.S2Element(ch.antiderivative_x(fd.stack(w)), np.array(k))
-        worst_chain = _fold(worst_chain, ch.chain_rule_defect(e2.W, fd.stack(v), e2.K, cfg.mu), max)
+        worst_chain = fd._fold(worst_chain, ch.chain_rule_defect(e2.W, fd.stack(v), e2.K, cfg.mu), max)
         if rt_detail:
             continue
+        stage = "s2_to_s3"
         try:
-            worst_rt = _fold(worst_rt, _round_trip(e2, cfg.mu), max)
-        except ch.ProjectionAccuracyError as e:
-            # the cases before the failing one still go round, so that an
-            # error of theirs is raised as it was by a loop over the cases
-            if e.sample:
-                head = e2.W.with_coeffs(e2.W.coeffs[: e.sample])
-                _round_trip(ch.S2Element(head, e2.K[: e.sample]), cfg.mu)
-            worst_rt, rt_detail = np.inf, f"s2_to_s3: {e}"
+            e3 = ch.s2_to_s3(e2, cfg.mu)
+            stage = "s3_to_s2"
+            back = ch.s3_to_s2(e3, cfg.mu)
+        except StburgersError as e:
+            worst_rt, rt_detail = np.inf, f"{stage}: {e}"
+            continue
+        W = e2.W
+        distance = (fd.truncate(back.W, W.n_t, W.n_x) - W).l2() + abs(back.K - e2.K)
+        worst_rt = fd._fold(worst_rt, distance, max)
     return [
         _result("colehopf_roundtrip", worst_rt, rt_detail),
         _result("chain_rule_identity", worst_chain),
@@ -319,7 +296,7 @@ def check_positivity(cfg: VerifyConfig) -> list[InvariantResult]:
         mu = (1.0, 0.1)[i % 2]
         v = 2.0 * fd.random_field(fd.sub_seed(cfg.seed, 2000 + i), 4, 6, 2.0)
         out = ch.PeriodMap(v, mu, ch.MONODROMY_STEPS, n_x=len(psi0) - 1).apply(psi0)
-        worst = _fold(worst, -ch.profile_values(out).min(), max)
+        worst = fd._fold(worst, -ch.profile_values(out).min(), max)
     return [_result("positivity_floor", worst, f"{POSITIVITY_CASES} random advections")]
 
 

@@ -192,13 +192,14 @@ def test_verify_fails_on_impossible_tolerance(tmp_path, capsys, monkeypatch):
             "homotopy_solve",
             ["energy_identity", "apriori_bound", "monodromy_eigenvalue", "monodromy_flatness"],
         ),
+        ("s3_to_s2", ["colehopf_roundtrip"]),
     ],
 )
 def test_verify_stage_failure_fails_its_invariants_only(tmp_path, capsys, monkeypatch, stage, failed):
     def fail(*args, **kwargs):
         raise SolverError("injected")
 
-    module = {"verify_uniqueness": ch, "homotopy_solve": solver}[stage]
+    module = {"verify_uniqueness": ch, "s3_to_s2": ch, "homotopy_solve": solver}[stage]
     monkeypatch.setattr(module, stage, fail)
     assert run(tmp_path, "verify", verify_cfg(tmp_path)) == 3
     doc = json.loads((tmp_path / "verify.json").read_text())

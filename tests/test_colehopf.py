@@ -170,6 +170,15 @@ def test_s3_to_s2_rejects_sign_changing_phi():
         s3_to_s2(e3, mu=1.0)
 
 
+def test_s3_to_s2_rejects_nan_phi():
+    # NaN fails every comparison, so a gate written as "raise if <= 0"
+    # would let it through
+    phi = zeros(2, 3, Basis.NEUMANN_COSINE)
+    phi = phi.with_coeffs(np.full_like(phi.coeffs, np.nan))
+    with pytest.raises(NonpositivePhiError):
+        s3_to_s2(S3Element(phi, 0.0), mu=1.0)
+
+
 def test_period_map_heat_decay_oracle():
     # v = 0: mode m decays by exp(-mu m^2 pi^2) over one period
     mu = 0.8

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stburgers import norms
 from stburgers.fields import (
     Basis,
     SpectralField,
@@ -228,6 +229,23 @@ def test_gn_probe_deterministic_and_positive():
     b = gn_probe([0, 1], 10, n_t=8, n_x=8)
     assert a == b
     assert a > 0
+
+
+def test_gn_probe_keeps_a_nan_ratio(monkeypatch):
+    # a NaN ratio must not be dropped by the fold over the samples
+    clean = gn_probe([3], 5, n_t=8, n_x=8)
+    ratio = norms.gn_ratio
+    calls = []
+
+    def nan_second(u):
+        calls.append(u)
+        return float("nan") if len(calls) == 2 else ratio(u)
+
+    monkeypatch.setattr(norms, "gn_ratio", nan_second)
+    assert np.isnan(gn_probe([3], 5, n_t=8, n_x=8))
+    assert len(calls) == 5
+    monkeypatch.setattr(norms, "gn_ratio", ratio)
+    assert gn_probe([3], 5, n_t=8, n_x=8) == clean > 0
 
 
 def test_gn_ratio_matches_probe_sample():

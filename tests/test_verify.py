@@ -17,6 +17,7 @@ from stburgers import fields as fd
 from stburgers import norms as nm
 from stburgers import operators as op
 from stburgers import verify as vf
+from stburgers.errors import StburgersError
 
 N_SAMPLE_INVARIANTS = 11
 
@@ -121,7 +122,10 @@ def oracle(cfg):
 
 def colehopf_oracle(cfg):
     """The Cole-Hopf invariants by one loop over the cases, one case at a
-    time, the check's former layout."""
+    time, the check's former layout: the first case whose round trip
+    raises fails it, naming the map that raised.  The check names the map
+    per block, so the two part when a case fails `s3_to_s2` and a later
+    case of its block fails `s2_to_s3`; no case here reaches that."""
     worst_rt = 0.0
     worst_chain = 0.0
     rt_detail = ""
@@ -137,12 +141,14 @@ def colehopf_oracle(cfg):
         worst_chain = max(worst_chain, ch.chain_rule_defect(W, v, k, cfg.mu))
         if rt_detail:
             continue
+        stage = "s2_to_s3"
         try:
             e3 = ch.s2_to_s3(e2, cfg.mu)
-        except ch.ProjectionAccuracyError as e:
-            worst_rt, rt_detail = np.inf, f"s2_to_s3: {e}"
+            stage = "s3_to_s2"
+            back = ch.s3_to_s2(e3, cfg.mu)
+        except StburgersError as e:
+            worst_rt, rt_detail = np.inf, f"{stage}: {e}"
             continue
-        back = ch.s3_to_s2(e3, cfg.mu)
         wb = fd.truncate(back.W, W.n_t, W.n_x)
         worst_rt = max(worst_rt, (wb - W).l2() + abs(back.K - k))
     return [
@@ -230,7 +236,8 @@ def _projection_defects(cfg):
 
 def test_a_round_trip_that_fails_inside_a_block_is_the_first_failure(monkeypatch):
     # a tolerance between the largest miss of the cases before case j and
-    # the miss of case j, which lies inside a block: case j fails first
+    # the miss of case j, which lies inside a block: case j fails first,
+    # and its block, the cases before j in it included, does not go round
     cfg = vf.VerifyConfig(seed=3, n_samples=4 * vf.BLOCK, mu=0.5)
     misses = _projection_defects(cfg)
     j = next(
@@ -248,12 +255,49 @@ def test_a_round_trip_that_fails_inside_a_block_is_the_first_failure(monkeypatch
     monkeypatch.setattr(ch, "s3_to_s2", spied)
     results = vf.check_colehopf(cfg)
     ks = [k for _, _, k in vf._colehopf_cases(cfg)]
-    # no case after the failing one goes round; those before it do
-    assert sorted(seen) == sorted(k / (2.0 * cfg.mu) for k in ks[:j])
+    # no case of the failing block goes round, nor any after it; the
+    # blocks before it do
+    assert sorted(seen) == sorted(k / (2.0 * cfg.mu) for k in ks[: j - j % vf.BLOCK])
     assert results[0].value == np.inf and not results[0].passed
     assert results[0].detail.startswith("s2_to_s3: projected exponential misses")
     monkeypatch.setattr(ch, "s3_to_s2", s3_to_s2)
     assert _bits(results) == _bits(colehopf_oracle(cfg))
+
+
+def test_a_round_trip_that_raises_in_s3_to_s2_fails_the_round_trip_only(monkeypatch):
+    # a nonpositive phi in the second of three blocks: the suite still
+    # measures all 19 invariants, and only the round trip changes
+    cfg = vf.VerifyConfig(seed=0, n_samples=3 * vf.BLOCK, mu=0.5)
+    clean = vf.run_suite(cfg)
+    blocks = []
+    s3_to_s2 = ch.s3_to_s2
+
+    def second_block_fails(e, mu):
+        blocks.append(e)
+        if len(blocks) == 2:
+            raise ch.NonpositivePhiError("phi is not strictly positive on the grid")
+        return s3_to_s2(e, mu)
+
+    monkeypatch.setattr(ch, "s3_to_s2", second_block_fails)
+    results = vf.run_suite(cfg)
+    assert len(blocks) == 2  # no later block goes round
+    assert [r.name for r in results] == [r.name for r in clean]
+    assert len(results) == len(vf.TOLERANCES) == 19
+    i = N_SAMPLE_INVARIANTS
+    assert results[i].name == "colehopf_roundtrip" and clean[i].passed
+    assert results[i].value == np.inf and not results[i].passed
+    assert results[i].detail == "s3_to_s2: phi is not strictly positive on the grid"
+    assert _bits(results[:i] + results[i + 1 :]) == _bits(clean[:i] + clean[i + 1 :])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_round_trip_that_reads_nan_fails_in_s2_to_s3():
+    # at mu = 1e-5 the exponential overflows and the projection's miss is
+    # NaN, which must fail its gate, not pass it
+    result = vf.check_colehopf(vf.VerifyConfig(seed=0, n_samples=2, mu=1e-5))[0]
+    assert result.name == "colehopf_roundtrip"
+    assert result.value == np.inf and not result.passed
+    assert result.detail.startswith("s2_to_s3: projected exponential misses its pointwise values by nan")
 
 
 def test_the_samples_are_drawn_once_per_suite(monkeypatch):
@@ -304,7 +348,7 @@ def test_an_invariant_that_reads_nan_fails(monkeypatch, module, function, name, 
 def test_a_nan_anywhere_in_a_fold_gives_nan():
     nan = float("nan")
     for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan]):
-        assert np.isnan(vf._fold(0.0, values, max))
-        assert np.isnan(vf._fold(np.inf, values, min))
-    assert vf._fold(0.0, [-1.0, 0.5, -0.0], max) == 0.5
-    assert vf._fold(0.0, -0.0, max) == 0.0 and not np.signbit(vf._fold(0.0, -0.0, max))
+        assert np.isnan(fd._fold(0.0, values, max))
+        assert np.isnan(fd._fold(np.inf, values, min))
+    assert fd._fold(0.0, [-1.0, 0.5, -0.0], max) == 0.5
+    assert fd._fold(0.0, -0.0, max) == 0.0 and not np.signbit(fd._fold(0.0, -0.0, max))
