@@ -40,6 +40,7 @@ from .fields import (
     product_cosine,
     random_field,
     space_matrix,
+    sub_seed,
     zeros,
 )
 from .operators import apply_T, d_t, d_x, d_xx, invert_L
@@ -376,11 +377,8 @@ def verify_uniqueness(
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
     starts = [zeros(f.n_t, f.n_x, f.basis), invert_L(f, cfg.mu)]
-    i = 0
-    while len(starts) < n_starts:
-        starts.append(0.1 * random_field(seed + i, f.n_t, f.n_x, 2.0))
-        i += 1
-    reports = [newton_solve(f, s, cfg) for s in starts[:n_starts]]
+    starts += [0.1 * random_field(sub_seed(seed, i), f.n_t, f.n_x, 2.0) for i in range(n_starts - 2)]
+    reports = [newton_solve(f, s, cfg) for s in starts]
     for r in reports:
         if not r.success:
             raise SolverError(f"start failed to converge: {r.message}")

@@ -580,8 +580,8 @@ def random_field(
     return _owned(coeffs, n_t, n_x, basis)
 
 
-def sub_seed(seed: int, k: int) -> int:
-    """The seed of field k of the random family of `seed`: the first word
-    of numpy's SeedSequence([seed, k]), so that fields k and k + 1, or
-    the families of seeds s and s + 1, give unrelated draws."""
-    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+def sub_seed(seed: int, *keys: int) -> int:
+    """The seed of `keys` under `seed`, the package's one seed rule: the first
+    word of numpy's SeedSequence([seed, *keys]), so that keys k and k + 1, or
+    seeds s and s + 1, give unrelated draws; (k,) and (k, 0) give one seed."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])

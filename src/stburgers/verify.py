@@ -50,6 +50,9 @@ POSITIVITY_CASES = 20
 # 10% faster, but every block field costs peak memory: the benchmark's
 # peak RSS rises 1.6 MB at 6, 2.2 MB at 8 and 2.9 MB at 10
 BLOCK = 6
+# the keys of the families of random draws: draw i of family F has the seed
+# fd.sub_seed(cfg.seed, F, i), and a family of one draw fd.sub_seed(cfg.seed, F)
+SAMPLES, COLEHOPF_W, COLEHOPF_V, COLEHOPF_K, ADVECTIONS, FORCING, GN_PROBE, UNIQUENESS = range(8)
 
 # the invariants measured on each random sample, in report order
 OPERATOR_IDENTITIES = (
@@ -96,7 +99,7 @@ TOLERANCES = {
 def _samples(cfg: VerifyConfig):
     """The cfg.n_samples seeded random fields of decay 1.5."""
     for i in range(cfg.n_samples):
-        yield fd.random_field(fd.sub_seed(cfg.seed, i), *SAMPLE_TRUNCATION, 1.5)
+        yield fd.random_field(fd.sub_seed(cfg.seed, SAMPLES, i), *SAMPLE_TRUNCATION, 1.5)
 
 
 def _blocks(items):
@@ -205,9 +208,9 @@ def _failed(names, stage: str, error: Exception) -> list[InvariantResult]:
 
 
 def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
-    f = 0.8 * fd.random_field(cfg.seed + 1, *SOLVE_TRUNCATION, 2.0)
+    f = 0.8 * fd.random_field(fd.sub_seed(cfg.seed, FORCING), *SOLVE_TRUNCATION, 2.0)
     scfg = sv.SolverConfig(mu=cfg.mu)
-    c_gn = nm.gn_probe([cfg.seed + 3], 25, n_t=16, n_x=16)
+    c_gn = nm.gn_probe([fd.sub_seed(cfg.seed, GN_PROBE)], 25, n_t=16, n_x=16)
     try:
         report = sv.homotopy_solve(f, scfg, c_gn=c_gn)
     except SolverError as e:
@@ -230,7 +233,7 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
             _result("monodromy_flatness", flat),
         ]
     try:
-        uniq = ch.verify_uniqueness(f, scfg, n_starts=ch.N_STARTS, seed=cfg.seed)
+        uniq = ch.verify_uniqueness(f, scfg, n_starts=ch.N_STARTS, seed=fd.sub_seed(cfg.seed, UNIQUENESS))
     except SolverError as e:
         unique = _failed(("uniqueness_distance",), "verify_uniqueness", e)
     else:
@@ -242,12 +245,11 @@ def check_solve_invariants(cfg: VerifyConfig) -> list[InvariantResult]:
 
 def _colehopf_cases(cfg: VerifyConfig):
     """The seeded (w, v, K) of the Cole-Hopf check's cases."""
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = np.random.default_rng(fd.sub_seed(cfg.seed, COLEHOPF_K))
     n_t, n_x = 4, 5
     for i in range(min(cfg.n_samples, 100)):
-        s = fd.sub_seed(cfg.seed, 1000 + i)
-        w = 0.4 * fd.random_field(s, n_t, n_x, 2.5)
-        v = 0.5 * fd.random_field(s + 1, n_t, n_x, 2.5)
+        w = 0.4 * fd.random_field(fd.sub_seed(cfg.seed, COLEHOPF_W, i), n_t, n_x, 2.5)
+        v = 0.5 * fd.random_field(fd.sub_seed(cfg.seed, COLEHOPF_V, i), n_t, n_x, 2.5)
         yield w, v, float(rng.normal())
 
 
@@ -294,7 +296,7 @@ def check_positivity(cfg: VerifyConfig) -> list[InvariantResult]:
     psi0[1] = 0.5 / np.sqrt(2.0)  # (1 + cos(pi x))/2, nonnegative
     for i in range(POSITIVITY_CASES):
         mu = (1.0, 0.1)[i % 2]
-        v = 2.0 * fd.random_field(fd.sub_seed(cfg.seed, 2000 + i), 4, 6, 2.0)
+        v = 2.0 * fd.random_field(fd.sub_seed(cfg.seed, ADVECTIONS, i), 4, 6, 2.0)
         out = ch.PeriodMap(v, mu, ch.MONODROMY_STEPS, n_x=len(psi0) - 1).apply(psi0)
         worst = fd._fold(worst, -ch.profile_values(out).min(), max)
     return [_result("positivity_floor", worst, f"{POSITIVITY_CASES} random advections")]

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # keys come under "solver", since one reader serves every command's
 # solver section
 NOT_IN_CONFIGS = {
-    ("solver", "solver.max_newton"): "the bench's matrix-small solves run SolverConfig(max_newton=60)",
+    ("solver", "solver.max_newton"): "set only by CI's solver.max_newton=1 overrides and by tests/test_cli.py",
     ("colehopf", "solver"): "the uniqueness solves read the solver section that solve configs set",
     ("colehopf", "phi_file"): "an input mode (a phi profile to check for positivity), not a setting",
 }

@@ -240,6 +240,33 @@ def test_gmres_identity_breaks_down_after_one_inner_iteration():
     assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
 
 
+def test_a_forcing_that_packs_to_zero_gives_newton_a_zero_correction(monkeypatch):
+    # anti-Hermitian coefficients are the part of a field that `pack`
+    # drops, so each Newton step solves T'(m) X = 0, and `_solve_packed`
+    # returns X = 0 without a solve; the residual, all of f, cannot fall,
+    # and Newton stops after its first step and MAX_RECOVERIES recoveries
+    base = random_field(3, 4, 4, 2.0)
+    f = base.with_coeffs(1j * base.coeffs)
+    assert not fields.pack(f.coeffs).any()
+    solves = []
+    solve_packed = solver._solve_packed
+
+    def spied(packed, g, b, m_norm):
+        x = solve_packed(packed, g, b, m_norm)
+        solves.append((b.any(), x.any()))
+        return x
+
+    monkeypatch.setattr(solver, "_solve_packed", spied)
+    rep = newton_solve(f, None, SolverConfig(mu=0.1))
+    assert not rep.success
+    assert rep.message == "damped Newton step could not reduce the residual"
+    assert rep.newton_iters == 7 == 1 + solver.MAX_RECOVERIES
+    assert rep.residual_dual == dual_norm(f)
+    assert len(rep.lambda_path) == 7
+    assert solves == [(False, False)] * 7
+    assert not rep.u.coeffs.any()
+
+
 @pytest.mark.parametrize("restart", [30, 6], ids=["full", "restarted"])
 @pytest.mark.parametrize("seed", range(4))
 def test_gmres_matches_a_direct_solve(seed, restart):

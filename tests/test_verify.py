@@ -5,6 +5,7 @@ here as the oracle.  Its Cole-Hopf check, also a block of cases at a
 time, equals the former loop over the cases one at a time."""
 
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -126,16 +127,18 @@ def colehopf_oracle(cfg):
     raises fails it, naming the map that raised.  The check names the map
     per block, so the two part when a case fails `s3_to_s2` and a later
     case of its block fails `s2_to_s3`; no case here reaches that."""
+
+    def key(*keys):
+        return int(np.random.SeedSequence([cfg.seed, *keys]).generate_state(1)[0])
+
     worst_rt = 0.0
     worst_chain = 0.0
     rt_detail = ""
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = np.random.default_rng(key(vf.COLEHOPF_K))
     n_t, n_x = 4, 5
     for i in range(min(cfg.n_samples, 100)):
-        seq = np.random.SeedSequence([cfg.seed, 1000 + i])
-        s = int(seq.generate_state(1)[0])
-        w = 0.4 * fd.random_field(s, n_t, n_x, 2.5)
-        v = 0.5 * fd.random_field(s + 1, n_t, n_x, 2.5)
+        w = 0.4 * fd.random_field(key(vf.COLEHOPF_W, i), n_t, n_x, 2.5)
+        v = 0.5 * fd.random_field(key(vf.COLEHOPF_V, i), n_t, n_x, 2.5)
         e2 = ch.S2Element(ch.antiderivative_x(w), float(rng.normal()))
         W, k = e2.W, e2.K
         worst_chain = max(worst_chain, ch.chain_rule_defect(W, v, k, cfg.mu))
@@ -192,8 +195,9 @@ def test_one_pass_gives_the_bits_of_the_four_loops_at_the_default_config():
     mu=st.sampled_from([0.01, 0.03, 0.1, 1.0]),
 )
 def test_any_block_size_gives_the_bits_of_the_loops(seed, n_samples, block, mu):
-    # the round trip fails at the first case at mu = 0.01, and at mu = 0.03
-    # often at a later one (case 3, 9, 1 or 2 at seeds 0, 1, 5 and 7)
+    # the round trip fails at the first case at mu = 0.01 (at seeds 0-7 but
+    # seed 1, where case 1 fails), and at mu = 0.03 often at a later one
+    # (case 3, 3, 4, 1, 8 or 1 at seeds 0, 1, 2, 4, 5 and 7)
     cfg = vf.VerifyConfig(seed=seed, n_samples=n_samples, mu=mu)
     with mock.patch.object(vf, "BLOCK", block):
         assert _bits(vf._sample_results(cfg)) == _bits(oracle(cfg))
@@ -237,13 +241,18 @@ def _projection_defects(cfg):
 def test_a_round_trip_that_fails_inside_a_block_is_the_first_failure(monkeypatch):
     # a tolerance between the largest miss of the cases before case j and
     # the miss of case j, which lies inside a block: case j fails first,
-    # and its block, the cases before j in it included, does not go round
-    cfg = vf.VerifyConfig(seed=3, n_samples=4 * vf.BLOCK, mu=0.5)
-    misses = _projection_defects(cfg)
-    j = next(
-        j for j in range(1, len(misses))
-        if j % vf.BLOCK and misses[j] > 1.1 * max(misses[:j])
-    )
+    # and its block, the cases before j in it included, does not go round;
+    # the first seed that has such a case is taken
+    for seed in range(10):
+        cfg = vf.VerifyConfig(seed=seed, n_samples=4 * vf.BLOCK, mu=0.5)
+        misses = _projection_defects(cfg)
+        inside = [
+            j for j in range(1, len(misses))
+            if j % vf.BLOCK and misses[j] > 1.1 * max(misses[:j])
+        ]
+        if inside:
+            break
+    j = inside[0]
     monkeypatch.setattr(ch, "PROJECTION_TOL", (misses[j] * max(misses[:j])) ** 0.5)
     seen = []
     s3_to_s2 = ch.s3_to_s2
@@ -352,3 +361,37 @@ def test_a_nan_anywhere_in_a_fold_gives_nan():
         assert np.isnan(fd._fold(np.inf, values, min))
     assert fd._fold(0.0, [-1.0, 0.5, -0.0], max) == 0.5
     assert fd._fold(0.0, -0.0, max) == 0.0 and not np.signbit(fd._fold(0.0, -0.0, max))
+
+
+def _draw_seeds(monkeypatch, cfg):
+    """The seed of every draw that the suite makes at cfg, in order: each
+    random field and generator is built by `np.random.default_rng`.  The
+    sample checks are stubbed out, since drawing is cheap and measuring
+    is not."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed, *args, **kwargs):
+        seeds.append(seed)
+        return default_rng(seed, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recorded)
+        for name in ("check_operator_identities", "check_linear_solver",
+                     "check_nonlinear_structure", "check_interpolation"):
+            patch.setattr(vf, name, lambda *args: {})
+        vf.run_suite(cfg)
+    return seeds
+
+
+def test_no_two_draws_of_the_suite_share_a_seed(monkeypatch):
+    # 2001 samples reach the sample indices 1000 and 2000, and seeds 0 and
+    # 1 are neighbours: a family keyed by an offset on the index or on the
+    # seed would meet another one there
+    runs = [_draw_seeds(monkeypatch, vf.VerifyConfig(seed=seed, n_samples=2001)) for seed in (0, 1)]
+    for seeds in runs:
+        # the samples, the w, v and K of 100 Cole-Hopf cases, the
+        # advections, the forcing, gn_probe's 25 samples, one random start
+        assert len(seeds) == 2001 + 201 + vf.POSITIVITY_CASES + 1 + 25 + ch.N_STARTS - 2
+    shared = [seed for seed, n in Counter(runs[0] + runs[1]).items() if n > 1]
+    assert shared == []
