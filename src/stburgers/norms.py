@@ -23,7 +23,7 @@ from .fields import (
     _fold,
     _owned,
     _per_field,
-    product_cosine,
+    evaluate,
     random_field,
     sub_seed,
     to_grid,
@@ -64,15 +64,17 @@ def outer_shell_weight(u: SpectralField) -> float:
     return float(np.sqrt(max(w_t, w_x) / total))
 
 
+def _l4_grid(u: SpectralField) -> tuple[int, int, int]:
+    """The grid (m_t, m_x), padded for the 4th-order products of u^4, and the weight m_t w
+    (w = m_x + 1 on sine nodes, m_x on midpoint nodes) over which its grid sum of u^4 is exact."""
+    m_t, m_x = 4 * u.n_t + 1, 2 * u.n_x + 1
+    return m_t, m_x, m_t * ((m_x + 1) if u.basis is Basis.DIRICHLET_SINE else m_x)
+
+
 def l4_norm(u: SpectralField) -> float:
-    """L4(Q) norm by quadrature; u^4 needs 4th-order products so the grid
-    is padded accordingly, and the grid sum over m_t w (w = m_x + 1 on
-    sine nodes, m_x on midpoint nodes) integrates it exactly."""
-    m_t = 4 * u.n_t + 1
-    m_x = 2 * u.n_x + 1
-    w = (m_x + 1) if u.basis is Basis.DIRICHLET_SINE else m_x
-    quarter = float((to_grid(u, m_t, m_x).values ** 4).sum() / (m_t * w))
-    return quarter ** 0.25
+    """L4(Q) norm by the exact quadrature of u^4 on `_l4_grid`."""
+    m_t, m_x, weight = _l4_grid(u)
+    return float((to_grid(u, m_t, m_x).values ** 4).sum() / weight) ** 0.25
 
 
 def norm_report(u: SpectralField) -> NormReport:
@@ -155,12 +157,12 @@ def decompose_forcing(f: SpectralField, eps: float) -> ForcingDecomposition:
 def gn_probe(seeds, n_samples: int, n_t: int, n_x: int) -> float:
     """Sampled Gagliardo-Nirenberg constant ||u^2|| / (||u|| ||u_x||).
 
-    Returns the max ratio over n_samples random fields of decay 2 per
-    seed; the analytic constant exists but is never numeric in the
+    Returns the max ratio over n_samples random fields of decay 2 for each seed of the
+    nonempty sequence `seeds`; the analytic constant exists but is never numeric in the
     estimate, so the probe supplies the value used in the a priori bound.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if n_samples < 1 or len(seeds) == 0:
+        raise ValueError("seeds must name a seed and n_samples must be at least 1")
     best = -np.inf
     for seed in seeds:
         for i in range(n_samples):
@@ -174,11 +176,14 @@ def gn_probe(seeds, n_samples: int, n_t: int, n_x: int) -> float:
 
 
 def gn_ratio(u: SpectralField) -> float:
-    """Ratio ||u^2||_L2 / (||u|| ||u_x||) for a single field."""
+    """Ratio ||u^2||_L2 / (||u|| ||u_x||) of one field, ||u|| the anisotropic norm and ||u^2||_L2
+    the root of the exact quadrature of u^4 on `_l4_grid`, by two squarings (** 4 calls pow)."""
     ux = float(np.sqrt((u.symbols.space_weight * np.abs(u.coeffs) ** 2).sum()))
     if ux == 0.0:
         raise DegenerateSampleError("field has zero x-derivative")
-    return product_cosine(u, u).l2() / (aniso_norm(u) * ux)
+    m_t, m_x, weight = _l4_grid(u)
+    g = evaluate(u, m_t, m_x) ** 2
+    return float(np.sqrt((g * g).sum() / weight)) / (aniso_norm(u) * ux)
 
 
 def apriori_bound(f: SpectralField, mu: float, c_gn: float) -> float:

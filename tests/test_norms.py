@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stburgers import norms
+from stburgers import fields, norms
 from stburgers.fields import (
     Basis,
     SpectralField,
     random_field,
     set_mode,
+    sub_seed,
     truncate,
     zeros,
 )
@@ -259,6 +260,83 @@ def test_gn_ratio_matches_probe_sample():
 def test_gn_probe_validates_sample_count():
     with pytest.raises(ValueError):
         gn_probe([0], 0, n_t=8, n_x=8)
+
+
+def test_gn_probe_rejects_an_empty_seed_list():
+    # no seed is a bad argument, not a probe whose samples all degenerate
+    with pytest.raises(ValueError, match="seeds") as err:
+        gn_probe([], 5, n_t=8, n_x=8)
+    assert not isinstance(err.value, DegenerateSampleError)
+
+
+def product_ratio(u):
+    """The oracle of gn_ratio: ||u^2||_L2 as the l2 norm of the exact
+    cosine product u * u."""
+    ux = float(np.sqrt((u.symbols.space_weight * np.abs(u.coeffs) ** 2).sum()))
+    return fields.product_cosine(u, u).l2() / (aniso_norm(u) * ux)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(0, 16),
+    n_x=st.integers(1, 16),
+    decay=st.sampled_from([0.5, 1.0, 2.0]),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(n_t=0, n_x=1, decay=2.0, hermitian=True, seed=0)
+@example(n_t=0, n_x=1, decay=1.0, hermitian=False, seed=1)
+@example(n_t=7, n_x=2, decay=2.0, hermitian=True, seed=2)
+@example(n_t=2, n_x=11, decay=1.0, hermitian=False, seed=3)
+def test_gn_ratio_quadrature_is_the_product_norm(n_t, n_x, decay, hermitian, seed):
+    # by Parseval ||u^2||_L2 is the root mean of u^4, which the padded
+    # L4 grid integrates exactly; like product_cosine, gn_ratio drops an
+    # anti-Hermitian part of the coefficients
+    u = random_field(seed, n_t, n_x, decay)
+    if not hermitian:
+        rng = np.random.default_rng(seed)
+        u = u.with_coeffs(u.coeffs + 0.3j * rng.standard_normal(u.coeffs.shape))
+    assert abs(gn_ratio(u) - product_ratio(u)) <= 1e-13 * product_ratio(u)
+
+
+def test_gn_probe_matches_the_product_probe():
+    oracle = max(
+        product_ratio(random_field(sub_seed(seed, i), 16, 16, 2.0)) for seed in [0, 1] for i in range(25)
+    )
+    assert abs(gn_probe([0, 1], 25, n_t=16, n_x=16) - oracle) <= 1e-14 * oracle
+
+
+def test_gn_probe_forms_no_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gn_probe formed a padded product")
+
+    for name in ("product_cosine", "analyse"):
+        monkeypatch.setattr(fields, name, forbidden)
+        monkeypatch.setattr(norms, name, forbidden, raising=False)
+    assert gn_probe([0, 1], 5, n_t=8, n_x=8) > 0
+
+
+def test_gn_probe_skips_a_degenerate_sample(monkeypatch):
+    # the zero field has no x-derivative: its sample is skipped, so the
+    # probe is the largest ratio of the other samples, and a probe whose
+    # every sample is zero raises
+    draw = norms.random_field
+    ratios = [gn_ratio(draw(sub_seed(3, i), 8, 8, 2.0)) for i in range(5)]
+    top = int(np.argmax(ratios))
+    zero_seeds = {sub_seed(3, top)}
+
+    def zero_some(seed, *args):
+        return zeros(*args[:2]) if seed in zero_seeds else draw(seed, *args)
+
+    monkeypatch.setattr(norms, "random_field", zero_some)
+    assert gn_probe([3], 5, n_t=8, n_x=8) == max(r for i, r in enumerate(ratios) if i != top)
+    zero_seeds = {sub_seed(3, i) for i in range(5)}
+    with pytest.raises(DegenerateSampleError):
+        gn_probe([3], 5, n_t=8, n_x=8)
+
+
+def test_apriori_bound_of_zero_forcing_is_zero():
+    assert apriori_bound(zeros(3, 3), 0.5, 0.1) == 0.0
 
 
 def test_energy_gap_zero_on_exact_solution():
